@@ -19,9 +19,9 @@ from .errors import (
     NotDominant,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, is_integral
+from .groups import RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor
 from .parabolic import ThetaParabolic, build_parabolic
-from .ratlin import ellipsoid_integer_points, gauss_solve, mat_mul, transpose
+from .ratlin import ellipsoid_integer_points, mat_mul, transpose
 from .weights import BilinearForm, Weight, half_sum, project_away
 
 
@@ -119,6 +119,7 @@ def is_essential(datum: EssentialVoganDatum) -> bool:
     return all(v == -1 for v in datum.m_values)
 
 
+@per_descriptor
 def genuine_shift(d: RealFormDescriptor) -> Weight:
     """Half-sum of the lexicographic noncompact positives; the genuine
     weights form its coset modulo the integral lattice."""
@@ -151,7 +152,7 @@ def enumerate_ball(
     shift = genuine_shift(d)
     basis = tuple(tuple(b.coords) for b in d.integrality_basis)
     quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
-    center = gauss_solve(transpose(basis), tuple(-c for c in shift.coords))
+    center = lattice_coordinates(d, -shift)
     if center is None:
         raise StructuralInvariantError("integrality basis is singular")
 

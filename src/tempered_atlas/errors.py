@@ -53,6 +53,11 @@ class NonIntegralPairing(TemperedAtlasError):
     """Coroot pairing is not an integer, so no circle character exists."""
 
 
+class NotIntegral(TemperedAtlasError):
+    """Weight is not in the analytically integral lattice, so it is the
+    highest weight of no K-type."""
+
+
 class NotGenuine(TemperedAtlasError):
     """Weight is not the highest weight of a genuine spin-cover type."""
 

@@ -31,8 +31,11 @@ vector lists are semicolon-separated, and an empty value is an empty list.
 """
 
 import configparser
+import functools
 import io
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorFormatError,
@@ -42,6 +45,27 @@ from .errors import (
 )
 from .ratlin import det, gauss_solve, transpose
 from .weights import BilinearForm, Weight, half_sum, is_dominant, parse_rational, reflect
+
+
+def per_descriptor(fn):
+    """Memoise fn(d) in the instance dict of the descriptor d.
+
+    Descriptors are frozen, so a stored value never goes stale, and it
+    lives exactly as long as its descriptor: two descriptors never share
+    one, even when they compare equal.  Lookup is a dict get, with no
+    hashing of the descriptor's fields.
+    """
+    key = f"_memo_{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memoised(d):
+        try:
+            return d.__dict__[key]
+        except KeyError:
+            value = d.__dict__[key] = fn(d)
+            return value
+
+    return memoised
 
 
 def lex_positive(w: Weight) -> bool:
@@ -68,10 +92,12 @@ class RealFormDescriptor:
     def dim_s(self) -> int:
         return len(self.noncompact_weights) + self.zero_weight_s_dim
 
+    @per_descriptor
     def rho_compact(self) -> Weight:
         """Half-sum of the fixed positive compact roots."""
         return half_sum(self.positive_compact, rank=self.rank_tc)
 
+    @per_descriptor
     def noncompact_positives(self) -> tuple[Weight, ...]:
         """The lexicographically positive member of each noncompact +-pair."""
         return tuple(sorted(w for w in self.noncompact_weights if lex_positive(w)))
@@ -206,12 +232,35 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
+@per_descriptor
+def _inverse_basis(d: RealFormDescriptor):
+    """(rows, den): the inverse of the transposed basis matrix as integer
+    rows over one denominator, so lattice coordinates are one mat-vec.  None
+    when the basis is not a nonsingular square matrix."""
+    n = d.rank_tc
+    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
+    if len(basis) != n or any(len(b) != n for b in basis) or det(basis) == 0:
+        return None
+    columns = tuple(
+        gauss_solve(transpose(basis), tuple(int(i == j) for i in range(n))) for j in range(n)
+    )
+    rows = transpose(columns)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
 def lattice_coordinates(d: RealFormDescriptor, w: Weight):
-    """Exact coefficients of w in the integrality basis, or None."""
+    """Exact coefficients of w in the integrality basis, or None when the
+    basis is singular."""
     if len(w) != d.rank_tc:
         raise DimensionMismatch(f"weight rank {len(w)} vs descriptor rank {d.rank_tc}")
-    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
-    return gauss_solve(transpose(basis), w.coords)
+    table = _inverse_basis(d)
+    if table is None:
+        return None
+    rows, den = table
+    nums, w_den = w.int_coords()
+    den *= w_den
+    return tuple(Fraction(sum(m * x for m, x in zip(row, nums)), den) for row in rows)
 
 
 def is_integral(d: RealFormDescriptor, w: Weight) -> bool:

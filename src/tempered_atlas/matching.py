@@ -18,6 +18,7 @@ from .errors import (
     InternalBijectionFailure,
     NotDominant,
     NotGenuine,
+    NotIntegral,
     StructuralInvariantError,
 )
 from .groups import RealFormDescriptor, is_integral, lex_positive
@@ -55,11 +56,14 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
+def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]:
     """Fine weights shifted by 2 rho(s cap u): the minimal K-type highest
-    weights, pairwise distinct and dominant."""
+    weights, pairwise distinct and dominant.  ``fine`` is fine_weights(datum)
+    when the caller already has it."""
+    if fine is None:
+        fine = fine_weights(datum)
     shift = 2 * datum.parabolic.rho_s_cap_u()
-    out = tuple(w + shift for w in fine_weights(datum))
+    out = tuple(w + shift for w in fine)
     d = datum.descriptor
     for w in out:
         if not d.is_dominant_weight(w):
@@ -83,16 +87,8 @@ def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
 
 
 def r_group_order(datum: EssentialVoganDatum) -> int:
-    """2^N with N the number of Levi pairs; cross-checked against the rank
-    bookkeeping N = dim(a) - rank_g + rank_tc."""
-    d = datum.descriptor
-    n = datum.n_pairs
-    dim_a = n + (d.rank_g - d.rank_tc)
-    if dim_a - d.rank_g + d.rank_tc != n:
-        raise StructuralInvariantError(
-            "R-group order bookkeeping is inconsistent with the descriptor ranks"
-        )
-    return 2**n
+    """2^N with N the number of Levi pairs, one rank-one split factor each."""
+    return 2**datum.n_pairs
 
 
 def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
@@ -101,8 +97,11 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
     The positive system is resolved purely by the strict sign of
     <mu_g + 2 rho_K, gamma> over the noncompact weights; a zero pairing
     means the input is not a minimal K-type of an essential component and
-    is an error, never a tie-break.
+    is an error, never a tie-break.  mu_g must be analytically integral,
+    which is checked first so that the error names the input.
     """
+    if not is_integral(d, mu_g):
+        raise NotIntegral(f"{mu_g} is not analytically integral")
     if not d.is_dominant_weight(mu_g):
         raise NotDominant(f"{mu_g} is not dominant for the compact positives")
     rho_k = d.rho_compact()
@@ -125,7 +124,8 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
     the Dirac highest weight equals kappa, and every minimal K-type maps
     back to kappa through the inverse matching."""
     d = datum.descriptor
-    k_types = minimal_k_types(datum)
+    fine = fine_weights(datum)
+    k_types = minimal_k_types(datum, fine)
     for w in k_types:
         back = match_inverse(d, w)
         if back != datum.kappa:
@@ -137,7 +137,7 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
         kappa=datum.kappa,
         n_pairs=datum.n_pairs,
         r_order=r_group_order(datum),
-        fine_weights=fine_weights(datum),
+        fine_weights=fine,
         minimal_k_types=k_types,
         dirac_hw=dirac_highest_weight(datum),
     )

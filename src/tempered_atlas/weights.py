@@ -3,10 +3,16 @@
 Weights are coordinate vectors in a fixed basis of the dual of the compact
 torus; the positive definite Gram matrix of a :class:`BilinearForm` carries
 all the geometry.  Every operation is pure, exact, and rejects floats.
+
+Arithmetic runs on integers: a weight is stored as integer numerators over
+their least common denominator and a form keeps its Gram matrix as integers
+over one denominator, so +, -, scaling and <a, b> are integer sums, with a
+Fraction built only for a pairing's value or when coordinates are read.
 """
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, ZeroRoot
 from .ratlin import leading_minors_positive, to_matrix
@@ -30,12 +36,48 @@ def _coerce(value) -> Fraction:
 
 class Weight:
     """A vector of exact rationals; supports +, -, negation, and scalar
-    multiplication by int or Fraction."""
+    multiplication by int or Fraction.
 
-    __slots__ = ("coords",)
+    Stored as integer numerators over their least common denominator, which
+    is all the arithmetic reads; the Fraction coordinates are built on first
+    use of ``coords``.  The value never changes after construction; the
+    other slots only cache what it determines.
+    """
+
+    __slots__ = ("_nums", "_den", "_coords", "_row")
 
     def __init__(self, coords):
-        self.coords = tuple(_coerce(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else _coerce(c) for c in coords)
+        den = lcm(*(c.denominator for c in coords))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self._den = den
+        self._coords = coords
+
+    @classmethod
+    def _from_ints(cls, nums: tuple[int, ...], den: int) -> "Weight":
+        """The weight nums / den for den > 0, reduced to lowest terms."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        w = object.__new__(cls)
+        w._nums = nums
+        w._den = den
+        return w
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            den = self._den
+            self._coords = tuple(Fraction(n, den) for n in self._nums)
+            return self._coords
+
+    def int_coords(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with coords[i] == nums[i] / den, den > 0 the least
+        common denominator."""
+        return self._nums, self._den
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -43,10 +85,10 @@ class Weight:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._nums)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self._nums)
 
     def __iter__(self):
         return iter(self.coords)
@@ -55,38 +97,67 @@ class Weight:
         return self.coords[i]
 
     def _check(self, other: "Weight"):
-        if len(self.coords) != len(other.coords):
+        if len(self._nums) != len(other._nums):
             raise DimensionMismatch(
-                f"rank {len(self.coords)} vs rank {len(other.coords)}"
+                f"rank {len(self._nums)} vs rank {len(other._nums)}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other: "Weight", sign: int) -> "Weight":
         self._check(other)
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
+        a, b = self._den, other._den
+        if a == b:
+            nums = tuple(x + sign * y for x, y in zip(self._nums, other._nums))
+            return Weight._from_ints(nums, a)
+        den = lcm(a, b)
+        fa, fb = den // a, sign * (den // b)
+        nums = tuple(x * fa + y * fb for x, y in zip(self._nums, other._nums))
+        return Weight._from_ints(nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Weight(-a for a in self.coords)
+        w = object.__new__(Weight)
+        w._nums = tuple(-x for x in self._nums)
+        w._den = self._den
+        return w
 
     def __mul__(self, scalar):
-        return Weight(a * _coerce(scalar) for a in self.coords)
+        c = scalar if type(scalar) is int else _coerce(scalar)
+        return Weight._from_ints(
+            tuple(x * c.numerator for x in self._nums), self._den * c.denominator
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
+        return (
+            isinstance(other, Weight)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self._nums, self._den))
+
+    def _cross(self, other: "Weight"):
+        # Both sides over the product denominator; order-preserving as
+        # denominators are positive.
+        a, b = self._den, other._den
+        if a == b:
+            return self._nums, other._nums
+        return tuple(x * b for x in self._nums), tuple(y * a for y in other._nums)
 
     def __lt__(self, other):
-        return self.coords < other.coords
+        mine, theirs = self._cross(other)
+        return mine < theirs
 
     def __le__(self, other):
-        return self.coords <= other.coords
+        mine, theirs = self._cross(other)
+        return mine <= theirs
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -110,10 +181,12 @@ class BilinearForm:
     """Symmetric rational Gram matrix on the weight space.
 
     Symmetry and positive definiteness are queried, not enforced at
-    construction, so that structural validation can report them.
+    construction, so that structural validation can report them.  The
+    matrix is also kept as integers over the lcm of its denominators, which
+    is all the pairing reads.
     """
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "_int_gram", "_den")
 
     def __init__(self, rows):
         gram = to_matrix(
@@ -123,6 +196,11 @@ class BilinearForm:
         if any(len(row) != n for row in gram):
             raise DimensionMismatch("Gram matrix must be square")
         self.gram = gram
+        self._den = lcm(*(x.denominator for row in gram for x in row))
+        self._int_gram = tuple(
+            tuple(x.numerator * (self._den // x.denominator) for x in row)
+            for row in gram
+        )
 
     @classmethod
     def identity(cls, rank: int) -> "BilinearForm":
@@ -137,17 +215,23 @@ class BilinearForm:
         return len(self.gram)
 
     def _check(self, w: Weight):
-        if len(w) != self.rank:
+        if len(w._nums) != len(self._int_gram):
             raise DimensionMismatch(f"weight rank {len(w)} vs form rank {self.rank}")
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         self._check(a)
         self._check(b)
-        return sum(
-            a[i] * self.gram[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        # b's pairing row G b, cached on b for the last form it met: the
+        # second operand is nearly always a root, paired again and again.
+        try:
+            form, row = b._row
+        except AttributeError:
+            form = None
+        if form is not self:
+            row = tuple(sum(g * y for g, y in zip(r, b._nums)) for r in self._int_gram)
+            b._row = (self, row)
+        total = sum(x * y for x, y in zip(a._nums, row))
+        return Fraction(total, a._den * b._den * self._den)
 
     def norm_sq(self, w: Weight) -> Fraction:
         return self.inner(w, w)

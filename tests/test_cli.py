@@ -81,6 +81,15 @@ def test_match_ambiguous_exits_4(capsys):
     assert "zero" in err
 
 
+def test_match_inverse_non_integral_names_the_input(capsys):
+    code, out, err = run_cli(
+        capsys, "match", "sp4r", "--mu", "1/2,1/2", "--direction", "inverse"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: (1/2,1/2) is not analytically integral\n"
+
+
 def test_figure_csv_claims(capsys):
     code, out, _ = run_cli(
         capsys, "figure", "sp4r", "--m-range=2:4", "--n-range=-2:3", "--format", "csv"

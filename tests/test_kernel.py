@@ -1,0 +1,161 @@
+"""The integer pairing kernel against the plain Fraction definitions.
+
+Weights and forms compute on integers over a common denominator; these
+properties pin every integer path to the textbook formula it replaced.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tempered_atlas import catalog
+from tempered_atlas.classify import enumerate_ball, genuine_shift
+from tempered_atlas.groups import RealFormDescriptor, is_integral, lattice_coordinates
+from tempered_atlas.matching import summarize_datum
+from tempered_atlas.ratlin import det, gauss_solve, transpose
+from tempered_atlas.weights import BilinearForm, Weight
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
+
+
+def fraction_inner(gram, a: Weight, b: Weight) -> Fraction:
+    """The n^2 Fraction loop that defines the pairing."""
+    n = len(gram)
+    return sum(
+        (a.coords[i] * gram[i][j] * b.coords[j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+
+def vectors(rank):
+    return st.lists(rationals, min_size=rank, max_size=rank)
+
+
+@st.composite
+def symmetric_grams(draw, rank):
+    entries = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            entries[i, j] = entries[j, i] = draw(rationals)
+    return tuple(tuple(entries[i, j] for j in range(rank)) for i in range(rank))
+
+
+@st.composite
+def pairing_cases(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    gram = draw(symmetric_grams(rank))
+    return gram, Weight(draw(vectors(rank))), Weight(draw(vectors(rank)))
+
+
+@given(pairing_cases(), scales)
+def test_inner_matches_fraction_definition(case, c):
+    gram, a, b = case
+    form = BilinearForm(gram)
+    assert form.inner(a, b) == fraction_inner(gram, a, b)
+    scaled = form.scaled(c)
+    assert scaled.inner(a, b) == fraction_inner(scaled.gram, a, b)
+    assert scaled.inner(a, b) == c * form.inner(a, b)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(vectors(n), vectors(n))),
+    rationals,
+)
+def test_weight_arithmetic_matches_coordinates(pair, c):
+    x, y = pair
+    a, b = Weight(x), Weight(y)
+    assert (a + b).coords == tuple(p + q for p, q in zip(x, y))
+    assert (a - b).coords == tuple(p - q for p, q in zip(x, y))
+    assert (-a).coords == tuple(-p for p in x)
+    assert (c * a).coords == tuple(c * p for p in x)
+    assert (a * 3).coords == tuple(3 * p for p in x)
+    assert (a == b) == (tuple(x) == tuple(y))
+    assert (a < b) == (tuple(x) < tuple(y))
+    assert (a <= b) == (tuple(x) <= tuple(y))
+    assert a.is_zero == all(p == 0 for p in x)
+    # Weights built by arithmetic equal and hash like weights built from
+    # coordinates.
+    assert a + b == Weight(p + q for p, q in zip(x, y))
+    assert hash(a - a) == hash(Weight.zero(len(x)))
+
+
+def descriptor_with_basis(basis) -> RealFormDescriptor:
+    rank = len(basis)
+    return RealFormDescriptor(
+        name="lattice",
+        rank_tc=rank,
+        rank_g=rank,
+        form=BilinearForm.identity(rank),
+        compact_roots=(),
+        positive_compact=(),
+        noncompact_weights=(),
+        zero_weight_s_dim=0,
+        integrality_basis=tuple(Weight(b) for b in basis),
+    )
+
+
+@st.composite
+def lattice_cases(draw):
+    rank = draw(st.integers(min_value=1, max_value=3))
+    entries = st.one_of(
+        st.integers(min_value=-4, max_value=4).map(Fraction),
+        rationals,
+    )
+    basis = tuple(
+        tuple(draw(entries) for _ in range(rank)) for _ in range(rank)
+    )
+    if draw(st.booleans()):
+        # A lattice point: an integer combination of the basis rows.
+        coeffs = [draw(st.integers(min_value=-5, max_value=5)) for _ in range(rank)]
+        w = tuple(sum(k * row[j] for k, row in zip(coeffs, basis)) for j in range(rank))
+    else:
+        w = tuple(draw(vectors(rank)))
+    return basis, Weight(w)
+
+
+@given(lattice_cases())
+def test_lattice_coordinates_match_gauss_solve(case):
+    basis, w = case
+    d = descriptor_with_basis(basis)
+    coords = lattice_coordinates(d, w)
+    if det(basis) == 0:
+        assert coords is None
+        assert not is_integral(d, w)
+        return
+    assert coords == gauss_solve(transpose(basis), w.coords)
+    assert is_integral(d, w) == all(c.denominator == 1 for c in coords)
+
+
+def test_lattice_coordinates_non_unimodular_basis():
+    d = descriptor_with_basis(((2, 0), (1, 3)))
+    assert lattice_coordinates(d, Weight((3, 3))) == (1, 1)
+    assert lattice_coordinates(d, Weight((1, 0))) == (Fraction(1, 2), 0)
+    assert is_integral(d, Weight((3, 3)))
+    assert not is_integral(d, Weight((1, 0)))
+
+
+def memo_values(d):
+    return [v for k, v in vars(d).items() if k.startswith("_memo_")]
+
+
+@settings(max_examples=15, deadline=None)
+@given(scales)
+def test_gram_rescaling_shares_no_tables_and_keeps_output(c):
+    base = catalog("su21")
+    scaled = dataclasses.replace(base, form=base.form.scaled(c))
+
+    def sweep(d, radius_sq):
+        return [
+            (s.kappa, s.n_pairs, s.fine_weights, s.minimal_k_types, s.dirac_hw)
+            for s in map(summarize_datum, enumerate_ball(d, radius_sq))
+        ]
+
+    radius_sq = Fraction(25, 2)
+    assert sweep(base, radius_sq) == sweep(scaled, c * radius_sq)
+    assert genuine_shift(base) == genuine_shift(scaled)
+    ids = {id(v) for v in memo_values(base)}
+    assert ids and memo_values(scaled)
+    assert not ids & {id(v) for v in memo_values(scaled)}

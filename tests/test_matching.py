@@ -7,6 +7,7 @@ from tempered_atlas.errors import (
     AmbiguousPositiveSystem,
     NotDominant,
     NotGenuine,
+    NotIntegral,
 )
 from tempered_atlas.matching import (
     dirac_highest_weight,
@@ -72,6 +73,12 @@ def test_match_inverse_zero_pairing_is_ambiguous(sp4r):
     # mu + 2 rho_K = (1,-1) pairs to zero with (1,1)
     with pytest.raises(AmbiguousPositiveSystem):
         match_inverse(sp4r, Weight((0, 0)))
+
+
+def test_match_inverse_requires_integrality(sp4r):
+    # (1/2,1/2) is dominant, so integrality is what must reject it.
+    with pytest.raises(NotIntegral):
+        match_inverse(sp4r, Weight((H, H)))
 
 
 def test_match_inverse_requires_dominance(sp4r):
