@@ -11,6 +11,7 @@ failure, 4 ambiguous matching input, 5 range error.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,14 @@ def _record(summary) -> dict:
     }
 
 
+def _cells(record: dict) -> list[str]:
+    """The five summary cells of a record; a K-type list is one cell."""
+    return [
+        " ".join(v) if isinstance(v, list) else str(v)
+        for v in (record[f] for f in _SUMMARY_FIELDS)
+    ]
+
+
 def _print_table(rows: list[list[str]], out) -> None:
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
@@ -121,45 +130,18 @@ def cmd_classify(args, out) -> int:
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_SUMMARY_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r["kappa"],
-                    r["n_pairs"],
-                    r["r_group_order"],
-                    " ".join(r["minimal_k_types"]),
-                    r["dirac_highest_weight"],
-                ]
-            )
+        writer.writerows(_cells(r) for r in records)
     elif args.format == "json":
         doc = {"group": run.group, "radius": str(run.radius), "components": records}
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
-        rows = [list(_SUMMARY_FIELDS)]
-        for r in records:
-            rows.append(
-                [
-                    r["kappa"],
-                    str(r["n_pairs"]),
-                    str(r["r_group_order"]),
-                    " ".join(r["minimal_k_types"]),
-                    r["dirac_highest_weight"],
-                ]
-            )
-        _print_table(rows, out)
+        _print_table([list(_SUMMARY_FIELDS)] + [_cells(r) for r in records], out)
     return EXIT_OK
 
 
 def _print_summary(summary, out) -> None:
-    r = _record(summary)
-    rows = [
-        ["kappa", r["kappa"]],
-        ["n_pairs", str(r["n_pairs"])],
-        ["r_group_order", str(r["r_group_order"])],
-        ["fine_weights", " ".join(str(w) for w in summary.fine_weights)],
-        ["minimal_k_types", " ".join(r["minimal_k_types"])],
-        ["dirac_highest_weight", r["dirac_highest_weight"]],
-    ]
+    rows = [list(row) for row in zip(_SUMMARY_FIELDS, _cells(_record(summary)))]
+    rows.insert(3, ["fine_weights", " ".join(str(w) for w in summary.fine_weights)])
     _print_table(rows, out)
 
 
@@ -281,7 +263,10 @@ def cmd_krep(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main call in the process."""
     parser = argparse.ArgumentParser(
         prog="tempered-atlas",
         description="Exact classification of essential tempered components.",

@@ -115,9 +115,11 @@ class ValidationReport:
         return not self.violations
 
 
+@per_descriptor
 def validate(d: RealFormDescriptor) -> ValidationReport:
     """Check every structural invariant; violations come back in a fixed
-    order as (invariant name, detail) pairs."""
+    order as (invariant name, detail) pairs.  The report is computed once
+    per descriptor instance; callers still consult it on every resolve."""
     v: list[tuple[str, str]] = []
 
     if d.zero_weight_s_dim != d.rank_g - d.rank_tc:
@@ -352,15 +354,20 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
+@functools.cache
+def _catalog_entry(name: str) -> RealFormDescriptor:
+    """Each built-in descriptor is built once per process and shared, so
+    its memoised tables stay warm across queries."""
+    return _CATALOG[name]()
+
+
 def catalog(name: str) -> RealFormDescriptor:
     """A validated built-in descriptor; deterministic across runs."""
-    try:
-        builder = _CATALOG[name]
-    except KeyError:
+    if name not in _CATALOG:
         raise UnknownGroup(
             f"unknown group {name!r}; catalog has {', '.join(catalog_names())}"
-        ) from None
-    d = builder()
+        )
+    d = _catalog_entry(name)
     report = validate(d)
     if not report.ok:
         raise DescriptorValidationError(report)
@@ -401,8 +408,13 @@ def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
         raise DescriptorFormatError(f"missing [{section}] {key}") from None
 
 
+@functools.lru_cache(maxsize=32)
 def parse_descriptor(text: str) -> RealFormDescriptor:
-    """Parse the file format without validating; see loads_descriptor."""
+    """Parse the file format without validating; see loads_descriptor.
+
+    Memoised on the text itself, so equal texts share one descriptor (and
+    its memoised tables) while an edited file parses afresh.  Format
+    errors are raised, never cached."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     try:
         cp.read_string(text)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .classify import is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import RealFormDescriptor, is_integral
+from .groups import RealFormDescriptor, is_integral, per_descriptor
 from .ratlin import gauss_solve, identity, mat_mul, mat_vec, transpose
 from .weights import Weight, half_sum, reflect
 
@@ -40,26 +40,12 @@ def convolve(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_descriptor
 def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
     """Positive compact roots that are not sums of two positive ones."""
     pos = set(d.positive_compact)
     return tuple(
         sorted(a for a in pos if not any(b != a and (a - b) in pos for b in pos))
-    )
-
-
-def dominant_representative(d: RealFormDescriptor, w: Weight) -> Weight:
-    """Image of w in the closed dominant chamber under simple reflections."""
-    simples = simple_compact_roots(d)
-    for _ in range(_MAX_CHAMBER_STEPS):
-        neg = next((s for s in simples if d.form.inner(w, s) < 0), None)
-        if neg is None:
-            return w
-        w = reflect(w, neg, d.form)
-    raise StructuralInvariantError(
-        "dominant chamber walk did not terminate; compact root data is "
-        "not a root system"
     )
 
 
@@ -98,7 +84,7 @@ def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=None)
+@per_descriptor
 def _positive_root_simple_coords(d: RealFormDescriptor):
     simples = simple_compact_roots(d)
     cols = transpose(tuple(s.coords for s in simples))
@@ -114,7 +100,9 @@ def _positive_root_simple_coords(d: RealFormDescriptor):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived process does not grow without limit; a run
+# of single queries typically meets a few dozen highest weights.
+@lru_cache(maxsize=256)
 def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
     form = d.form
     simples = simple_compact_roots(d)
@@ -143,7 +131,7 @@ def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
         frontier = []
         for w in sorted(candidates):
             cw = candidates[w]
-            wd = dominant_representative(d, w)
+            wd = to_dominant_chamber(d, w)[0]
             if wd != w:
                 # Multiplicities are reflection invariant; the dominant
                 # image sits at a strictly earlier level, already decided.
@@ -247,7 +235,7 @@ def _reflection_matrix(d: RealFormDescriptor, a: Weight):
     )
 
 
-@lru_cache(maxsize=None)
+@per_descriptor
 def weyl_group(d: RealFormDescriptor):
     """All Weyl elements of the compact root system as (matrix, parity)
     pairs, generated by closing the simple reflections."""

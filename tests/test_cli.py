@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
+import tempered_atlas
 from tempered_atlas.cli import main
 from tempered_atlas.groups import catalog, serialize_descriptor
+from test_su31_custom import SU31_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -201,3 +206,62 @@ def test_group_by_direct_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "match", str(path), "--mu", "0", "--direction", "forward")
     assert code == 0
     assert "(1) (-1)" in out
+
+
+def cold_run(*argv):
+    """(exit code, stdout) of the CLI in a fresh interpreter, where nothing
+    has been built or memoised yet."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tempered_atlas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempered_atlas.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_main_calls_match_a_cold_run(tmp_path, capsys):
+    su31 = tmp_path / "su31.group"
+    su31.write_text(SU31_TEXT, encoding="utf-8")
+    queries = [
+        ("classify", "sp4r", "--radius", "3", "--format", "csv"),
+        ("match", "sp4r", "--mu", "2,0", "--direction", "inverse"),
+        ("classify", "su21", "--radius", "3"),
+        ("krep", "su21", "tensor", "1,0", "1,1"),
+        ("match", str(su31), "--mu=3,1,-1", "--direction", "inverse"),
+        ("krep", str(su31), "weights", "2,1,0"),
+        ("krep", str(su31), "diracmult", "--tau=1,1,0", "--v=2,1,0"),
+    ]
+    for argv in queries:
+        expected = cold_run(*argv)
+        assert expected[0] == 0 and expected[1], argv
+        for _ in range(3):
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == expected, argv
+
+
+def test_rewritten_descriptor_file_gives_the_new_answer(tmp_path, capsys):
+    path = tmp_path / "g.group"
+    for name in ("sp4r", "su21", "sp4r"):
+        path.write_text(serialize_descriptor(catalog(name)), encoding="utf-8")
+        by_file = run_cli(capsys, "classify", str(path), "--radius", "2", "--format", "csv")
+        assert by_file == run_cli(capsys, "classify", name, "--radius", "2", "--format", "csv")
+
+
+def test_invalid_descriptor_fails_on_every_call(tmp_path, capsys):
+    path = tmp_path / "bad.group"
+    good = serialize_descriptor(catalog("sp4r"))
+    path.write_text(good.replace("gram = 1,0 ; 0,1", "gram = 1,2 ; 2,1"), encoding="utf-8")
+    for _ in range(3):
+        code, out, err = run_cli(capsys, "classify", str(path), "--radius", "1")
+        assert (code, out) == (2, "")
+        assert "form_positive_definite" in err
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert "form not positive definite" in out
+
+    path.write_text(good, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (0, "OK sp4r\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tempered_atlas import groups
 from tempered_atlas.errors import (
     DescriptorFormatError,
     DescriptorValidationError,
@@ -16,6 +17,7 @@ from tempered_atlas.groups import (
     lattice_coordinates,
     load_descriptor,
     loads_descriptor,
+    parse_descriptor,
     serialize_descriptor,
     validate,
 )
@@ -44,6 +46,25 @@ def test_catalog_validates_and_is_deterministic():
         assert validate(catalog(name)).ok
         assert catalog(name) == catalog(name)
         assert serialize_descriptor(catalog(name)) == serialize_descriptor(catalog(name))
+
+
+def test_descriptors_are_built_once_and_validated_on_every_resolve(monkeypatch):
+    text = serialize_descriptor(catalog("su21"))
+    assert parse_descriptor(text) is parse_descriptor(text)
+    d = loads_descriptor(text)
+    assert validate(d) is validate(d)
+
+    checked = []
+
+    def counting_validate(d):
+        checked.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(groups, "validate", counting_validate)
+    for name in catalog_names():
+        assert catalog(name) is catalog(name)
+    assert loads_descriptor(text) is loads_descriptor(text) is d
+    assert len(checked) == 2 * len(catalog_names()) + 2
 
 
 def test_serialize_round_trip():

@@ -8,12 +8,12 @@ from tempered_atlas.errors import NotDominant, NotGenuine
 from tempered_atlas.krep import (
     convolve,
     dirac_multiplicity,
-    dominant_representative,
     freudenthal,
     multiset_mass,
     simple_compact_roots,
     spin_weights,
     tensor_decompose,
+    to_dominant_chamber,
     weyl_dim,
     weyl_group,
 )
@@ -179,7 +179,7 @@ def test_weyl_group_orders(sp4r, sl2r, su21):
 
 
 def test_dominant_representative(sp4r):
-    assert dominant_representative(sp4r, Weight((0, 3))) == Weight((3, 0))
+    assert to_dominant_chamber(sp4r, Weight((0, 3)))[0] == Weight((3, 0))
     assert simple_compact_roots(sp4r) == (Weight((1, -1)),)
 
 
