@@ -12,6 +12,7 @@ over the shifted lattice therefore never hits a failure.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InternalBijectionFailure,
@@ -82,18 +83,11 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
 
     lam = kappa + d.rho_compact()
     p = build_parabolic(d, lam)
-    plus = (1,) * p.n_pairs
-    mu = kappa - p.rho_s_cap_u() - p.rho_l_plus(plus)
+    mu = kappa - p.mu_shift()
     if not is_integral(d, mu):
         return None
 
     form = d.form
-    for gamma in p.u_compact + p.u_noncompact:
-        if form.inner(lam, gamma) <= 0:
-            raise StructuralInvariantError(
-                "defining weight must pair strictly positively with every "
-                "nilradical weight"
-            )
     for beta in p.l_pairs:
         if form.coroot_pairing(mu, beta) != -1:
             raise StructuralInvariantError(
@@ -156,11 +150,25 @@ def enumerate_ball(
     if center is None:
         raise StructuralInvariantError("integrality basis is singular")
 
+    # kappa = shift + n B as integer numerators over one denominator.
+    den = lcm(shift.int_coords()[1], *(b.int_coords()[1] for b in d.integrality_basis))
+
+    def numerators(w: Weight) -> tuple[int, ...]:
+        nums, w_den = w.int_coords()
+        return tuple(x * (den // w_den) for x in nums)
+
+    shift_nums = numerators(shift)
+    basis_nums = tuple(numerators(b) for b in d.integrality_basis)
+
     found = []
     for n in ellipsoid_integer_points(center, quad, radius_sq):
-        kappa = shift
-        for coeff, b in zip(n, d.integrality_basis):
-            kappa = kappa + coeff * b
+        kappa = Weight.from_ints(
+            tuple(
+                s + sum(c * row[j] for c, row in zip(n, basis_nums))
+                for j, s in enumerate(shift_nums)
+            ),
+            den,
+        )
         if not d.is_dominant_weight(kappa):
             continue
         datum = construct_from_kappa(d, kappa)
@@ -170,7 +178,7 @@ def enumerate_ball(
             )
         found.append(datum)
 
-    found.sort(key=lambda datum: datum.kappa.coords)
+    found.sort(key=lambda datum: datum.kappa)
     kappas = [datum.kappa for datum in found]
     if len(set(kappas)) != len(kappas):
         raise InternalBijectionFailure("duplicate kappa in enumeration")

@@ -54,9 +54,9 @@ def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
     simples = simple_compact_roots(d)
     sign = 1
     for _ in range(_MAX_CHAMBER_STEPS):
-        neg = next((s for s in simples if d.form.inner(w, s) < 0), None)
+        neg = next((s for s in simples if d.form.sign(w, s) < 0), None)
         if neg is None:
-            singular = any(d.form.inner(w, s) == 0 for s in simples)
+            singular = any(d.form.sign(w, s) == 0 for s in simples)
             return w, sign, singular
         w = reflect(w, neg, d.form)
         sign = -sign
@@ -209,6 +209,13 @@ def spin_weights(d: RealFormDescriptor) -> WeightMultiset:
     zero-weight part of dimension m0 contributes a uniform factor
     2**(m0 // 2), so the total mass is 2**(dim(s) // 2).
     """
+    return dict(_spin_items(d))
+
+
+@per_descriptor
+def _spin_items(d: RealFormDescriptor) -> tuple[tuple[Weight, int], ...]:
+    """spin_weights(d) as sorted (weight, multiplicity) pairs, built once
+    per descriptor and never handed out mutable."""
     pairs = d.noncompact_positives()
     base = half_sum(pairs, rank=d.rank_tc)
     factor = 2 ** (d.zero_weight_s_dim // 2)
@@ -219,7 +226,7 @@ def spin_weights(d: RealFormDescriptor) -> WeightMultiset:
             if take:
                 w = w - gamma
         out[w] = out.get(w, 0) + factor
-    return out
+    return tuple(sorted(out.items()))
 
 
 def _reflection_matrix(d: RealFormDescriptor, a: Weight):
@@ -261,18 +268,22 @@ def weyl_group(d: RealFormDescriptor):
 
 def dirac_multiplicity(d: RealFormDescriptor, tau_hw: Weight, v_hw: Weight) -> int:
     """Multiplicity of the genuine type with highest weight tau_hw inside
-    V(v_hw) (x) S, by the alternating Weyl sum over the product multiset."""
+    V(v_hw) (x) S, by the alternating Weyl sum over the product multiset.
+
+    The product's multiplicity is read only at the Weyl images x, as
+    m_{V(x)S}(x) = sum over spin weights s of m_S(s) m_V(x - s)."""
     if not d.is_dominant_weight(tau_hw) or not is_genuine(d, tau_hw):
         raise NotGenuine(f"{tau_hw} is not a genuine dominant highest weight")
     if not d.is_dominant_weight(v_hw) or not is_integral(d, v_hw):
         raise NotDominant(f"{v_hw} is not a dominant integral highest weight")
-    product = convolve(freudenthal(d, v_hw), spin_weights(d))
+    v_mult = freudenthal(d, v_hw)
+    spin = _spin_items(d)
     rho = d.rho_compact()
     target = tau_hw + rho
     total = 0
     for mat, sgn in weyl_group(d):
         moved = Weight(mat_vec(mat, target.coords)) - rho
-        total += sgn * product.get(moved, 0)
+        total += sgn * sum(m * v_mult.get(moved - s, 0) for s, m in spin)
     if total < 0:
         raise StructuralInvariantError(
             f"alternating sum gave the negative multiplicity {total}"

@@ -21,7 +21,7 @@ from .errors import (
     NotIntegral,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, is_integral, lex_positive
+from .groups import RealFormDescriptor, is_integral, lex_positive, per_descriptor
 from .weights import Weight, half_sum
 
 
@@ -104,19 +104,30 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
         raise NotIntegral(f"{mu_g} is not analytically integral")
     if not d.is_dominant_weight(mu_g):
         raise NotDominant(f"{mu_g} is not dominant for the compact positives")
-    rho_k = d.rho_compact()
-    w = mu_g + 2 * rho_k
-    chosen = []
-    for gamma in d.noncompact_weights:
-        s = d.form.inner(w, gamma)
+    w = mu_g + 2 * d.rho_compact()
+    sign = d.form.sign
+    signs = tuple(sign(w, gamma) for gamma in d.noncompact_weights)
+    for gamma, s in zip(d.noncompact_weights, signs):
         if s == 0 and lex_positive(gamma):
             raise AmbiguousPositiveSystem(
                 f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
             )
-        if s > 0:
-            chosen.append(gamma)
-    rho_g = rho_k + half_sum(chosen, rank=d.rank_tc)
-    return mu_g - rho_g + rho_k
+    # rho_G - rho_K is the half-sum of the chosen noncompact weights, which
+    # the sign vector determines.
+    table = _rho_g_minus_rho_k(d)
+    try:
+        rho_n = table[signs]
+    except KeyError:
+        chosen = (g for g, s in zip(d.noncompact_weights, signs) if s > 0)
+        rho_n = table[signs] = half_sum(chosen, rank=d.rank_tc)
+    return mu_g - rho_n
+
+
+@per_descriptor
+def _rho_g_minus_rho_k(d: RealFormDescriptor) -> dict:
+    """rho_G - rho_K keyed by the sign vector over the noncompact weights
+    that chose the positive system; match_inverse fills it."""
+    return {}
 
 
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:

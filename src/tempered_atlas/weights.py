@@ -7,7 +7,8 @@ all the geometry.  Every operation is pure, exact, and rejects floats.
 Arithmetic runs on integers: a weight is stored as integer numerators over
 their least common denominator and a form keeps its Gram matrix as integers
 over one denominator, so +, -, scaling and <a, b> are integer sums, with a
-Fraction built only for a pairing's value or when coordinates are read.
+Fraction built only for a pairing's value or when coordinates are read; a
+test of a pairing against 0 reads the sign of the integer sum alone.
 """
 
 import re
@@ -54,7 +55,7 @@ class Weight:
         self._coords = coords
 
     @classmethod
-    def _from_ints(cls, nums: tuple[int, ...], den: int) -> "Weight":
+    def from_ints(cls, nums: tuple[int, ...], den: int) -> "Weight":
         """The weight nums / den for den > 0, reduced to lowest terms."""
         g = gcd(den, *nums)
         if g != 1:
@@ -107,11 +108,11 @@ class Weight:
         a, b = self._den, other._den
         if a == b:
             nums = tuple(x + sign * y for x, y in zip(self._nums, other._nums))
-            return Weight._from_ints(nums, a)
+            return Weight.from_ints(nums, a)
         den = lcm(a, b)
         fa, fb = den // a, sign * (den // b)
         nums = tuple(x * fa + y * fb for x, y in zip(self._nums, other._nums))
-        return Weight._from_ints(nums, den)
+        return Weight.from_ints(nums, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -127,7 +128,7 @@ class Weight:
 
     def __mul__(self, scalar):
         c = scalar if type(scalar) is int else _coerce(scalar)
-        return Weight._from_ints(
+        return Weight.from_ints(
             tuple(x * c.numerator for x in self._nums), self._den * c.denominator
         )
 
@@ -218,7 +219,8 @@ class BilinearForm:
         if len(w._nums) != len(self._int_gram):
             raise DimensionMismatch(f"weight rank {len(w)} vs form rank {self.rank}")
 
-    def inner(self, a: Weight, b: Weight) -> Fraction:
+    def _numerator(self, a: Weight, b: Weight) -> int:
+        """<a, b> times the positive a._den * b._den * self._den."""
         self._check(a)
         self._check(b)
         # b's pairing row G b, cached on b for the last form it met: the
@@ -230,8 +232,16 @@ class BilinearForm:
         if form is not self:
             row = tuple(sum(g * y for g, y in zip(r, b._nums)) for r in self._int_gram)
             b._row = (self, row)
-        total = sum(x * y for x, y in zip(a._nums, row))
-        return Fraction(total, a._den * b._den * self._den)
+        return sum(x * y for x, y in zip(a._nums, row))
+
+    def inner(self, a: Weight, b: Weight) -> Fraction:
+        return Fraction(self._numerator(a, b), a._den * b._den * self._den)
+
+    def sign(self, a: Weight, b: Weight) -> int:
+        """The sign -1, 0 or 1 of <a, b>, with no Fraction built: the
+        denominators dropped by the integer pairing are positive."""
+        total = self._numerator(a, b)
+        return (total > 0) - (total < 0)
 
     def norm_sq(self, w: Weight) -> Fraction:
         return self.inner(w, w)
@@ -287,8 +297,8 @@ def is_dominant(w: Weight, positives, form: BilinearForm, strict: bool = False) 
     Vacuously true for an empty positive set (abelian compact factor).
     """
     if strict:
-        return all(form.inner(w, a) > 0 for a in positives)
-    return all(form.inner(w, a) >= 0 for a in positives)
+        return all(form.sign(w, a) > 0 for a in positives)
+    return all(form.sign(w, a) >= 0 for a in positives)
 
 
 def reflect(w: Weight, root: Weight, form: BilinearForm) -> Weight:
@@ -304,7 +314,7 @@ def project_away(w: Weight, roots, form: BilinearForm) -> Weight:
     roots = tuple(roots)
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
-            if form.inner(a, b) != 0:
+            if form.sign(a, b):
                 raise ValueError(f"roots {a} and {b} are not orthogonal")
     out = w
     for a in roots:

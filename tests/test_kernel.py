@@ -60,6 +60,24 @@ def test_inner_matches_fraction_definition(case, c):
     assert scaled.inner(a, b) == c * form.inner(a, b)
 
 
+def sign_of(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+@given(pairing_cases(), scales, st.booleans())
+def test_sign_matches_sign_of_fraction_pairing(case, c, negate):
+    gram, a, b = case
+    form = BilinearForm(gram)
+    other = form.scaled(-c if negate else c)
+    # Each call below finds b's cached row left there by the other form.
+    for f in (form, other, form, other):
+        expected = sign_of(fraction_inner(f.gram, a, b))
+        assert f.sign(a, b) == expected == sign_of(f.inner(a, b))
+        assert f.sign(b, a) == sign_of(fraction_inner(f.gram, b, a))
+    zero = Weight.zero(len(a))
+    assert form.sign(zero, b) == form.sign(a, zero) == 0
+
+
 @given(
     st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(vectors(n), vectors(n))),
     rationals,

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine
+from tempered_atlas.groups import is_integral, loads_descriptor
 from tempered_atlas.krep import (
     convolve,
     dirac_multiplicity,
@@ -17,7 +19,9 @@ from tempered_atlas.krep import (
     weyl_dim,
     weyl_group,
 )
+from tempered_atlas.ratlin import mat_vec
 from tempered_atlas.weights import Weight, reflect
+from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
 
@@ -213,3 +217,35 @@ def test_dirac_multiplicity_preconditions(sp4r):
         dirac_multiplicity(sp4r, Weight((H, H)), Weight((0, 1)))
     with pytest.raises(NotDominant):
         dirac_multiplicity(sp4r, Weight((H, H)), Weight((H, -H)))
+
+
+def convolved_dirac_multiplicity(d, tau_hw, v_hw):
+    """Reference: the alternating Weyl sum read off the whole V (x) S
+    product multiset."""
+    product = convolve(freudenthal(d, v_hw), spin_weights(d))
+    rho = d.rho_compact()
+    target = tau_hw + rho
+    return sum(
+        sgn * product.get(Weight(mat_vec(mat, target.coords)) - rho, 0)
+        for mat, sgn in weyl_group(d)
+    )
+
+
+@pytest.mark.parametrize("name", ["sp4r", "su31"])
+def test_dirac_multiplicity_matches_convolved_product(name, sp4r):
+    d = sp4r if name == "sp4r" else loads_descriptor(SU31_TEXT)
+    taus = [datum.kappa for datum in enumerate_ball(d, Fraction(20))]
+    vs = [
+        Weight(c)
+        for c in itertools.product(range(-1, 3), repeat=d.rank_tc)
+        if d.is_dominant_weight(Weight(c)) and is_integral(d, Weight(c))
+    ]
+    assert len(taus) > 5 and len(vs) > 5
+    values = [dirac_multiplicity(d, tau, v) for tau in taus for v in vs]
+    assert values == [convolved_dirac_multiplicity(d, tau, v) for tau in taus for v in vs]
+    assert sum(values) > 0
+
+
+def test_spin_weights_returns_a_fresh_dict(sp4r):
+    spin_weights(sp4r).clear()
+    assert spin_weights(sp4r) == spin_by_subsets(sp4r)

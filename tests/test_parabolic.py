@@ -1,10 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
+from tempered_atlas.errors import (
+    DimensionMismatch,
+    NotStrictlyDominant,
+    StructuralInvariantError,
+)
 from tempered_atlas import catalog
 from tempered_atlas.groups import lex_positive
 from tempered_atlas.parabolic import build_parabolic
@@ -146,3 +151,59 @@ def test_rho_identity_over_sign_vectors(sp4r, su21):
                 assert len(assembled) * 2 == len(d.noncompact_weights)
                 assert len({frozenset((w, -w)) for w in assembled}) == len(assembled)
                 assert half_sum(assembled, rank=d.rank_tc) == p.rho_s_cap_u() + p.rho_l_plus(signs)
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [
+        ((3, 1), (5, 2), (9, Fraction(1, 3))),
+        ((1, -1), (Fraction(5, 2), Fraction(-5, 2))),
+        ((1, 0), (4, 0), (Fraction(1, 7), 0)),
+    ],
+)
+def test_weights_on_one_face_give_equal_buckets(sp4r, lams):
+    # Every lam in a group has the same sign vector over the torus weights.
+    ps = [build_parabolic(sp4r, Weight(lam)) for lam in lams]
+    first = ps[0]
+    for p, lam in zip(ps, lams):
+        assert p.defining_weight == Weight(lam)
+        assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
+            sp4r, Weight(lam)
+        )
+        assert (p.u_compact, p.u_noncompact, p.l_pairs) == (
+            first.u_compact,
+            first.u_noncompact,
+            first.l_pairs,
+        )
+        assert p.u_noncompact is first.u_noncompact
+        assert p.rho_s_cap_u() == half_sum(p.u_noncompact, rank=2)
+        plus = (1,) * p.n_pairs
+        assert p.mu_shift() == p.rho_s_cap_u() + p.rho_l_plus(plus)
+
+
+def test_failing_face_fails_on_every_call(sl2r):
+    # Noncompact weights +-2, +-4: lam = 0 puts the non-orthogonal pair
+    # (2), (4) in the Levi.
+    d = dataclasses.replace(
+        sl2r,
+        noncompact_weights=(Weight((2,)), Weight((-2,)), Weight((4,)), Weight((-4,))),
+    )
+    for _ in range(3):
+        with pytest.raises(StructuralInvariantError):
+            build_parabolic(d, Weight((0,)))
+    assert build_parabolic(d, Weight((1,))).u_noncompact == (Weight((2,)), Weight((4,)))
+    with pytest.raises(StructuralInvariantError):
+        build_parabolic(d, Weight((0,)))
+
+
+def test_gram_rescaled_descriptor_shares_no_face_table(su21):
+    scaled = dataclasses.replace(su21, form=su21.form.scaled(Fraction(2, 3)))
+    for lam in (Weight((1, 0)), Weight((3, 1))):
+        p, q = build_parabolic(su21, lam), build_parabolic(scaled, lam)
+        assert (p.u_compact, p.u_noncompact, p.l_pairs) == (
+            q.u_compact,
+            q.u_noncompact,
+            q.l_pairs,
+        )
+        assert p.u_noncompact is not q.u_noncompact
+        assert p.rho_s_cap_u() is not q.rho_s_cap_u()

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempered_atlas.classify import construct_from_kappa, enumerate_components
+from tempered_atlas.classify import construct_from_kappa, enumerate_ball, enumerate_components
 from tempered_atlas.groups import loads_descriptor, validate
 from tempered_atlas.krep import (
     dirac_multiplicity,
@@ -164,3 +164,10 @@ def test_enumeration_round_trips_and_dirac_kernel(su31):
             owners[w] = datum.kappa
             assert match_inverse(su31, w) == datum.kappa
             assert dirac_multiplicity(su31, datum.kappa, w) == 1
+
+
+def test_enumerate_ball_order_is_fraction_coordinate_order(su31):
+    kappas = [datum.kappa for datum in enumerate_ball(su31, Fraction(100))]
+    assert len(kappas) > 20
+    assert kappas == sorted(kappas, key=lambda k: k.coords)
+    assert all(Weight(k.coords) == k for k in kappas)
