@@ -10,9 +10,7 @@ from .classify import (
     enumerate_ball,
     enumerate_components,
     genuine_shift,
-    is_essential,
     is_genuine,
-    m_value,
 )
 from .errors import TemperedAtlasError
 from .groups import (
@@ -72,13 +70,11 @@ __all__ = [
     "genuine_shift",
     "half_sum",
     "is_dominant",
-    "is_essential",
     "is_genuine",
     "is_integral",
     "lattice_coordinates",
     "load_descriptor",
     "loads_descriptor",
-    "m_value",
     "match_inverse",
     "minimal_k_types",
     "parse_weight",

@@ -3,9 +3,10 @@
 Starting from a dominant weight kappa, the parabolic is built at
 kappa + rho_K, the shifted weight mu = kappa - rho(s cap u) - rho_l(+1..+1)
 is tested for lattice integrality, and a datum (parabolic, kappa, mu,
-kappa_l, m-values) comes back when it passes.  The m-value of each Levi
-pair is forced to -1 by the construction, which is what makes every datum
-essential; genuineness of kappa is the same integrality condition phrased
+kappa_l) comes back when it passes.  The construction checks that mu has
+coroot pairing -1 against each Levi pair, so the sign character is -1 on
+every pair and every datum is essential by construction; nothing is stored
+for it.  Genuineness of kappa is the same integrality condition phrased
 against the half-sum of a noncompact positive system, and ball enumeration
 over the shifted lattice therefore never hits a failure.
 """
@@ -14,16 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    InternalBijectionFailure,
-    NonIntegralPairing,
-    NotDominant,
-    StructuralInvariantError,
-)
+from .errors import InternalBijectionFailure, NotDominant, StructuralInvariantError
 from .groups import RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points, mat_mul, transpose
-from .weights import BilinearForm, Weight, half_sum, project_away
+from .weights import Weight, half_sum, project_away
 
 
 @dataclass(frozen=True)
@@ -32,14 +28,13 @@ class EssentialVoganDatum:
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed; m_values lists the sign character value on each pair.
+    removed.
     """
 
     parabolic: ThetaParabolic
     kappa: Weight
     mu: Weight
     kappa_l: Weight
-    m_values: tuple[int, ...]
 
     @property
     def descriptor(self) -> RealFormDescriptor:
@@ -48,6 +43,13 @@ class EssentialVoganDatum:
     @property
     def n_pairs(self) -> int:
         return self.parabolic.n_pairs
+
+    @property
+    def m_values(self) -> tuple[int, ...]:
+        """The sign character's value on each Levi pair: always -1, since
+        construct_from_kappa refuses any mu whose coroot pairing against a
+        Levi pair is not -1."""
+        return (-1,) * self.n_pairs
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,6 @@ class ClassificationRun:
     @property
     def kappas(self) -> tuple[Weight, ...]:
         return tuple(e.kappa for e in self.entries)
-
-
-def m_value(mu: Weight, beta: Weight, form: BilinearForm) -> int:
-    """(-1) ** c for the integer coroot pairing c = 2<mu,b>/<b,b>.
-
-    A non-integer pairing means mu exponentiates to no character of the
-    circle attached to beta.
-    """
-    c = form.coroot_pairing(mu, beta)
-    if c.denominator != 1:
-        raise NonIntegralPairing(
-            f"coroot pairing of {mu} against {beta} is {c}, not an integer"
-        )
-    return -1 if c.numerator % 2 else 1
 
 
 def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
@@ -97,20 +85,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
             )
 
     kappa_l = project_away(mu, p.l_pairs, form)
-    m_values = tuple(m_value(mu, beta, form) for beta in p.l_pairs)
-    return EssentialVoganDatum(
-        parabolic=p, kappa=kappa, mu=mu, kappa_l=kappa_l, m_values=m_values
-    )
-
-
-def is_essential(datum: EssentialVoganDatum) -> bool:
-    """The sign character takes the value -1 on every Levi pair.
-
-    The Levi already has the split rank-one shape by construction, so this
-    single condition decides essentiality; it is vacuous when there are no
-    pairs.
-    """
-    return all(v == -1 for v in datum.m_values)
+    return EssentialVoganDatum(parabolic=p, kappa=kappa, mu=mu, kappa_l=kappa_l)
 
 
 @per_descriptor

@@ -49,10 +49,6 @@ class NondegeneracyViolation(TemperedAtlasError):
     impossible for consistent descriptor data."""
 
 
-class NonIntegralPairing(TemperedAtlasError):
-    """Coroot pairing is not an integer, so no circle character exists."""
-
-
 class NotIntegral(TemperedAtlasError):
     """Weight is not in the analytically integral lattice, so it is the
     highest weight of no K-type."""

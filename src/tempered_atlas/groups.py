@@ -173,6 +173,23 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
         if zeros:
             v.append((f"{label}_zero_entry", "zero vector listed as a nonzero weight"))
 
+    # A strictly dominant weight vanishes on a line through 0 only if no compact
+    # root lies on it; two noncompact pairs there would be non-orthogonal Levi pairs.
+    def line(w: Weight) -> Weight:
+        return w * (1 / next(c for c in w if c != 0))
+
+    compact_lines = {line(a) for a in d.compact_roots if not a.is_zero}
+    reps_by_line: dict[Weight, set[Weight]] = {}
+    for g in d.noncompact_weights:
+        if not g.is_zero and line(g) not in compact_lines:
+            reps_by_line.setdefault(line(g), set()).add(g if lex_positive(g) else -g)
+    for _, reps in sorted(reps_by_line.items()):
+        if len(reps) > 1:
+            names = " and ".join(str(g) for g in sorted(reps))
+            v.append(
+                ("noncompact_collinear", f"{names} lie on one line through 0 with no compact root")
+            )
+
     compact_set = set(d.compact_roots)
     pos = list(d.positive_compact)
     if any(a not in compact_set for a in pos):

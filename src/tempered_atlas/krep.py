@@ -3,9 +3,10 @@
 Everything is driven by the compact root data alone, so a central torus
 (U(2), SO(2)) costs nothing: central directions ride along as free abelian
 coordinates.  Multiplicities come from the Freudenthal recursion, tensor
-products from the Klimyk shift over one factor's weight multiset, and the
-multiplicity of a spin-cover type in V (x) S from the Weyl
-antisymmetrization sum, which is exact and order-free.
+products and the multiplicity of a spin-cover type in V (x) S from one
+Brauer-Klimyk fold: each weight of the second factor (a weight of V, or of
+the spin module S) shifts hw + rho into the dominant chamber, and the
+parity of the walk is its sign.
 
 Weight multisets are plain dicts Weight -> positive integer.
 """
@@ -17,27 +18,16 @@ from functools import lru_cache
 from .classify import is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
 from .groups import RealFormDescriptor, is_integral, per_descriptor
-from .ratlin import gauss_solve, identity, mat_mul, mat_vec, transpose
+from .ratlin import gauss_solve, transpose
 from .weights import Weight, half_sum, reflect
 
 WeightMultiset = dict
 
 _MAX_CHAMBER_STEPS = 100_000
-_MAX_WEYL_ORDER = 1_000_000
 
 
 def multiset_mass(ms: WeightMultiset) -> int:
     return sum(ms.values())
-
-
-def convolve(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
-    """Weight multiset of a tensor product of the two weight systems."""
-    out: WeightMultiset = {}
-    for w1, m1 in a.items():
-        for w2, m2 in b.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0) + m1 * m2
-    return out
 
 
 @per_descriptor
@@ -174,25 +164,31 @@ def freudenthal(d: RealFormDescriptor, hw: Weight) -> WeightMultiset:
     return dict(_freudenthal_items(d, hw))
 
 
-def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
-    """Irreducible decomposition of the tensor product, as a sorted tuple
-    of (dominant highest weight, multiplicity).
+def _klimyk_fold(d: RealFormDescriptor, hw: Weight, items) -> dict[Weight, int]:
+    """Coefficients of the irreducibles in V(hw) (x) M, keyed by highest
+    weight, for the (weight, multiplicity) items of M; zeros may remain.
 
-    Klimyk shift: each weight nu of the second factor moves hw1 + rho into
-    some chamber; wall hits cancel, interior points contribute the parity
-    of the walk.
+    Each weight nu of M moves hw + rho into some chamber; wall hits cancel,
+    interior points contribute the parity of the walk.
     """
-    for hw in (hw1, hw2):
-        if not d.is_dominant_weight(hw):
-            raise NotDominant(f"{hw} is not dominant")
     rho = d.rho_compact()
     acc: dict[Weight, int] = {}
-    for nu, m in sorted(freudenthal(d, hw2).items()):
-        moved, sign, singular = to_dominant_chamber(d, hw1 + rho + nu)
+    for nu, m in items:
+        moved, sign, singular = to_dominant_chamber(d, hw + rho + nu)
         if singular:
             continue
         target = moved - rho
         acc[target] = acc.get(target, 0) + sign * m
+    return acc
+
+
+def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
+    """Irreducible decomposition of the tensor product, as a sorted tuple
+    of (dominant highest weight, multiplicity)."""
+    for hw in (hw1, hw2):
+        if not d.is_dominant_weight(hw):
+            raise NotDominant(f"{hw} is not dominant")
+    acc = _klimyk_fold(d, hw1, freudenthal(d, hw2).items())
     out = tuple(sorted((w, c) for w, c in acc.items() if c != 0))
     for w, c in out:
         if c < 0 or not d.is_dominant_weight(w):
@@ -229,63 +225,16 @@ def _spin_items(d: RealFormDescriptor) -> tuple[tuple[Weight, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def _reflection_matrix(d: RealFormDescriptor, a: Weight):
-    n = d.rank_tc
-    ga = mat_vec(d.form.gram, a.coords)
-    nn = d.form.norm_sq(a)
-    return tuple(
-        tuple(
-            (Fraction(1) if i == j else Fraction(0)) - 2 * a.coords[i] * ga[j] / nn
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-@per_descriptor
-def weyl_group(d: RealFormDescriptor):
-    """All Weyl elements of the compact root system as (matrix, parity)
-    pairs, generated by closing the simple reflections."""
-    gens = [_reflection_matrix(d, s) for s in simple_compact_roots(d)]
-    ident = identity(d.rank_tc)
-    elements = {ident: 1}
-    queue = [ident]
-    while queue:
-        m = queue.pop()
-        sgn = elements[m]
-        for g in gens:
-            nm = mat_mul(g, m)
-            if nm not in elements:
-                if len(elements) >= _MAX_WEYL_ORDER:
-                    raise StructuralInvariantError(
-                        "Weyl closure exceeded the order cap; compact root "
-                        "data is not a root system"
-                    )
-                elements[nm] = -sgn
-                queue.append(nm)
-    return tuple(sorted(elements.items()))
-
-
 def dirac_multiplicity(d: RealFormDescriptor, tau_hw: Weight, v_hw: Weight) -> int:
     """Multiplicity of the genuine type with highest weight tau_hw inside
-    V(v_hw) (x) S, by the alternating Weyl sum over the product multiset.
-
-    The product's multiplicity is read only at the Weyl images x, as
-    m_{V(x)S}(x) = sum over spin weights s of m_S(s) m_V(x - s)."""
+    V(v_hw) (x) S, by the Klimyk fold of v_hw over the spin weights."""
     if not d.is_dominant_weight(tau_hw) or not is_genuine(d, tau_hw):
         raise NotGenuine(f"{tau_hw} is not a genuine dominant highest weight")
     if not d.is_dominant_weight(v_hw) or not is_integral(d, v_hw):
         raise NotDominant(f"{v_hw} is not a dominant integral highest weight")
-    v_mult = freudenthal(d, v_hw)
-    spin = _spin_items(d)
-    rho = d.rho_compact()
-    target = tau_hw + rho
-    total = 0
-    for mat, sgn in weyl_group(d):
-        moved = Weight(mat_vec(mat, target.coords)) - rho
-        total += sgn * sum(m * v_mult.get(moved - s, 0) for s, m in spin)
+    total = _klimyk_fold(d, v_hw, _spin_items(d)).get(tau_hw, 0)
     if total < 0:
         raise StructuralInvariantError(
-            f"alternating sum gave the negative multiplicity {total}"
+            f"Klimyk fold gave the negative multiplicity {total}"
         )
     return total

@@ -80,21 +80,6 @@ class ThetaParabolic:
             )
             return value
 
-    def rho_u(self) -> Weight:
-        """Half-sum of all nilradical weights; vanishes against every Levi
-        pair, which is checked."""
-        rho = half_sum(
-            self.u_compact + self.u_noncompact, rank=self.descriptor.rank_tc
-        )
-        form = self.descriptor.form
-        for beta in self.l_pairs:
-            if form.sign(rho, beta):
-                raise StructuralInvariantError(
-                    "half-sum of nilradical weights must restrict to zero on "
-                    f"each rank-one Levi factor; fails against {beta}"
-                )
-        return rho
-
     def assembled_noncompact_positives(self, signs) -> tuple[Weight, ...]:
         """Noncompact part of the positive system built from the nilradical
         plus a sign choice on the Levi pairs."""

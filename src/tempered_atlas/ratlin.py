@@ -15,18 +15,8 @@ def to_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Matrix, v) -> tuple[Fraction, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -9,13 +9,11 @@ from tempered_atlas.classify import (
     enumerate_ball,
     enumerate_components,
     genuine_shift,
-    is_essential,
     is_genuine,
-    m_value,
 )
-from tempered_atlas.errors import NonIntegralPairing, NotDominant
+from tempered_atlas.errors import NotDominant
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.weights import BilinearForm, Weight, project_away
+from tempered_atlas.weights import Weight, project_away
 
 H = Fraction(1, 2)
 
@@ -26,7 +24,6 @@ def test_construct_one_pair(sp4r):
     assert datum.mu == Weight((-1, 0))
     assert datum.kappa_l == Weight((-H, H))
     assert datum.m_values == (-1,)
-    assert is_essential(datum)
 
 
 def test_construct_non_integral_is_empty(sp4r):
@@ -46,24 +43,6 @@ def test_construct_split_rank_one(sl2r):
 def test_construct_requires_dominance(sp4r):
     with pytest.raises(NotDominant):
         construct_from_kappa(sp4r, Weight((0, 1)))
-
-
-def test_m_value_examples():
-    form = BilinearForm.identity(2)
-    assert m_value(Weight((-1, 0)), Weight((1, 1)), form) == -1
-    beta = Weight((2, 0))
-    assert m_value(2 * beta, beta, form) == 1
-    with pytest.raises(NonIntegralPairing):
-        m_value(Weight((Fraction(1, 4), Fraction(1, 4))), Weight((1, 1)), form)
-
-
-def test_is_essential_synthetic_flip(sp4r):
-    datum = construct_from_kappa(sp4r, Weight((H, -H)))
-    flipped = dataclasses.replace(datum, m_values=(1,))
-    assert not is_essential(flipped)
-    no_pairs = construct_from_kappa(sp4r, Weight((Fraction(5, 2), Fraction(3, 2))))
-    assert no_pairs.n_pairs == 0
-    assert is_essential(no_pairs)
 
 
 def test_is_genuine_examples(sp4r, sl2r):
@@ -154,9 +133,11 @@ def test_sign_choice_independence(sp4r, su21):
             mu_s = kappa - p.rho_s_cap_u() - p.rho_l_plus(signs)
             assert is_integral(d, mu_s)
             assert project_away(mu_s, p.l_pairs, d.form) == datum.kappa_l
-            assert tuple(
-                m_value(mu_s, beta, d.form) for beta in p.l_pairs
-            ) == datum.m_values
+            # an odd coroot pairing is the sign value -1 on that pair
+            for beta in p.l_pairs:
+                c = d.form.coroot_pairing(mu_s, beta)
+                assert c.denominator == 1 and c.numerator % 2 == 1
+            assert datum.m_values == (-1,) * p.n_pairs
 
 
 def test_condition_v_on_every_constructed_datum(sp4r):

@@ -190,6 +190,39 @@ def test_validate_command(tmp_path, capsys):
     assert "form not positive definite" in out
 
 
+def rank_one_text(name, compact, noncompact, rank_g=1):
+    return (
+        f"[group]\nname = {name}\nrank_tc = 1\nrank_g = {rank_g}\n"
+        f"zero_weight_s_dim = {rank_g - 1}\n\n[form]\ngram = 1\n\n"
+        f"[roots]\ncompact = {compact}\npositive_compact = {compact.split(';')[0]}\n"
+        f"noncompact = {noncompact}\n\n[lattice]\nbasis = 1\n"
+    )
+
+
+def test_collinear_noncompact_weights_fail_validation(tmp_path, capsys):
+    # +-2 and +-4 on one line with no compact root: lam = 0 would make them
+    # non-orthogonal Levi pairs.
+    path = tmp_path / "collinear.group"
+    path.write_text(rank_one_text("x", "", "2 ; -2 ; 4 ; -4"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "noncompact_collinear: (2) and (4) lie on one line" in out
+    code, out, err = run_cli(capsys, "classify", str(path), "--radius", "3")
+    assert (code, out) == (2, "")
+    assert "noncompact_collinear" in err
+
+
+def test_collinear_weights_on_a_compact_root_line_are_valid(tmp_path, capsys):
+    # SL(3,R)-shaped: the compact root 1 shares the line of the noncompact
+    # weights 1 and 2, so no strictly dominant weight vanishes on them.
+    path = tmp_path / "sl3r.group"
+    path.write_text(rank_one_text("sl3r", "1 ; -1", "1 ; -1 ; 2 ; -2", rank_g=2), encoding="utf-8")
+    assert run_cli(capsys, "validate", str(path))[:2] == (0, "OK sl3r\n")
+    code, out, _ = run_cli(capsys, "classify", str(path), "--radius", "3", "--format", "csv")
+    assert code == 0
+    assert "(1/2),0,1,(2),(1/2)" in out
+
+
 def test_descriptor_search_path(tmp_path, capsys, monkeypatch):
     (tmp_path / "myform.group").write_text(
         serialize_descriptor(catalog("sl2r")), encoding="utf-8"

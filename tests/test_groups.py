@@ -110,6 +110,19 @@ def test_duplicate_noncompact_reports_multiplicity(sp4r):
     assert any("multiplicity" in name for name, _ in err.value.report.violations)
 
 
+def test_collinear_noncompact_pairs_reported(sp4r):
+    text = serialize_descriptor(sp4r).replace(
+        "noncompact = 1,1 ; -1,-1 ; 2,0 ; -2,0 ; 0,2 ; 0,-2",
+        "noncompact = 1,1 ; -1,-1 ; 2,0 ; -2,0 ; 0,2 ; 0,-2 ; -4,0 ; 4,0",
+    )
+    with pytest.raises(DescriptorValidationError) as err:
+        loads_descriptor(text)
+    assert (
+        "noncompact_collinear",
+        "(2,0) and (4,0) lie on one line through 0 with no compact root",
+    ) in err.value.report.violations
+
+
 def test_indefinite_form_reported(sp4r):
     text = serialize_descriptor(sp4r).replace("gram = 1,0 ; 0,1", "gram = 1,2 ; 2,1")
     with pytest.raises(DescriptorValidationError) as err:

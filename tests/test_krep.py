@@ -8,7 +8,6 @@ from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine
 from tempered_atlas.groups import is_integral, loads_descriptor
 from tempered_atlas.krep import (
-    convolve,
     dirac_multiplicity,
     freudenthal,
     multiset_mass,
@@ -17,9 +16,7 @@ from tempered_atlas.krep import (
     tensor_decompose,
     to_dominant_chamber,
     weyl_dim,
-    weyl_group,
 )
-from tempered_atlas.ratlin import mat_vec
 from tempered_atlas.weights import Weight, reflect
 from test_su31_custom import SU31_TEXT
 
@@ -31,6 +28,31 @@ def u2_string_char(m, n):
     e1 - e2, weights (m - k, n + k) for k = 0..m-n."""
     assert m >= n and Fraction(m - n).denominator == 1
     return {Weight((m - k, n + k)): 1 for k in range(int(m - n) + 1)}
+
+
+def convolve(a, b):
+    """Oracle: weight multiset of the tensor product of two weight systems."""
+    out = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + m1 * m2
+    return out
+
+
+def weyl_orbit(d, w):
+    """Oracle: the orbit of a strictly dominant w under the compact Weyl
+    group, as point -> sign.  Breadth-first closure under the simple
+    reflections; every step flips the sign, so each point carries the
+    determinant of the one Weyl element reaching it."""
+    orbit = {w: 1}
+    queue = [w]
+    for x in queue:
+        for s in simple_compact_roots(d):
+            y = reflect(x, s, d.form)
+            if y not in orbit:
+                orbit[y] = -orbit[x]
+                queue.append(y)
+    return orbit
 
 
 def spin_by_subsets(d):
@@ -177,9 +199,11 @@ def test_spin_mass_law_all_catalog_groups(sp4r, sl2r, sl2c, su21):
 
 
 def test_weyl_group_orders(sp4r, sl2r, su21):
-    assert len(weyl_group(sl2r)) == 1
-    assert len(weyl_group(sp4r)) == 2
-    assert len(weyl_group(su21)) == 2
+    # rho_K is regular, so its orbit has one point per Weyl element
+    for d, order in ((sl2r, 1), (sp4r, 2), (su21, 2)):
+        orbit = weyl_orbit(d, d.rho_compact())
+        assert len(orbit) == order
+        assert sum(orbit.values()) == (1 if order == 1 else 0)
 
 
 def test_dominant_representative(sp4r):
@@ -224,10 +248,8 @@ def convolved_dirac_multiplicity(d, tau_hw, v_hw):
     product multiset."""
     product = convolve(freudenthal(d, v_hw), spin_weights(d))
     rho = d.rho_compact()
-    target = tau_hw + rho
     return sum(
-        sgn * product.get(Weight(mat_vec(mat, target.coords)) - rho, 0)
-        for mat, sgn in weyl_group(d)
+        sgn * product.get(x - rho, 0) for x, sgn in weyl_orbit(d, tau_hw + rho).items()
     )
 
 

@@ -84,15 +84,6 @@ def test_rho_l_plus(sp4r):
         p.rho_l_plus((1, 1))
 
 
-def test_rho_u(sp4r):
-    p = build_parabolic(sp4r, Weight((1, -1)))
-    rho = p.rho_u()
-    assert rho == Weight((Fraction(3, 2), Fraction(-3, 2)))
-    for beta in p.l_pairs:
-        assert sp4r.form.inner(rho, beta) == 0
-    assert build_parabolic(sp4r, Weight((3, 1))).rho_u() == Weight((2, 1))
-
-
 def test_m0_copied(sl2c, su21):
     assert build_parabolic(sl2c, Weight((1,))).m0 == 1
     assert build_parabolic(su21, Weight((1, 0))).m0 == 0
@@ -130,7 +121,7 @@ def test_partition_completeness_and_orthogonality(lam):
         for b in p.l_pairs[i + 1 :]:
             assert d.form.inner(a, b) == 0
     # nilradical half-sum restricts to zero on every rank-one Levi factor
-    rho = p.rho_u()
+    rho = half_sum(p.u_compact + p.u_noncompact, rank=d.rank_tc)
     assert all(d.form.inner(rho, beta) == 0 for beta in p.l_pairs)
 
 

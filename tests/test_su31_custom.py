@@ -5,8 +5,8 @@ compact roots form an A2 system (Weyl order 6, one non-simple positive
 root), three mutually non-orthogonal noncompact pairs, Gram the scaled
 trace form.  Coordinates drop the fourth torus angle, so the lattice is
 Z^3.  This exercises every generic code path the rank-one catalog groups
-cannot: multi-root Freudenthal strings, wall hits in the Klimyk shift,
-Weyl closure beyond a single reflection, and rank-3 ball enumeration.
+cannot: multi-root Freudenthal strings, wall hits in the Klimyk fold,
+chamber walks beyond a single reflection, and rank-3 ball enumeration.
 """
 
 import random
@@ -24,7 +24,6 @@ from tempered_atlas.krep import (
     spin_weights,
     tensor_decompose,
     weyl_dim,
-    weyl_group,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.weights import Weight, reflect
@@ -67,9 +66,11 @@ def test_descriptor_validates(su31):
 
 
 def test_weyl_group_order_six(su31):
-    group = weyl_group(su31)
-    assert len(group) == 6
-    assert sum(sign for _, sign in group) == 0
+    from test_krep import weyl_orbit
+
+    orbit = weyl_orbit(su31, su31.rho_compact())
+    assert len(orbit) == 6
+    assert sum(orbit.values()) == 0
 
 
 def test_weyl_dims_against_closed_form(su31):
