@@ -21,7 +21,6 @@ from .errors import (
     AmbiguousPositiveSystem,
     DominanceFailure,
     InternalBijectionFailure,
-    NondegeneracyViolation,
     RangeError,
     StructuralInvariantError,
     TemperedAtlasError,
@@ -148,12 +147,11 @@ def _print_summary(summary, out) -> None:
 def cmd_match(args, out) -> int:
     d = resolve_descriptor(args.group)
     mu = parse_weight(args.mu)
+    kappa = match_inverse(d, mu) if args.direction == "inverse" else mu
+    summary = summarize(d, kappa)
     if args.direction == "inverse":
-        kappa = match_inverse(d, mu)
         out.write(f"kappa = {kappa}\n")
-    else:
-        kappa = mu
-    _print_summary(summarize(d, kappa), out)
+    _print_summary(summary, out)
     return EXIT_OK
 
 
@@ -327,12 +325,7 @@ def main(argv=None) -> int:
     except RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except (
-        StructuralInvariantError,
-        InternalBijectionFailure,
-        DominanceFailure,
-        NondegeneracyViolation,
-    ) as exc:
+    except (StructuralInvariantError, InternalBijectionFailure, DominanceFailure) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (TemperedAtlasError, ValueError, OSError) as exc:

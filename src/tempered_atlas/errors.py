@@ -44,11 +44,6 @@ class NotStrictlyDominant(TemperedAtlasError):
     every positive compact root."""
 
 
-class NondegeneracyViolation(TemperedAtlasError):
-    """A compact root paired to zero against a strictly dominant weight;
-    impossible for consistent descriptor data."""
-
-
 class NotIntegral(TemperedAtlasError):
     """Weight is not in the analytically integral lattice, so it is the
     highest weight of no K-type."""

@@ -88,10 +88,6 @@ class RealFormDescriptor:
     zero_weight_s_dim: int
     integrality_basis: tuple[Weight, ...]
 
-    @property
-    def dim_s(self) -> int:
-        return len(self.noncompact_weights) + self.zero_weight_s_dim
-
     @per_descriptor
     def rho_compact(self) -> Weight:
         """Half-sum of the fixed positive compact roots."""
@@ -230,23 +226,29 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
                     )
                 )
 
+    # Reflections in the listed weights must permute them: a weight set that
+    # is not a root system can pass every rule above and still give a
+    # strictly dominant weight non-orthogonal Levi pairs.
     if d.form.rank == d.rank_tc and d.form.is_positive_definite():
         cs = set(d.compact_roots)
-        for a in sorted(cs):
-            if a.is_zero:
-                continue
-            for b in sorted(cs):
-                if reflect(b, a, d.form) not in cs:
-                    v.append(
-                        (
-                            "compact_reflection_closure",
-                            f"reflection of {b} in {a} leaves the compact root set",
-                        )
-                    )
-                    break
-            else:
-                continue
-            break
+        ws = cs | set(d.noncompact_weights)
+        for rule, closed, what in (
+            ("compact_reflection_closure", cs, "compact root set"),
+            ("weight_reflection_closure", ws, "weight set"),
+        ):
+            # s_a = s_-a, and s_a fixes every weight orthogonal to a.
+            mirrors = sorted({a if lex_positive(a) else -a for a in closed if not a.is_zero})
+            bad = next(
+                (
+                    (b, a)
+                    for a in mirrors
+                    for b in sorted(closed)
+                    if d.form.sign(b, a) and reflect(b, a, d.form) not in closed
+                ),
+                None,
+            )
+            if bad:
+                v.append((rule, f"reflection of {bad[0]} in {bad[1]} leaves the {what}"))
 
     return ValidationReport(tuple(v))
 

@@ -26,10 +26,6 @@ WeightMultiset = dict
 _MAX_CHAMBER_STEPS = 100_000
 
 
-def multiset_mass(ms: WeightMultiset) -> int:
-    return sum(ms.values())
-
-
 @per_descriptor
 def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
     """Positive compact roots that are not sums of two positive ones."""

@@ -5,7 +5,8 @@ K-types (fine weight + twice the noncompact nilradical half-sum), the Dirac
 highest weight kappa_l + rho(s cap u) (always equal to kappa), and the
 R-group order 2^N.  The inverse direction recovers kappa from a minimal
 K-type as mu - rho_G + rho_K for the unique positive system making
-mu + 2 rho_K strictly dominant.
+mu + 2 rho_K strictly dominant; rho_G - rho_K comes from the parabolic
+face table, keyed by the same noncompact signs.
 """
 
 import itertools
@@ -21,8 +22,9 @@ from .errors import (
     NotIntegral,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, is_integral, lex_positive, per_descriptor
-from .weights import Weight, half_sum
+from .groups import RealFormDescriptor, is_integral, lex_positive
+from .parabolic import face
+from .weights import Weight
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,10 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
     The positive system is resolved purely by the strict sign of
     <mu_g + 2 rho_K, gamma> over the noncompact weights; a zero pairing
     means the input is not a minimal K-type of an essential component and
-    is an error, never a tie-break.  mu_g must be analytically integral,
-    which is checked first so that the error names the input.
+    is an error, never a tie-break.  That sign vector is a face of the
+    parabolic table with no Levi pair, whose rho(s cap u) is rho_G - rho_K.
+    mu_g must be analytically integral and dominant, which is checked first
+    so that the error names the input, and so must the recovered weight.
     """
     if not is_integral(d, mu_g):
         raise NotIntegral(f"{mu_g} is not analytically integral")
@@ -112,22 +116,13 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
             raise AmbiguousPositiveSystem(
                 f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
             )
-    # rho_G - rho_K is the half-sum of the chosen noncompact weights, which
-    # the sign vector determines.
-    table = _rho_g_minus_rho_k(d)
-    try:
-        rho_n = table[signs]
-    except KeyError:
-        chosen = (g for g, s in zip(d.noncompact_weights, signs) if s > 0)
-        rho_n = table[signs] = half_sum(chosen, rank=d.rank_tc)
-    return mu_g - rho_n
-
-
-@per_descriptor
-def _rho_g_minus_rho_k(d: RealFormDescriptor) -> dict:
-    """rho_G - rho_K keyed by the sign vector over the noncompact weights
-    that chose the positive system; match_inverse fills it."""
-    return {}
+    kappa = mu_g - face(d, signs).rho_s_cap_u
+    if not d.is_dominant_weight(kappa):
+        raise NotDominant(
+            f"{mu_g} is not a minimal K-type: it matches back to {kappa}, "
+            "which is not dominant for the compact positives"
+        )
+    return kappa
 
 
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:

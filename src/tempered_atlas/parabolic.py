@@ -7,35 +7,73 @@ strictly negative (the opposite nilradical, kept implicitly).  The zero
 bucket then consists of noncompact +-pairs only, one rank-one split factor
 per pair, mutually orthogonal, plus the central zero-weight part.
 
-The buckets depend on lam only through its sign vector over the torus
+The compact roots in u are the positive compact roots whatever lam is, so
+the buckets depend on lam only through its sign vector over the noncompact
 weights, its face.  A descriptor has finitely many faces, so the sorted
 buckets, their checks and the half-sums they determine are built once per
-face and shared by every parabolic on it.
+face and shared by every parabolic on it and by the inverse matching,
+whose noncompact positive system is the u of a face with no zero sign.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    DimensionMismatch,
-    NondegeneracyViolation,
-    NotStrictlyDominant,
-    StructuralInvariantError,
-)
+from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError
 from .groups import RealFormDescriptor, lex_positive, per_descriptor
 from .weights import Weight, half_sum
 
 
-class _FaceSums:
-    """The half-sums a face's buckets determine, shared by its parabolics."""
+class Face:
+    """The checked buckets of one face and the half-sums they determine."""
 
-    __slots__ = ("rho_s_cap_u", "mu_shift", "rho_l")
+    __slots__ = ("u_compact", "u_noncompact", "l_pairs", "rho_s_cap_u", "mu_shift", "rho_l")
 
-    def __init__(self, rank: int, u_noncompact, l_pairs):
-        self.rho_s_cap_u = half_sum(u_noncompact, rank=rank)
-        rho_l_all_plus = half_sum(l_pairs, rank=rank)
+    def __init__(self, d: RealFormDescriptor, signs):
+        # A strictly dominant weight is positive exactly on the positive
+        # compact roots when the compact roots are +-positive_compact; the
+        # partition check below fails on a descriptor where they are not.
+        self.u_compact = tuple(sorted(d.positive_compact))
+        weights = d.noncompact_weights
+        self.u_noncompact = tuple(sorted(g for g, s in zip(weights, signs) if s > 0))
+        self.l_pairs = tuple(sorted(g for g, s in zip(weights, signs) if not s and lex_positive(g)))
+
+        for i, a in enumerate(self.l_pairs):
+            for b in self.l_pairs[i + 1 :]:
+                if d.form.sign(a, b):
+                    raise StructuralInvariantError(
+                        "rank-one Levi factors must be mutually orthogonal; "
+                        f"{a} and {b} are not"
+                    )
+        counts = (len(self.u_compact), len(self.u_noncompact), len(self.l_pairs))
+        if 2 * sum(counts) != len(d.compact_roots) + len(d.noncompact_weights):
+            raise StructuralInvariantError(
+                "sign buckets do not partition the torus weights; descriptor "
+                "lists are inconsistent"
+            )
+
+        self.rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
+        rho_l_all_plus = half_sum(self.l_pairs, rank=d.rank_tc)
         self.mu_shift = self.rho_s_cap_u + rho_l_all_plus
         # rho_l_plus by sign vector; at most 2^N entries.
-        self.rho_l = {(1,) * len(l_pairs): rho_l_all_plus}
+        self.rho_l = {(1,) * len(self.l_pairs): rho_l_all_plus}
+
+
+@per_descriptor
+def _face_table(d: RealFormDescriptor) -> dict:
+    """Faces keyed by a sign vector over the noncompact weights, filled as
+    build_parabolic and match_inverse meet them."""
+    return {}
+
+
+def face(d: RealFormDescriptor, signs: tuple[int, ...]) -> Face:
+    """The face with the given sign vector over ``d.noncompact_weights``."""
+    table = _face_table(d)
+    try:
+        return table[signs]
+    except KeyError:
+        # Stored only once every check has passed, so a failing face
+        # fails again on every call.
+        value = table[signs] = Face(d, signs)
+        return value
 
 
 @dataclass(frozen=True)
@@ -46,7 +84,7 @@ class ThetaParabolic:
     u_noncompact: tuple[Weight, ...]
     l_pairs: tuple[Weight, ...]
     m0: int
-    _sums: _FaceSums = field(compare=False, repr=False)
+    _face: Face = field(compare=False, repr=False)
 
     @property
     def n_pairs(self) -> int:
@@ -54,12 +92,12 @@ class ThetaParabolic:
 
     def rho_s_cap_u(self) -> Weight:
         """Half-sum of the noncompact weights in the nilradical."""
-        return self._sums.rho_s_cap_u
+        return self._face.rho_s_cap_u
 
     def mu_shift(self) -> Weight:
         """rho(s cap u) + rho_l_plus(+1, ..., +1), which kappa - mu equals
         for the all-plus sign choice."""
-        return self._sums.mu_shift
+        return self._face.mu_shift
 
     def rho_l_plus(self, signs) -> Weight:
         """Half-sum of one signed member per Levi pair: (1/2) sum s_j b_j."""
@@ -70,7 +108,7 @@ class ThetaParabolic:
             )
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        memo = self._sums.rho_l
+        memo = self._face.rho_l
         try:
             return memo[signs]
         except KeyError:
@@ -80,96 +118,23 @@ class ThetaParabolic:
             )
             return value
 
-    def assembled_noncompact_positives(self, signs) -> tuple[Weight, ...]:
-        """Noncompact part of the positive system built from the nilradical
-        plus a sign choice on the Levi pairs."""
-        signs = tuple(signs)
-        if len(signs) != self.n_pairs:
-            raise DimensionMismatch(
-                f"{len(signs)} signs for {self.n_pairs} Levi pairs"
-            )
-        return self.u_noncompact + tuple(
-            s * b for s, b in zip(signs, self.l_pairs)
-        )
-
-
-@per_descriptor
-def _face_table(d: RealFormDescriptor):
-    """(the torus weights in a fixed order, the face shapes keyed by a sign
-    vector over them); build_parabolic fills the table as it meets faces."""
-    return d.compact_roots + d.noncompact_weights, {}
-
 
 def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     """Bucket every torus weight of the group by the exact sign of its
     pairing with lam.
 
-    lam must be strictly dominant for the fixed compact positives; the zero
-    bucket is then guaranteed to contain noncompact pairs only, and the pair
+    lam must be strictly dominant for the fixed compact positives; the
+    compact roots in u are then the positive ones, the zero bucket is
+    guaranteed to contain noncompact pairs only, and the pair
     representatives (first nonzero coordinate positive) are mutually
-    orthogonal.
+    orthogonal.  Only the signs over the noncompact weights are computed;
+    they pick the shared face.
     """
     if not d.is_dominant_weight(lam, strict=True):
         raise NotStrictlyDominant(
             f"{lam} does not pair strictly positively with every positive "
             "compact root"
         )
-    weights, table = _face_table(d)
     sign = d.form.sign
-    face = tuple(sign(lam, g) for g in weights)
-    try:
-        shape = table[face]
-    except KeyError:
-        # Stored only once every check has passed, so a failing face
-        # fails again on every call.
-        shape = table[face] = _face_shape(d, lam, face)
-    return ThetaParabolic(d, lam, *shape[:3], d.zero_weight_s_dim, shape[3])
-
-
-def _face_shape(d: RealFormDescriptor, lam: Weight, face):
-    """(u_compact, u_noncompact, l_pairs, half-sums) of the face of lam,
-    checked; lam itself is read only to name it in an error."""
-    form = d.form
-    n_compact = len(d.compact_roots)
-    u_compact = []
-    for alpha, s in zip(d.compact_roots, face):
-        if s > 0:
-            u_compact.append(alpha)
-        elif s == 0:
-            raise NondegeneracyViolation(
-                f"compact root {alpha} pairs to zero with {lam}"
-            )
-
-    u_noncompact = []
-    l_pairs = []
-    for gamma, s in zip(d.noncompact_weights, face[n_compact:]):
-        if s > 0:
-            u_noncompact.append(gamma)
-        elif s == 0 and lex_positive(gamma):
-            l_pairs.append(gamma)
-
-    u_compact.sort()
-    u_noncompact.sort()
-    l_pairs.sort()
-
-    for i, a in enumerate(l_pairs):
-        for b in l_pairs[i + 1 :]:
-            if form.sign(a, b):
-                raise StructuralInvariantError(
-                    "rank-one Levi factors must be mutually orthogonal; "
-                    f"{a} and {b} are not"
-                )
-
-    total = 2 * len(u_compact) + 2 * len(u_noncompact) + 2 * len(l_pairs)
-    if total != len(d.compact_roots) + len(d.noncompact_weights):
-        raise StructuralInvariantError(
-            "sign buckets do not partition the torus weights; descriptor "
-            "lists are inconsistent"
-        )
-
-    return (
-        tuple(u_compact),
-        tuple(u_noncompact),
-        tuple(l_pairs),
-        _FaceSums(d.rank_tc, u_noncompact, l_pairs),
-    )
+    f = face(d, tuple(sign(lam, g) for g in d.noncompact_weights))
+    return ThetaParabolic(d, lam, f.u_compact, f.u_noncompact, f.l_pairs, d.zero_weight_s_dim, f)

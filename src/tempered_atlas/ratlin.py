@@ -81,11 +81,6 @@ def gauss_solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def leading_minors_positive(m: Matrix) -> bool:
-    n = len(m)
-    return all(det(tuple(row[: k + 1] for row in m[: k + 1])) > 0 for k in range(n))
-
-
 def ldl(m: Matrix):
     """LDL^T factorization of a symmetric positive definite matrix.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ZeroRoot
-from .ratlin import leading_minors_positive, to_matrix
+from .ratlin import ldl, to_matrix
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -247,11 +247,12 @@ class BilinearForm:
         return self.inner(w, w)
 
     def coroot_pairing(self, w: Weight, root: Weight) -> Fraction:
-        """2 <w, root> / <root, root>."""
-        nn = self.norm_sq(root)
+        """2 <w, root> / <root, root>, as one Fraction of the two integer
+        pairings: their scales differ by w._den / root._den."""
+        nn = self._numerator(root, root)
         if nn == 0:
             raise ZeroRoot(f"zero-length root {root}")
-        return 2 * self.inner(w, root) / nn
+        return Fraction(2 * self._numerator(w, root) * root._den, nn * w._den)
 
     def is_symmetric(self) -> bool:
         g = self.gram
@@ -260,7 +261,9 @@ class BilinearForm:
         )
 
     def is_positive_definite(self) -> bool:
-        return self.is_symmetric() and leading_minors_positive(self.gram)
+        """Symmetric with every LDL pivot positive, which by Sylvester's
+        criterion is every leading principal minor positive."""
+        return self.is_symmetric() and ldl(self.gram) is not None
 
     def scaled(self, factor) -> "BilinearForm":
         c = _coerce(factor)

@@ -13,11 +13,10 @@ from fractions import Fraction
 
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.cli import main
-from tempered_atlas.groups import catalog, is_integral
+from tempered_atlas.groups import catalog, is_integral, loads_descriptor
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
-    multiset_mass,
     spin_weights,
     tensor_decompose,
     weyl_dim,
@@ -28,6 +27,7 @@ from tempered_atlas.matching import (
     summarize_datum,
 )
 from tempered_atlas.weights import Weight, half_sum, project_away
+from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
 
@@ -136,7 +136,7 @@ def test_criterion_05_rho_identity(sp4r):
     for kappa in sp4r_box_sweep(sp4r, 10):
         p = construct_from_kappa(sp4r, kappa).parabolic
         for signs in itertools.product((1, -1), repeat=p.n_pairs):
-            assembled = p.assembled_noncompact_positives(signs)
+            assembled = p.u_noncompact + tuple(s * b for s, b in zip(signs, p.l_pairs))
             recomputed = half_sum(assembled, rank=sp4r.rank_tc)
             assert recomputed == p.rho_s_cap_u() + p.rho_l_plus(signs)
             count += 1
@@ -162,7 +162,7 @@ def test_criterion_07_krep_oracles(sp4r, sl2r, sl2c, su21):
     for diff in range(0, 9):
         for n in range(-3, 4):
             hw = Weight((n + diff, n))
-            assert multiset_mass(freudenthal(sp4r, hw)) == weyl_dim(sp4r, hw)
+            assert sum(freudenthal(sp4r, hw).values()) == weyl_dim(sp4r, hw)
 
     rng = random.Random(1952669)
     for _ in range(50):
@@ -176,14 +176,15 @@ def test_criterion_07_krep_oracles(sp4r, sl2r, sl2c, su21):
 
     expected_mass = {"sp4r": 8, "sl2r": 2, "sl2c": 2}
     for d in (sp4r, sl2r, sl2c, su21):
-        mass = multiset_mass(spin_weights(d))
-        assert mass == 2 ** (d.dim_s // 2)
+        mass = sum(spin_weights(d).values())
+        dim_s = len(d.noncompact_weights) + d.zero_weight_s_dim
+        assert mass == 2 ** (dim_s // 2)
         if d.name in expected_mass:
             assert mass == expected_mass[d.name]
     print("criterion 7 PASS (mass, tensor-dimension, spin-mass laws)")
 
 
-def test_criterion_08_dirac_multiplicity_sweep(sp4r):
+def test_criterion_08_dirac_multiplicity_sweep(sp4r, sl2r, sl2c, su21):
     hand_cases = {
         (Weight((H, H)), Weight((2, 0))),
         (Weight((H, H)), Weight((2, 2))),
@@ -200,6 +201,13 @@ def test_criterion_08_dirac_multiplicity_sweep(sp4r):
             seen.add((kappa, w))
             pairs += 1
     assert hand_cases <= seen
+    # Every other group, over the components in a ball of radius 4.
+    for d in (sl2r, sl2c, su21, loads_descriptor(SU31_TEXT)):
+        for datum in enumerate_components(d, 4).entries:
+            s = summarize_datum(datum)
+            for w in s.minimal_k_types:
+                assert dirac_multiplicity(d, s.kappa, w) == 1
+                pairs += 1
     print(f"criterion 8 PASS ({pairs} (component, K-type) pairs)")
 
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import tempered_atlas
+from tempered_atlas import cli
 from tempered_atlas.cli import main
+from tempered_atlas.errors import NotGenuine
 from tempered_atlas.groups import catalog, serialize_descriptor
 from test_su31_custom import SU31_TEXT
 
@@ -93,6 +95,24 @@ def test_match_inverse_non_integral_names_the_input(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: (1/2,1/2) is not analytically integral\n"
+
+
+def test_match_inverse_non_minimal_k_type_names_the_input(capsys):
+    # Both recover (-1/2,1/2), which is not dominant; nothing is printed.
+    for mu in ("1,0", "0,-1"):
+        code, out, err = run_cli(capsys, "match", "sp4r", "--mu", mu, "--direction", "inverse")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: ({mu}) is not a minimal K-type: it matches back to (-1/2,1/2)")
+
+
+def test_match_writes_nothing_when_the_summary_fails(capsys, monkeypatch):
+    def failing_summarize(d, kappa):
+        raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
+
+    monkeypatch.setattr(cli, "summarize", failing_summarize)
+    code, out, err = run_cli(capsys, "match", "sp4r", "--mu", "2,0", "--direction", "inverse")
+    assert (code, out) == (2, "")
+    assert "(1/2,1/2)" in err
 
 
 def test_figure_csv_claims(capsys):
@@ -221,6 +241,25 @@ def test_collinear_weights_on_a_compact_root_line_are_valid(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", str(path), "--radius", "3", "--format", "csv")
     assert code == 0
     assert "(1/2),0,1,(2),(1/2)" in out
+
+
+def test_weights_not_closed_under_reflection_fail_validation(tmp_path, capsys):
+    # No compact roots and noncompact +-(2,0), +-(2,2): every earlier rule
+    # passes, yet at kappa = 0 the two pairs would be non-orthogonal Levi
+    # pairs.  Reflecting (2,0) in (2,2) gives (0,-2), which is not listed.
+    path = tmp_path / "y.group"
+    path.write_text(
+        "[group]\nname = y\nrank_tc = 2\nrank_g = 2\nzero_weight_s_dim = 0\n\n"
+        "[form]\ngram = 1,0 ; 0,1\n\n[roots]\ncompact =\npositive_compact =\n"
+        "noncompact = 2,0 ; -2,0 ; 2,2 ; -2,-2\n\n[lattice]\nbasis = 1,0 ; 0,1\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "violation weight_reflection_closure: reflection of" in out
+    code, out, err = run_cli(capsys, "classify", str(path), "--radius", "2")
+    assert (code, out) == (2, "")
+    assert "weight_reflection_closure" in err
 
 
 def test_descriptor_search_path(tmp_path, capsys, monkeypatch):

@@ -35,8 +35,9 @@ def test_catalog_facts(sp4r, sl2r, sl2c, su21):
     assert len(sp4r.noncompact_weights) == 6
     assert sl2r.compact_roots == ()
     assert sl2c.zero_weight_s_dim == 1
-    assert sl2c.dim_s == 3
-    assert su21.dim_s == 4
+    # dim s = nonzero noncompact weights plus the zero-weight part
+    assert len(sl2c.noncompact_weights) + sl2c.zero_weight_s_dim == 3
+    assert len(su21.noncompact_weights) + su21.zero_weight_s_dim == 4
     for d in (sp4r, sl2r, sl2c, su21):
         assert d.zero_weight_s_dim == d.rank_g - d.rank_tc
 
@@ -121,6 +122,19 @@ def test_collinear_noncompact_pairs_reported(sp4r):
         "noncompact_collinear",
         "(2,0) and (4,0) lie on one line through 0 with no compact root",
     ) in err.value.report.violations
+
+
+def test_weight_reflection_closure_reported(sp4r):
+    # Reflecting (1,1) in (4,0) gives (-1,1), which is not listed.
+    text = serialize_descriptor(sp4r).replace(
+        "noncompact = 1,1 ; -1,-1 ; 2,0 ; -2,0 ; 0,2 ; 0,-2",
+        "noncompact = 1,1 ; -1,-1 ; 2,0 ; -2,0 ; 0,2 ; 0,-2 ; -4,0 ; 4,0",
+    )
+    with pytest.raises(DescriptorValidationError) as err:
+        loads_descriptor(text)
+    names = [name for name, _ in err.value.report.violations]
+    assert "weight_reflection_closure" in names
+    assert "compact_reflection_closure" not in names
 
 
 def test_indefinite_form_reported(sp4r):

@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from tempered_atlas import catalog
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.errors import (
     AmbiguousPositiveSystem,
@@ -18,7 +21,11 @@ from tempered_atlas.matching import (
     summarize,
     summarize_datum,
 )
-from tempered_atlas.weights import Weight
+from tempered_atlas.groups import loads_descriptor
+from tempered_atlas.parabolic import build_parabolic
+from tempered_atlas.weights import Weight, half_sum
+from test_parabolic import brute_force_buckets
+from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
 
@@ -84,6 +91,71 @@ def test_match_inverse_requires_integrality(sp4r):
 def test_match_inverse_requires_dominance(sp4r):
     with pytest.raises(NotDominant):
         match_inverse(sp4r, Weight((0, 1)))
+
+
+def test_match_inverse_rejects_a_recovered_weight_that_is_not_dominant(sp4r):
+    # (1,0) and (0,-1) are dominant and integral, but both recover
+    # (-1/2,1/2): neither is a minimal K-type.
+    for mu in (Weight((1, 0)), Weight((0, -1))):
+        with pytest.raises(NotDominant) as err:
+            match_inverse(sp4r, mu)
+        assert str(err.value).startswith(f"{mu} is not a minimal K-type")
+        assert str(err.value).index(str(mu)) < str(err.value).index("(-1/2,1/2)")
+
+
+def dominant_box(d, bound):
+    """Every dominant weight n_1 b_1 + ... + n_r b_r with |n_i| <= bound."""
+    out = []
+    for n in itertools.product(range(-bound, bound + 1), repeat=d.rank_tc):
+        w = Weight.zero(d.rank_tc)
+        for c, b in zip(n, d.integrality_basis):
+            w = w + c * b
+        if d.is_dominant_weight(w):
+            out.append(w)
+    return out
+
+
+def check_buckets(d, lam):
+    p = build_parabolic(d, lam)
+    assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(d, lam)
+
+
+@pytest.mark.parametrize("parabolic_first", [True, False], ids=["parabolic-first", "matching-first"])
+@pytest.mark.parametrize("name", ["sp4r", "su21", "su31"])
+def test_match_inverse_against_brute_force(name, parabolic_first):
+    # Fresh descriptors, so the face table starts empty; each mu + 2 rho_K
+    # lies on the face match_inverse reads, so the parabolic built there
+    # and the matching share it whichever fills it first.
+    base = loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name)
+    d = dataclasses.replace(base)
+    two_rho_k = 2 * d.rho_compact()
+    mus = [
+        mu
+        for mu in dominant_box(d, 3)
+        if all(d.form.inner(mu + two_rho_k, g) != 0 for g in d.noncompact_weights)
+    ]
+    if parabolic_first:
+        for mu in mus:
+            check_buckets(d, mu + two_rho_k)
+    recovered = []
+    for mu in mus:
+        w = mu + two_rho_k
+        expected = mu - half_sum(
+            (g for g in d.noncompact_weights if d.form.inner(w, g) > 0), rank=d.rank_tc
+        )
+        if d.is_dominant_weight(expected):
+            assert match_inverse(d, mu) == expected
+            recovered.append((mu, expected))
+        else:
+            with pytest.raises(NotDominant):
+                match_inverse(d, mu)
+    if not parabolic_first:
+        for mu in mus:
+            check_buckets(d, mu + two_rho_k)
+    assert 0 < len(recovered) < len(mus)
+    # A recovered kappa owns the input as one of its minimal K-types.
+    for mu, kappa in recovered:
+        assert mu in summarize(d, kappa).minimal_k_types
 
 
 def test_r_group_order(sp4r, sl2r):

@@ -10,8 +10,9 @@ from tempered_atlas.errors import (
     NotStrictlyDominant,
     StructuralInvariantError,
 )
-from tempered_atlas import catalog
+from tempered_atlas import catalog, parabolic
 from tempered_atlas.groups import lex_positive
+from tempered_atlas.matching import match_inverse
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
 
@@ -137,7 +138,7 @@ def test_rho_identity_over_sign_vectors(sp4r, su21):
         for lam in lams:
             p = build_parabolic(d, lam)
             for signs in itertools.product((1, -1), repeat=p.n_pairs):
-                assembled = p.assembled_noncompact_positives(signs)
+                assembled = p.u_noncompact + tuple(s * b for s, b in zip(signs, p.l_pairs))
                 # one member per noncompact pair
                 assert len(assembled) * 2 == len(d.noncompact_weights)
                 assert len({frozenset((w, -w)) for w in assembled}) == len(assembled)
@@ -198,3 +199,28 @@ def test_gram_rescaled_descriptor_shares_no_face_table(su21):
         )
         assert p.u_noncompact is not q.u_noncompact
         assert p.rho_s_cap_u() is not q.rho_s_cap_u()
+
+
+def test_partition_check_catches_compact_roots_outside_the_positive_system(sp4r):
+    # +-(1,2) are listed as compact roots but neither is a positive compact
+    # root, so the buckets of a face miss them.
+    extra = (Weight((1, 2)), Weight((-1, -2)))
+    d = dataclasses.replace(sp4r, compact_roots=sp4r.compact_roots + extra)
+    for _ in range(2):
+        with pytest.raises(StructuralInvariantError, match="partition"):
+            build_parabolic(d, Weight((3, 1)))
+
+
+def test_matching_and_parabolic_share_one_face_table(sp4r):
+    d = dataclasses.replace(sp4r)
+    # (2,0) + 2 rho_K = (3,-1) and (5,-1) lie on one face with no zero sign.
+    kappa = match_inverse(d, Weight((2, 0)))
+    table = parabolic._face_table(d)
+    assert len(table) == 1
+    p = build_parabolic(d, Weight((5, -1)))
+    assert len(table) == 1
+    assert p.rho_s_cap_u() is next(iter(table.values())).rho_s_cap_u
+    assert kappa == Weight((2, 0)) - p.rho_s_cap_u()
+    # A face with a Levi pair is a second entry.
+    build_parabolic(d, Weight((1, -1)))
+    assert len(table) == 2

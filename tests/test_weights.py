@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tempered_atlas.errors import DimensionMismatch, ZeroRoot
+from tempered_atlas.ratlin import det
 from tempered_atlas.weights import (
     BilinearForm,
     Weight,
@@ -157,3 +158,21 @@ def test_dominance_invariant_under_form_rescaling(w, c):
 
 def test_form_positive_definite_counterexample():
     assert not BilinearForm(((1, 2), (2, 1))).is_positive_definite()
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    n = draw(st.sampled_from((2, 3)))
+    entries = st.integers(min_value=-4, max_value=4)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
+@given(symmetric_int_matrices())
+@example(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+@example(((1, 1, 1), (1, 2, 2), (1, 2, 2)))
+def test_positive_definite_matches_leading_minors(rows):
+    # Sylvester's criterion, computed independently of the LDL pivots.
+    form = BilinearForm(rows)
+    minors = [det(tuple(row[: k + 1] for row in form.gram[: k + 1])) for k in range(len(rows))]
+    assert form.is_positive_definite() == all(m > 0 for m in minors)
