@@ -7,8 +7,12 @@ kappa_l) comes back when it passes.  The construction checks that mu has
 coroot pairing -1 against each Levi pair, so the sign character is -1 on
 every pair and every datum is essential by construction; nothing is stored
 for it.  Genuineness of kappa is the same integrality condition phrased
-against the half-sum of a noncompact positive system, and ball enumeration
-over the shifted lattice therefore never hits a failure.
+against the half-sum of a noncompact positive system, so every genuine
+dominant kappa yields a datum.  Ball enumeration walks only the dominant
+genuine kappa: in a basis of the shifted lattice adapted to the simple
+compact roots, dominance is one integer lower bound per pivot coordinate of
+the integer ellipsoid walk, and a walked kappa that is not dominant or
+yields no datum is an internal failure.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalBijectionFailure, NotDominant, StructuralInvariantError
-from .groups import RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor
+from .groups import (
+    RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor, simple_compact_roots
+)
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points, mat_mul, transpose
 from .weights import Weight, half_sum, project_away
@@ -105,38 +111,95 @@ def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
     return is_integral(d, kappa - genuine_shift(d))
 
 
-def enumerate_ball(
-    d: RealFormDescriptor, radius_sq: Fraction
-) -> tuple[EssentialVoganDatum, ...]:
-    """Every datum whose kappa is dominant, genuine, and of squared norm at
-    most radius_sq, sorted by kappa coordinates.
+@per_descriptor
+def _chamber_walk(d: RealFormDescriptor):
+    """(center, quad, lower, den, shift_nums, basis_nums): the walk over the
+    dominant genuine weights kappa = (shift_nums + m basis_nums) / den.
 
-    Points of the shifted lattice are enumerated exactly: with basis rows B
-    and Gram G the squared norm of shift + nB is a positive definite
-    quadratic in the integer vector n, walked by rational LDL recursion.
-    Every genuine dominant kappa must yield a datum; a miss is a hard
-    correctness failure, not a skip.
+    Built once per descriptor.  The integrality basis is changed by a
+    unimodular integer transform that brings the pairing matrix
+    <b_j, alpha_i^vee> against the simple compact roots to echelon form:
+    root i pivots in row r - 1 - i, with zeros in the rows before it.  The
+    walk fixes coordinates from the last, so dominance on alpha_i is one
+    integer lower bound on coordinate r - 1 - i given those already fixed.
+    A row operation on the basis acts on lattice coordinates by the inverse
+    column operation, so the centre moves with it.
     """
-    radius_sq = Fraction(radius_sq)
     shift = genuine_shift(d)
-    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
-    quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
     center = lattice_coordinates(d, -shift)
     if center is None:
         raise StructuralInvariantError("integrality basis is singular")
-
-    # kappa = shift + n B as integer numerators over one denominator.
+    center = list(center)
     den = lcm(shift.int_coords()[1], *(b.int_coords()[1] for b in d.integrality_basis))
 
     def numerators(w: Weight) -> tuple[int, ...]:
         nums, w_den = w.int_coords()
         return tuple(x * (den // w_den) for x in nums)
 
-    shift_nums = numerators(shift)
-    basis_nums = tuple(numerators(b) for b in d.integrality_basis)
+    # One integer column per simple root: its coroot pairings with shift
+    # and then with each basis row, over their common denominator.
+    simples = simple_compact_roots(d)
+    columns = []
+    for alpha in simples:
+        col = [d.form.coroot_pairing(w, alpha) for w in (shift, *d.integrality_basis)]
+        scale = lcm(*(x.denominator for x in col))
+        columns.append([int(x * scale) for x in col])
+    # Each row: its pairings with the simples, then its basis numerators.
+    rows = [
+        [*(col[j + 1] for col in columns), *numerators(b)]
+        for j, b in enumerate(d.integrality_basis)
+    ]
+    r = len(rows)
+    for i in range(len(simples)):
+        # Euclid on column i over rows 0..t, ending with its gcd in row t.
+        t = r - 1 - i
+        while True:
+            live = [j for j in range(t + 1) if rows[j][i]]
+            if not live:
+                raise StructuralInvariantError(
+                    "simple compact roots are not independent on the lattice"
+                )
+            p = min(live, key=lambda j: abs(rows[j][i]))
+            if len(live) == 1:
+                break
+            for j in live:
+                if j != p:
+                    q = rows[j][i] // rows[p][i]
+                    rows[j] = [x - q * y for x, y in zip(rows[j], rows[p])]
+                    center[p] += q * center[j]
+        rows[p], rows[t] = rows[t], rows[p]
+        center[p], center[t] = center[t], center[p]
+        if rows[t][i] < 0:
+            rows[t] = [-x for x in rows[t]]
+            center[t] = -center[t]
+    lower = [None] * r
+    for i, col in enumerate(columns):
+        lower[r - 1 - i] = (col[0], tuple(row[i] for row in rows))
 
+    s = len(simples)
+    basis_nums = tuple(tuple(row[s:]) for row in rows)
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in basis_nums)
+    quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
+    return tuple(center), quad, tuple(lower), den, numerators(shift), basis_nums
+
+
+def enumerate_ball(
+    d: RealFormDescriptor, radius_sq: Fraction
+) -> tuple[EssentialVoganDatum, ...]:
+    """Every datum whose kappa is dominant, genuine, and of squared norm at
+    most radius_sq, sorted by kappa coordinates.
+
+    The genuine weights are the coset shift + (integer span of the basis);
+    in the basis of ``_chamber_walk`` the squared norm is a positive
+    definite quadratic in the integer coordinates and dominance is a lower
+    bound per pivot coordinate, so the integer ellipsoid walk visits the
+    dominant genuine kappa in the ball and nothing else.  A walked kappa
+    that is not dominant, or that yields no datum, is a hard correctness
+    failure, not a skip.
+    """
+    center, quad, lower, den, shift_nums, basis_nums = _chamber_walk(d)
     found = []
-    for n in ellipsoid_integer_points(center, quad, radius_sq):
+    for n in ellipsoid_integer_points(center, quad, radius_sq, lower):
         kappa = Weight.from_ints(
             tuple(
                 s + sum(c * row[j] for c, row in zip(n, basis_nums))
@@ -145,7 +208,9 @@ def enumerate_ball(
             den,
         )
         if not d.is_dominant_weight(kappa):
-            continue
+            raise InternalBijectionFailure(
+                f"the dominant-chamber walk reached the non-dominant weight {kappa}"
+            )
         datum = construct_from_kappa(d, kappa)
         if datum is None:
             raise InternalBijectionFailure(

@@ -44,7 +44,7 @@ from .errors import (
     UnknownGroup,
 )
 from .ratlin import det, gauss_solve, transpose
-from .weights import BilinearForm, Weight, half_sum, is_dominant, parse_rational, reflect
+from .weights import BilinearForm, Weight, half_sum, is_dominant, parse_rational, reflection_escape
 
 
 def per_descriptor(fn):
@@ -70,10 +70,7 @@ def per_descriptor(fn):
 
 def lex_positive(w: Weight) -> bool:
     """First nonzero coordinate is positive; the canonical pick per +-pair."""
-    for c in w:
-        if c != 0:
-            return c > 0
-    return False
+    return next((x > 0 for x in w.int_coords()[0] if x), False)
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,15 @@ class RealFormDescriptor:
         return is_dominant(w, self.positive_compact, self.form, strict=strict)
 
 
+@per_descriptor
+def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
+    """Positive compact roots that are not sums of two positive ones."""
+    pos = set(d.positive_compact)
+    return tuple(
+        sorted(a for a in pos if not any(b != a and (a - b) in pos for b in pos))
+    )
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[tuple[str, str], ...]
@@ -126,12 +132,15 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
                 f"{d.rank_g - d.rank_tc}",
             )
         )
+    form_ok = False
     if d.form.rank != d.rank_tc:
         v.append(("form_shape", f"Gram is {d.form.rank}x{d.form.rank}, rank_tc = {d.rank_tc}"))
     elif not d.form.is_symmetric():
         v.append(("form_symmetric", "Gram matrix is not symmetric"))
     elif not d.form.is_positive_definite():
         v.append(("form_positive_definite", "form not positive definite"))
+    else:
+        form_ok = True
 
     dim_ok = True
     for label, weights in (
@@ -172,7 +181,10 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     # A strictly dominant weight vanishes on a line through 0 only if no compact
     # root lies on it; two noncompact pairs there would be non-orthogonal Levi pairs.
     def line(w: Weight) -> Weight:
-        return w * (1 / next(c for c in w if c != 0))
+        # w over its first nonzero coordinate n / den is nums / n.
+        nums = w.int_coords()[0]
+        n = next(x for x in nums if x)
+        return Weight.from_ints(tuple(x if n > 0 else -x for x in nums), abs(n))
 
     compact_lines = {line(a) for a in d.compact_roots if not a.is_zero}
     reps_by_line: dict[Weight, set[Weight]] = {}
@@ -204,6 +216,19 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
                         )
                     )
                     break
+            else:
+                # A positive system is the roots positive on one chamber, so
+                # rho_K pairs positively with each; the dominant-chamber walk
+                # bounds kappa by the simple roots of such a system.
+                low = [a for a in pos if form_ok and d.form.sign(d.rho_compact(), a) <= 0]
+                if low:
+                    v.append(
+                        (
+                            "positive_system",
+                            f"positive_compact is not one chamber's positive roots: "
+                            f"their half-sum does not pair positively with {low[0]}",
+                        )
+                    )
 
     if len(d.integrality_basis) != d.rank_tc or not d.integrality_basis:
         v.append(("lattice_basis_shape", "basis must have rank_tc rows"))
@@ -229,7 +254,7 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     # Reflections in the listed weights must permute them: a weight set that
     # is not a root system can pass every rule above and still give a
     # strictly dominant weight non-orthogonal Levi pairs.
-    if d.form.rank == d.rank_tc and d.form.is_positive_definite():
+    if form_ok:
         cs = set(d.compact_roots)
         ws = cs | set(d.noncompact_weights)
         for rule, closed, what in (
@@ -238,15 +263,7 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
         ):
             # s_a = s_-a, and s_a fixes every weight orthogonal to a.
             mirrors = sorted({a if lex_positive(a) else -a for a in closed if not a.is_zero})
-            bad = next(
-                (
-                    (b, a)
-                    for a in mirrors
-                    for b in sorted(closed)
-                    if d.form.sign(b, a) and reflect(b, a, d.form) not in closed
-                ),
-                None,
-            )
+            bad = reflection_escape(mirrors, closed, d.form)
             if bad:
                 v.append((rule, f"reflection of {bad[0]} in {bad[1]} leaves the {what}"))
 

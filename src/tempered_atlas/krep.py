@@ -17,22 +17,13 @@ from functools import lru_cache
 
 from .classify import is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import RealFormDescriptor, is_integral, per_descriptor
+from .groups import RealFormDescriptor, is_integral, per_descriptor, simple_compact_roots
 from .ratlin import gauss_solve, transpose
 from .weights import Weight, half_sum, reflect
 
 WeightMultiset = dict
 
 _MAX_CHAMBER_STEPS = 100_000
-
-
-@per_descriptor
-def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
-    """Positive compact roots that are not sums of two positive ones."""
-    pos = set(d.positive_compact)
-    return tuple(
-        sorted(a for a in pos if not any(b != a and (a - b) in pos for b in pos))
-    )
 
 
 def to_dominant_chamber(d: RealFormDescriptor, w: Weight):

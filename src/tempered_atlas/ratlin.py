@@ -2,11 +2,13 @@
 and integer-point enumeration inside rational ellipsoids.
 
 Matrices are tuples of tuples of Fractions; everything here is pure and
-float-free.
+float-free.  The ellipsoid walk factors its form once in Fractions and then
+runs on integer budgets only, with optional integer lower bounds that cut
+each coordinate's window.
 """
 
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -112,16 +114,30 @@ def sqrt_upper(q: Fraction) -> Fraction:
     return Fraction(r + 1, den)
 
 
-def ellipsoid_integer_points(center, quad: Matrix, bound: Fraction):
-    """Yield every integer vector n with (n - center) Q (n - center)^T <= bound.
+def ellipsoid_integer_points(center, quad: Matrix, bound, lower=None):
+    """Yield every integer vector n with (n - center) Q (n - center)^T <= bound
+    that meets the caller's lower bounds.
 
-    Q must be symmetric positive definite.  Enumeration is the recursive
-    LDL form: with Q = L D L^T the quadric splits as sum_i d_i y_i^2,
-    y_i = x_i + sum_{j>i} x_j L[j][i], so coordinates are fixed from the
-    last to the first with exact rational budgets; candidate windows come
-    from integer square roots and are then filtered exactly.
+    Q must be symmetric positive definite.  With Q = L D L^T the quadric
+    splits as sum_i d_i y_i^2, y_i = x_i + sum_{j>i} x_j L[j][i], so
+    coordinates are fixed from the last to the first.  L, D, the centre
+    and the bound are scaled once to integers, after which every budget
+    and window is integer arithmetic: the window of n_i is exact, from one
+    ``isqrt`` of the remaining integer budget, and no point outside the
+    ellipsoid is visited.
+
+    ``lower``, when given, holds per coordinate None or a pair (c, row) of
+    integers with row[i] > 0 and row[j] == 0 for j < i.  It asks for
+    c + sum_j row[j] n_j >= 0, a lower bound on n_i given the coordinates
+    already fixed, and the window is cut there.
     """
     r = len(center)
+    lower = tuple(lower) if lower is not None else (None,) * r
+    if len(lower) != r or any(
+        lb is not None and (lb[1][i] <= 0 or any(lb[1][:i])) for i, lb in enumerate(lower)
+    ):
+        raise ValueError("each lower bound must lead with a positive coefficient")
+    bound = Fraction(bound)
     if bound < 0:
         return
     if r == 0:
@@ -131,20 +147,36 @@ def ellipsoid_integer_points(center, quad: Matrix, bound: Fraction):
     if fact is None:
         raise ValueError("quadratic form is not positive definite")
     L, D = fact
+    center = tuple(Fraction(c) for c in center)
+
+    # With lz = a L and cz = b center integral and t = a b, the window
+    # centre of n_i is mid / t for the integer
+    # mid = a cz_i - sum_{j>i} (b n_j - cz_j) lz[j][i], and the budget
+    # test d_i (n_i - mid / t)^2 <= budget becomes w_i (t n_i - mid)^2 <=
+    # beta, the whole quadric scaled by t^2 and the denominators of D and
+    # the bound.
+    a = lcm(*(L[j][i].denominator for j in range(r) for i in range(j)))
+    b = lcm(*(c.denominator for c in center))
+    t = a * b
+    lz = tuple(tuple(int(x * a) for x in row) for row in L)
+    cz = tuple(int(c * b) for c in center)
+    dd = lcm(*(x.denominator for x in D))
+    w = tuple(int(x * dd) * bound.denominator for x in D)
     point = [0] * r
 
-    def rec(i: int, budget: Fraction):
+    def rec(i: int, beta: int):
         if i < 0:
             yield tuple(point)
             return
-        shift = sum((point[j] - center[j]) * L[j][i] for j in range(i + 1, r))
-        mid = center[i] - shift
-        q = budget / D[i]
-        s = sqrt_upper(q)
-        for n in range(ceil(mid - s), floor(mid + s) + 1):
-            used = D[i] * (n - mid) ** 2
-            if used <= budget:
-                point[i] = n
-                yield from rec(i - 1, budget - used)
+        mid = a * cz[i] - sum((b * point[j] - cz[j]) * lz[j][i] for j in range(i + 1, r))
+        s = isqrt(beta // w[i])
+        lo = -((s - mid) // t)
+        if lower[i] is not None:
+            c, row = lower[i]
+            lo = max(lo, -((c + sum(row[j] * point[j] for j in range(i + 1, r))) // row[i]))
+        for n in range(lo, (mid + s) // t + 1):
+            z = t * n - mid
+            point[i] = n
+            yield from rec(i - 1, beta - w[i] * z * z)
 
-    yield from rec(r - 1, Fraction(bound))
+    yield from rec(r - 1, bound.numerator * t * t * dd)

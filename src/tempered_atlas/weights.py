@@ -161,7 +161,13 @@ class Weight:
         return mine <= theirs
 
     def __str__(self):
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
+        # Each coordinate as Fraction prints it, reduced by one gcd.
+        den = self._den
+        parts = []
+        for n in self._nums:
+            g = gcd(n, den)
+            parts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return "(" + ",".join(parts) + ")"
 
     def __repr__(self):
         return f"Weight{self}"
@@ -306,6 +312,34 @@ def is_dominant(w: Weight, positives, form: BilinearForm, strict: bool = False) 
 
 def reflect(w: Weight, root: Weight, form: BilinearForm) -> Weight:
     return w - form.coroot_pairing(w, root) * root
+
+
+def reflection_escape(mirrors, closed, form: BilinearForm):
+    """The first (b, a), over a in mirrors and then b in sorted(closed), with
+    <b, a> != 0 and the reflection of b in a outside closed; None when
+    every such reflection stays in closed.
+
+    Integer only: every weight is read as numerators over one common
+    denominator and s_a(b) = b - (p / q) a with p = 2 b.Ga, q = a.Ga on the
+    scaled Gram G, so it is a member only if q divides each p a_k and the
+    quotient's numerators are listed.  Each mirror must be +-a member.
+    """
+    closed = sorted(closed)
+    den = lcm(*(w._den for w in closed))
+    nums = [tuple(x * (den // w._den) for x in w._nums) for w in closed]
+    members = set(nums)
+    for a in mirrors:
+        a_nums = tuple(x * (den // a._den) for x in a._nums)
+        ga = tuple(sum(g * x for g, x in zip(row, a_nums)) for row in form._int_gram)
+        q = sum(x * y for x, y in zip(a_nums, ga))
+        for b, b_nums in zip(closed, nums):
+            p = 2 * sum(x * y for x, y in zip(b_nums, ga))
+            if p and (
+                any(p * x % q for x in a_nums)
+                or tuple(y - p * x // q for x, y in zip(a_nums, b_nums)) not in members
+            ):
+                return b, a
+    return None
 
 
 def project_away(w: Weight, roots, form: BilinearForm) -> Weight:

@@ -26,7 +26,9 @@ from tempered_atlas.matching import (
     r_group_order,
     summarize_datum,
 )
+from tempered_atlas.ratlin import sqrt_upper
 from tempered_atlas.weights import Weight, half_sum, project_away
+from test_classify import brute_force_kappas
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -209,6 +211,44 @@ def test_criterion_08_dirac_multiplicity_sweep(sp4r, sl2r, sl2c, su21):
                 assert dirac_multiplicity(d, s.kappa, w) == 1
                 pairs += 1
     print(f"criterion 8 PASS ({pairs} (component, K-type) pairs)")
+
+
+def test_dirac_converse_least_shifted_norm(sp4r, sl2r, sl2c, su21):
+    """For a minimal K-type mu of the component kappa, other genuine types
+    tau also occur in V(mu) (x) S, but kappa is the unique one of least
+    |tau + rho_K|^2.
+
+    A constituent's highest weight is a weight lam + nu of V(mu) (x) S,
+    with |lam| <= |mu| and nu a spin weight, so every constituent lies in
+    the ball of radius |mu| + max |nu|; the dimension count below confirms
+    that the scanned ball holds all of V(mu) (x) S.
+    """
+    pairs = 0
+    for d in (sp4r, sl2r, sl2c, su21, loads_descriptor(SU31_TEXT)):
+        rho = d.rho_compact()
+        spin = spin_weights(d)
+        spin_reach = max(sqrt_upper(d.form.norm_sq(nu)) for nu in spin)
+        cases = [
+            (datum.kappa, mu, sqrt_upper(d.form.norm_sq(mu)) + spin_reach)
+            for datum in enumerate_components(d, 2).entries
+            for mu in summarize_datum(datum).minimal_k_types
+        ]
+        box = brute_force_kappas(d, max(reach for _, _, reach in cases) ** 2)
+        for kappa, mu, reach in cases:
+            hits = {}
+            for tau in box:
+                if d.form.norm_sq(tau) <= reach * reach:
+                    m = dirac_multiplicity(d, tau, mu)
+                    if m:
+                        hits[tau] = m
+            assert sum(m * weyl_dim(d, tau) for tau, m in hits.items()) == (
+                weyl_dim(d, mu) * sum(spin.values())
+            )
+            least = min(d.form.norm_sq(tau + rho) for tau in hits)
+            assert [t for t in hits if d.form.norm_sq(t + rho) == least] == [kappa]
+            pairs += 1
+    assert pairs == 42
+    print(f"Dirac converse PASS ({pairs} (component, K-type) pairs)")
 
 
 def test_criterion_09_gram_scale_invariance(sp4r):

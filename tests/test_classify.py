@@ -1,9 +1,13 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import floor, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tempered_atlas import classify
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -11,9 +15,12 @@ from tempered_atlas.classify import (
     genuine_shift,
     is_genuine,
 )
-from tempered_atlas.errors import NotDominant
+from tempered_atlas.errors import InternalBijectionFailure, NotDominant
+from tempered_atlas.groups import RealFormDescriptor, catalog, loads_descriptor, validate
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.weights import Weight, project_away
+from tempered_atlas.ratlin import gauss_solve, mat_mul, transpose
+from tempered_atlas.weights import BilinearForm, Weight, project_away
+from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
 
@@ -153,3 +160,139 @@ def test_condition_v_on_every_constructed_datum(sp4r):
                 assert sp4r.form.inner(lam, gamma) > 0
             for beta in datum.parabolic.l_pairs:
                 assert sp4r.form.coroot_pairing(datum.mu, beta) == -1
+
+
+# ---------------------------------------------------------------------------
+# the dominant-chamber walk against a brute-force scan
+
+
+def brute_force_kappas(d, radius_sq):
+    """Every dominant genuine kappa with |kappa|^2 <= radius_sq, sorted, from
+    a box scan of half-integer lattice coordinates y, kappa = y B.
+
+    The shift lies in half the lattice, so the box holds every genuine
+    weight; |kappa|^2 = y Q y^T with Q = B G B^T bounds |y_i| by
+    sqrt(radius_sq * Q^-1[i][i]).
+    """
+    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
+    quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
+    r = len(basis)
+    reach = []
+    for i in range(r):
+        qinv_ii = gauss_solve(quad, tuple(int(i == j) for j in range(r)))[i]
+        reach.append(isqrt(floor(4 * radius_sq * qinv_ii)))
+    den = lcm(*(b.int_coords()[1] for b in d.integrality_basis))
+    rows = [
+        [x * (den // b_den) for x in b_nums]
+        for b_nums, b_den in map(Weight.int_coords, d.integrality_basis)
+    ]
+    found = []
+    for n in itertools.product(*(range(-h, h + 1) for h in reach)):
+        kappa = Weight.from_ints(
+            tuple(sum(c * row[k] for c, row in zip(n, rows)) for k in range(d.rank_tc)), 2 * den
+        )
+        if (
+            d.form.norm_sq(kappa) <= radius_sq
+            and d.is_dominant_weight(kappa)
+            and is_genuine(d, kappa)
+        ):
+            found.append(kappa)
+    return tuple(sorted(found))
+
+
+def _bc1():
+    # Rank one, compact roots +-1, +-2 and no noncompact weights: the
+    # genuine weights are the whole lattice Z.
+    return RealFormDescriptor(
+        name="bc1",
+        rank_tc=1,
+        rank_g=1,
+        form=BilinearForm.identity(1),
+        compact_roots=tuple(Weight((x,)) for x in (1, -1, 2, -2)),
+        positive_compact=(Weight((1,)), Weight((2,))),
+        noncompact_weights=(),
+        zero_weight_s_dim=0,
+        integrality_basis=(Weight((1,)),),
+    )
+
+
+def _walk_groups():
+    return {
+        **{name: catalog(name) for name in ("sl2r", "sl2c", "su21", "sp4r")},
+        "su31": loads_descriptor(SU31_TEXT),
+        "bc1": _bc1(),
+    }
+
+
+@st.composite
+def unimodular(draw, r):
+    """An integer r x r matrix of determinant +-1, as a product of row
+    additions, swaps and negations."""
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        if kind == "add" and i != j:
+            m = draw(st.integers(-2, 2))
+            u[i] = [x + m * y for x, y in zip(u[i], u[j])]
+        elif kind == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "negate":
+            u[i] = [-x for x in u[i]]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1")),
+    st.data(),
+    st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4),
+    st.fractions(min_value=0, max_value=14, max_denominator=7),
+)
+def test_enumerate_ball_matches_brute_force(name, data, scale, radius_sq):
+    d = _walk_groups()[name]
+    u = data.draw(unimodular(d.rank_tc))
+    basis = tuple(
+        sum((c * b for c, b in zip(row, d.integrality_basis)), Weight.zero(d.rank_tc))
+        for row in u
+    )
+    d = dataclasses.replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    assert validate(d).ok
+    got = tuple(e.kappa for e in enumerate_ball(d, radius_sq))
+    assert got == brute_force_kappas(d, radius_sq)
+
+
+@pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1"))
+@pytest.mark.parametrize("radius_sq", (Fraction(7, 3), 10, Fraction(53, 2)))
+def test_enumerate_ball_matches_brute_force_catalog(name, radius_sq):
+    d = _walk_groups()[name]
+    got = tuple(e.kappa for e in enumerate_ball(d, radius_sq))
+    assert got == brute_force_kappas(d, radius_sq)
+
+
+def test_walk_visits_only_components(monkeypatch):
+    walked = []
+    walk = classify.ellipsoid_integer_points
+
+    def counted(*args, **kwargs):
+        for point in walk(*args, **kwargs):
+            walked.append(point)
+            yield point
+
+    monkeypatch.setattr(classify, "ellipsoid_integer_points", counted)
+    su31 = loads_descriptor(SU31_TEXT)
+    for d, radius in ((catalog("sp4r"), 20), (catalog("su21"), 20), (su31, 10)):
+        walked.clear()
+        run = enumerate_components(d, radius)
+        assert len(walked) == len(run.entries) > 0
+
+
+def test_non_dominant_walked_kappa_is_a_bijection_failure(monkeypatch, sp4r):
+    # A walk that ignores its lower bounds: a box about the origin holds
+    # genuine weights on both sides of the wall.
+    def stray(*args, **kwargs):
+        yield from itertools.product(range(-3, 4), repeat=2)
+
+    monkeypatch.setattr(classify, "ellipsoid_integer_points", stray)
+    with pytest.raises(InternalBijectionFailure, match="non-dominant"):
+        enumerate_ball(sp4r, 4)

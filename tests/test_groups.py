@@ -22,6 +22,7 @@ from tempered_atlas.groups import (
     validate,
 )
 from tempered_atlas.weights import Weight
+from test_su31_custom import SU31_TEXT
 
 
 def test_catalog_names():
@@ -188,3 +189,21 @@ def test_noncompact_positives_one_per_pair(sp4r, su21):
         pos = d.noncompact_positives()
         assert len(pos) * 2 == len(d.noncompact_weights)
         assert all(-w not in pos for w in pos)
+
+
+def test_positive_roots_outside_one_chamber_reported():
+    # An A2 compact system with positives a, b, -(a + b): each pair has one
+    # positive member, but no chamber has all three positive.
+    text = SU31_TEXT.replace(
+        "positive_compact = 1,-1,0 ; 0,1,-1 ; 1,0,-1",
+        "positive_compact = 1,-1,0 ; 0,1,-1 ; -1,0,1",
+    )
+    with pytest.raises(DescriptorValidationError) as err:
+        loads_descriptor(text)
+    assert err.value.report.violations == (
+        (
+            "positive_system",
+            "positive_compact is not one chamber's positive roots: "
+            "their half-sum does not pair positively with (1,-1,0)",
+        ),
+    )

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -93,3 +94,59 @@ def test_ellipsoid_enumeration_complete_and_sound(quad, center, bound):
     )
     assert got == expected
     assert len(set(got)) == len(got)
+
+
+@st.composite
+def lower_bounds(draw):
+    """Per coordinate None or (c, row): c + row . n >= 0 with row[i] > 0 and
+    zeros before it, so it bounds n_i below once n_j, j > i, are fixed."""
+    out = []
+    for i in range(2):
+        if draw(st.booleans()):
+            out.append(None)
+            continue
+        row = [0] * i + [draw(st.integers(1, 3))]
+        row += [draw(st.integers(-3, 3)) for _ in range(i + 1, 2)]
+        out.append((draw(st.integers(-6, 6)), tuple(row)))
+    return tuple(out)
+
+
+@given(
+    pd_matrices(),
+    st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    ),
+    st.fractions(min_value=0, max_value=30, max_denominator=4),
+    lower_bounds(),
+)
+def test_ellipsoid_lower_bounds_against_scan(quad, center, bound, lower):
+    got = list(ellipsoid_integer_points(center, quad, bound, lower))
+    # quad is integral; scale the centre to integers and the quadric by m^2.
+    m = center[0].denominator * center[1].denominator
+    cz = [int(c * m) for c in center]
+    gram = [[int(x) for x in row] for row in quad]
+    scaled_bound = bound * m * m
+
+    def q(n):
+        x = [m * n[i] - cz[i] for i in range(2)]
+        return sum(x[i] * gram[i][j] * x[j] for i in range(2) for j in range(2))
+
+    def meets(n):
+        return all(b is None or b[0] + sum(r * x for r, x in zip(b[1], n)) >= 0 for b in lower)
+
+    expected = sorted(
+        (i, j)
+        for i in range(-16, 17)
+        for j in range(-16, 17)
+        if meets((i, j)) and q((i, j)) <= scaled_bound
+    )
+    assert sorted(got) == expected
+    assert len(set(got)) == len(got)
+
+
+def test_ellipsoid_lower_bound_must_lead_positive():
+    quad = to_matrix(((1, 0), (0, 1)))
+    for lower in (((0, (0, 1)), None), (None, (0, (1, 1))), (None, (0, (0, -1)))):
+        with pytest.raises(ValueError):
+            list(ellipsoid_integer_points((0, 0), quad, 4, lower))

@@ -15,6 +15,7 @@ from tempered_atlas.weights import (
     parse_weight,
     project_away,
     reflect,
+    reflection_escape,
 )
 
 I2 = BilinearForm.identity(2)
@@ -176,3 +177,39 @@ def test_positive_definite_matches_leading_minors(rows):
     form = BilinearForm(rows)
     minors = [det(tuple(row[: k + 1] for row in form.gram[: k + 1])) for k in range(len(rows))]
     assert form.is_positive_definite() == all(m > 0 for m in minors)
+
+
+@example((0, -4, 6), 4)
+@example((0, 0), 1)
+@given(
+    st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=24),
+)
+def test_str_matches_fraction_rendering(nums, den):
+    # from_ints reduces by the common gcd only, so single coordinates may
+    # still reduce further: zero, negative and non-reduced numerators.
+    w = Weight.from_ints(tuple(nums), den)
+    assert str(w) == "(" + ",".join(str(Fraction(n, den)) for n in nums) + ")"
+    assert repr(w) == f"Weight{w}"
+
+
+small = st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@given(
+    st.lists(st.builds(lambda a, b: Weight((a, b)), small, small), min_size=1, max_size=6),
+    pd_forms(),
+)
+def test_reflection_escape_matches_reflect(ws, form):
+    closed = {x for w in ws for x in (w, -w)}
+    mirrors = sorted({w for w in closed if not w.is_zero and w > -w})
+    expected = next(
+        (
+            (b, a)
+            for a in mirrors
+            for b in sorted(closed)
+            if form.sign(b, a) and reflect(b, a, form) not in closed
+        ),
+        None,
+    )
+    assert reflection_escape(mirrors, closed, form) == expected
