@@ -7,19 +7,20 @@ kappa_l) comes back when it passes.  The construction checks that mu has
 coroot pairing -1 against each Levi pair, so the sign character is -1 on
 every pair and every datum is essential by construction; nothing is stored
 for it.  Genuineness of kappa is the same integrality condition phrased
-against the half-sum of a noncompact positive system, so every genuine
-dominant kappa yields a datum.  Ball enumeration walks only the dominant
-genuine kappa: in a basis of the shifted lattice adapted to the simple
-compact roots, dominance is one integer lower bound per pivot coordinate of
-the integer ellipsoid walk, and a walked kappa that is not dominant or
-yields no datum is an internal failure.
+against the half-sum of a noncompact positive system, so the construction
+is the one owner of both checks on kappa: it raises NotDominant or
+NotGenuine, and every genuine dominant kappa yields a datum.  Ball
+enumeration walks only the dominant genuine kappa: in a basis of the
+shifted lattice adapted to the simple compact roots, dominance is one
+integer lower bound per pivot coordinate of the integer ellipsoid walk, and
+a walked kappa the construction refuses is an internal failure.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InternalBijectionFailure, NotDominant, StructuralInvariantError
+from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (
     RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor, simple_compact_roots
 )
@@ -64,22 +65,18 @@ class ClassificationRun:
     radius: Fraction
     entries: tuple[EssentialVoganDatum, ...]
 
-    @property
-    def kappas(self) -> tuple[Weight, ...]:
-        return tuple(e.kappa for e in self.entries)
-
 
 def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
-    """The datum generated by a dominant kappa, or None when the shifted
-    weight mu falls outside the integral lattice."""
+    """The datum generated by kappa.  Raises NotDominant unless kappa is
+    dominant, and NotGenuine unless it is genuine, which is exactly when
+    the shifted weight mu is integral."""
     if not d.is_dominant_weight(kappa):
         raise NotDominant(f"{kappa} is not dominant for the compact positives")
 
-    lam = kappa + d.rho_compact()
-    p = build_parabolic(d, lam)
+    p = build_parabolic(d, kappa + d.rho_compact())
     mu = kappa - p.mu_shift()
     if not is_integral(d, mu):
-        return None
+        raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
 
     form = d.form
     for beta in p.l_pairs:
@@ -194,8 +191,8 @@ def enumerate_ball(
     definite quadratic in the integer coordinates and dominance is a lower
     bound per pivot coordinate, so the integer ellipsoid walk visits the
     dominant genuine kappa in the ball and nothing else.  A walked kappa
-    that is not dominant, or that yields no datum, is a hard correctness
-    failure, not a skip.
+    that construct_from_kappa refuses is a hard correctness failure, not a
+    skip.
     """
     center, quad, lower, den, shift_nums, basis_nums = _chamber_walk(d)
     found = []
@@ -207,16 +204,13 @@ def enumerate_ball(
             ),
             den,
         )
-        if not d.is_dominant_weight(kappa):
+        try:
+            found.append(construct_from_kappa(d, kappa))
+        except (NotDominant, NotGenuine) as exc:
+            kind = "non-dominant" if isinstance(exc, NotDominant) else "non-genuine"
             raise InternalBijectionFailure(
-                f"the dominant-chamber walk reached the non-dominant weight {kappa}"
-            )
-        datum = construct_from_kappa(d, kappa)
-        if datum is None:
-            raise InternalBijectionFailure(
-                f"genuine dominant weight {kappa} produced no datum"
-            )
-        found.append(datum)
+                f"the dominant-chamber walk reached the {kind} weight {kappa}"
+            ) from exc
 
     found.sort(key=lambda datum: datum.kappa)
     kappas = [datum.kappa for datum in found]

@@ -188,12 +188,8 @@ def _figure_cells(d, m_range, n_range):
         summary = summarize_datum(datum)
         label = "*" if summary.n_pairs == 0 else f"N{summary.n_pairs}-{summary.kappa}"
         for w in summary.minimal_k_types:
-            coords = lattice_coordinates(d, w)
-            if any(c.denominator != 1 for c in coords):
-                raise StructuralInvariantError(
-                    f"minimal K-type {w} has non-integer lattice coordinates"
-                )
-            m, n = int(coords[0]), int(coords[1])
+            # Integral: a fine weight plus noncompact weights, all in the lattice.
+            m, n = map(int, lattice_coordinates(d, w))
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
             if (m, n) in cells:

@@ -5,20 +5,19 @@ K-types (fine weight + twice the noncompact nilradical half-sum), the Dirac
 highest weight kappa_l + rho(s cap u) (always equal to kappa), and the
 R-group order 2^N.  The inverse direction recovers kappa from a minimal
 K-type as mu - rho_G + rho_K for the unique positive system making
-mu + 2 rho_K strictly dominant; rho_G - rho_K comes from the parabolic
-face table, keyed by the same noncompact signs.
+mu + 2 rho_K strictly dominant; rho_G - rho_K is the rho(s cap u) of the
+shared parabolic of the face with those noncompact signs.  summarize leaves
+every check on kappa to construct_from_kappa.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .classify import EssentialVoganDatum, construct_from_kappa, is_genuine
+from .classify import EssentialVoganDatum, construct_from_kappa
 from .errors import (
     AmbiguousPositiveSystem,
     DominanceFailure,
-    InternalBijectionFailure,
     NotDominant,
-    NotGenuine,
     NotIntegral,
     StructuralInvariantError,
 )
@@ -116,7 +115,7 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
             raise AmbiguousPositiveSystem(
                 f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
             )
-    kappa = mu_g - face(d, signs).rho_s_cap_u
+    kappa = mu_g - face(d, signs).rho_s_cap_u()
     if not d.is_dominant_weight(kappa):
         raise NotDominant(
             f"{mu_g} is not a minimal K-type: it matches back to {kappa}, "
@@ -150,13 +149,6 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
 
 
 def summarize(d: RealFormDescriptor, kappa: Weight) -> ComponentSummary:
-    if not d.is_dominant_weight(kappa):
-        raise NotDominant(f"{kappa} is not dominant for the compact positives")
-    if not is_genuine(d, kappa):
-        raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
-    datum = construct_from_kappa(d, kappa)
-    if datum is None:
-        raise InternalBijectionFailure(
-            f"genuine dominant weight {kappa} produced no datum"
-        )
-    return summarize_datum(datum)
+    """The summary of the component kappa generates; construct_from_kappa
+    raises NotDominant or NotGenuine when it generates none."""
+    return summarize_datum(construct_from_kappa(d, kappa))

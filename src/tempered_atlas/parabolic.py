@@ -9,32 +9,31 @@ per pair, mutually orthogonal, plus the central zero-weight part.
 
 The compact roots in u are the positive compact roots whatever lam is, so
 the buckets depend on lam only through its sign vector over the noncompact
-weights, its face.  A descriptor has finitely many faces, so the sorted
-buckets, their checks and the half-sums they determine are built once per
-face and shared by every parabolic on it and by the inverse matching,
-whose noncompact positive system is the u of a face with no zero sign.
+weights, its face.  A descriptor has finitely many faces, and the face is
+the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
+checked and its half-sums computed once, is shared by every lam on it and
+by the inverse matching, whose noncompact positive system is the u of a
+face with no zero sign.
 """
-
-from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError
 from .groups import RealFormDescriptor, lex_positive, per_descriptor
 from .weights import Weight, half_sum
 
 
-class Face:
+class ThetaParabolic:
     """The checked buckets of one face and the half-sums they determine."""
-
-    __slots__ = ("u_compact", "u_noncompact", "l_pairs", "rho_s_cap_u", "mu_shift", "rho_l")
 
     def __init__(self, d: RealFormDescriptor, signs):
         # A strictly dominant weight is positive exactly on the positive
         # compact roots when the compact roots are +-positive_compact; the
         # partition check below fails on a descriptor where they are not.
+        self.descriptor = d
         self.u_compact = tuple(sorted(d.positive_compact))
         weights = d.noncompact_weights
         self.u_noncompact = tuple(sorted(g for g, s in zip(weights, signs) if s > 0))
         self.l_pairs = tuple(sorted(g for g, s in zip(weights, signs) if not s and lex_positive(g)))
+        self.n_pairs = len(self.l_pairs)
 
         for i, a in enumerate(self.l_pairs):
             for b in self.l_pairs[i + 1 :]:
@@ -43,61 +42,27 @@ class Face:
                         "rank-one Levi factors must be mutually orthogonal; "
                         f"{a} and {b} are not"
                     )
-        counts = (len(self.u_compact), len(self.u_noncompact), len(self.l_pairs))
+        counts = (len(self.u_compact), len(self.u_noncompact), self.n_pairs)
         if 2 * sum(counts) != len(d.compact_roots) + len(d.noncompact_weights):
             raise StructuralInvariantError(
                 "sign buckets do not partition the torus weights; descriptor "
                 "lists are inconsistent"
             )
 
-        self.rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
+        self._rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
         rho_l_all_plus = half_sum(self.l_pairs, rank=d.rank_tc)
-        self.mu_shift = self.rho_s_cap_u + rho_l_all_plus
+        self._mu_shift = self._rho_s_cap_u + rho_l_all_plus
         # rho_l_plus by sign vector; at most 2^N entries.
-        self.rho_l = {(1,) * len(self.l_pairs): rho_l_all_plus}
-
-
-@per_descriptor
-def _face_table(d: RealFormDescriptor) -> dict:
-    """Faces keyed by a sign vector over the noncompact weights, filled as
-    build_parabolic and match_inverse meet them."""
-    return {}
-
-
-def face(d: RealFormDescriptor, signs: tuple[int, ...]) -> Face:
-    """The face with the given sign vector over ``d.noncompact_weights``."""
-    table = _face_table(d)
-    try:
-        return table[signs]
-    except KeyError:
-        # Stored only once every check has passed, so a failing face
-        # fails again on every call.
-        value = table[signs] = Face(d, signs)
-        return value
-
-
-@dataclass(frozen=True)
-class ThetaParabolic:
-    descriptor: RealFormDescriptor
-    defining_weight: Weight
-    u_compact: tuple[Weight, ...]
-    u_noncompact: tuple[Weight, ...]
-    l_pairs: tuple[Weight, ...]
-    m0: int
-    _face: Face = field(compare=False, repr=False)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.l_pairs)
+        self._rho_l = {(1,) * self.n_pairs: rho_l_all_plus}
 
     def rho_s_cap_u(self) -> Weight:
         """Half-sum of the noncompact weights in the nilradical."""
-        return self._face.rho_s_cap_u
+        return self._rho_s_cap_u
 
     def mu_shift(self) -> Weight:
         """rho(s cap u) + rho_l_plus(+1, ..., +1), which kappa - mu equals
         for the all-plus sign choice."""
-        return self._face.mu_shift
+        return self._mu_shift
 
     def rho_l_plus(self, signs) -> Weight:
         """Half-sum of one signed member per Levi pair: (1/2) sum s_j b_j."""
@@ -108,7 +73,7 @@ class ThetaParabolic:
             )
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        memo = self._face.rho_l
+        memo = self._rho_l
         try:
             return memo[signs]
         except KeyError:
@@ -117,6 +82,26 @@ class ThetaParabolic:
                 rank=self.descriptor.rank_tc,
             )
             return value
+
+
+@per_descriptor
+def _face_table(d: RealFormDescriptor) -> dict:
+    """Parabolics keyed by a sign vector over the noncompact weights, filled
+    as build_parabolic and match_inverse meet them."""
+    return {}
+
+
+def face(d: RealFormDescriptor, signs: tuple[int, ...]) -> ThetaParabolic:
+    """The parabolic of the face with the given sign vector over
+    ``d.noncompact_weights``."""
+    table = _face_table(d)
+    try:
+        return table[signs]
+    except KeyError:
+        # Stored only once every check has passed, so a failing face
+        # fails again on every call.
+        value = table[signs] = ThetaParabolic(d, signs)
+        return value
 
 
 def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
@@ -128,7 +113,8 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     guaranteed to contain noncompact pairs only, and the pair
     representatives (first nonzero coordinate positive) are mutually
     orthogonal.  Only the signs over the noncompact weights are computed;
-    they pick the shared face.
+    they pick the shared parabolic of the face, the same object for every
+    lam on it.
     """
     if not d.is_dominant_weight(lam, strict=True):
         raise NotStrictlyDominant(
@@ -136,5 +122,4 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
             "compact root"
         )
     sign = d.form.sign
-    f = face(d, tuple(sign(lam, g) for g in d.noncompact_weights))
-    return ThetaParabolic(d, lam, f.u_compact, f.u_noncompact, f.l_pairs, d.zero_weight_s_dim, f)
+    return face(d, tuple(sign(lam, g) for g in d.noncompact_weights))

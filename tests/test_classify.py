@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import os
+import tempfile
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import classify
+from tempered_atlas import classify, cli
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -15,8 +19,15 @@ from tempered_atlas.classify import (
     genuine_shift,
     is_genuine,
 )
-from tempered_atlas.errors import InternalBijectionFailure, NotDominant
-from tempered_atlas.groups import RealFormDescriptor, catalog, loads_descriptor, validate
+from tempered_atlas.errors import InternalBijectionFailure, NotDominant, NotGenuine
+from tempered_atlas.groups import (
+    RealFormDescriptor,
+    catalog,
+    loads_descriptor,
+    parse_descriptor,
+    serialize_descriptor,
+    validate,
+)
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import gauss_solve, mat_mul, transpose
 from tempered_atlas.weights import BilinearForm, Weight, project_away
@@ -34,7 +45,8 @@ def test_construct_one_pair(sp4r):
 
 
 def test_construct_non_integral_is_empty(sp4r):
-    assert construct_from_kappa(sp4r, Weight((1, 0))) is None
+    with pytest.raises(NotGenuine, match="not the highest weight of a genuine type"):
+        construct_from_kappa(sp4r, Weight((1, 0)))
 
 
 def test_construct_split_rank_one(sl2r):
@@ -83,7 +95,7 @@ def test_is_genuine_matches_kappa_adapted_system(sp4r, su21):
 def test_enumerate_sl2r_radius_5(sl2r):
     run = enumerate_components(sl2r, 5)
     # oracle: hand enumeration of the shifted lattice Z inside [-5, 5]
-    assert run.kappas == tuple(Weight((k,)) for k in range(-5, 6))
+    assert tuple(e.kappa for e in run.entries) == tuple(Weight((k,)) for k in range(-5, 6))
     assert run.group == "sl2r"
     assert run.radius == 5
 
@@ -97,9 +109,10 @@ def test_enumerate_sp4r_radius_2_against_box_scan(sp4r):
             kappa = Weight((i + H, j + H))
             if kappa[0] >= kappa[1] and sp4r.form.norm_sq(kappa) <= 4:
                 expected.add(kappa)
-    assert set(run.kappas) == expected
-    assert all(k[0].denominator == 2 and k[1].denominator == 2 for k in run.kappas)
-    assert len(run.kappas) == 7
+    kappas = tuple(e.kappa for e in run.entries)
+    assert set(kappas) == expected
+    assert all(k[0].denominator == 2 and k[1].denominator == 2 for k in kappas)
+    assert len(kappas) == 7
 
 
 def test_enumerate_requires_positive_radius(sp4r):
@@ -296,3 +309,67 @@ def test_non_dominant_walked_kappa_is_a_bijection_failure(monkeypatch, sp4r):
     monkeypatch.setattr(classify, "ellipsoid_integer_points", stray)
     with pytest.raises(InternalBijectionFailure, match="non-dominant"):
         enumerate_ball(sp4r, 4)
+
+
+# ---------------------------------------------------------------------------
+# validate passes => classify exits 0, over generated product descriptors
+
+
+def _product(d1, d2):
+    """d1 x d2: block-diagonal Gram, weights padded with zeros, ranks and
+    zero-weight dimensions summed, block lattice basis."""
+    r1, r2 = d1.rank_tc, d2.rank_tc
+
+    def padded(field):
+        left = tuple(Weight((*w, *(0,) * r2)) for w in getattr(d1, field))
+        return left + tuple(Weight((*(0,) * r1, *w)) for w in getattr(d2, field))
+
+    gram = [list(row) + [0] * r2 for row in d1.form.gram]
+    gram += [[0] * r1 + list(row) for row in d2.form.gram]
+    return RealFormDescriptor(
+        name=f"{d1.name}x{d2.name}",
+        rank_tc=r1 + r2,
+        rank_g=d1.rank_g + d2.rank_g,
+        form=BilinearForm(gram),
+        compact_roots=padded("compact_roots"),
+        positive_compact=padded("positive_compact"),
+        noncompact_weights=padded("noncompact_weights"),
+        zero_weight_s_dim=d1.zero_weight_s_dim + d2.zero_weight_s_dim,
+        integrality_basis=padded("integrality_basis"),
+    )
+
+
+_scales = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1")),
+    st.sampled_from(("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1")),
+    _scales,
+    _scales,
+    st.data(),
+)
+def test_validated_product_classifies(name1, name2, scale1, scale2, data):
+    groups = _walk_groups()
+    d = _product(
+        dataclasses.replace(groups[name1], form=groups[name1].form.scaled(scale1)),
+        dataclasses.replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+    )
+    u = data.draw(unimodular(d.rank_tc))
+    basis = tuple(
+        sum((c * b for c, b in zip(row, d.integrality_basis)), Weight.zero(d.rank_tc))
+        for row in u
+    )
+    text = serialize_descriptor(dataclasses.replace(d, integrality_basis=basis))
+    report = validate(parse_descriptor(text))
+    assert report.ok, report.violations
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "product.group")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["classify", path, "--radius", "2"])
+    assert code == 0, err.getvalue()
+    assert out.getvalue().count("\n") > 1

@@ -105,6 +105,16 @@ def test_match_inverse_non_minimal_k_type_names_the_input(capsys):
         assert err.startswith(f"error: ({mu}) is not a minimal K-type: it matches back to (-1/2,1/2)")
 
 
+def test_match_forward_refusals_name_the_input(capsys):
+    for mu, reason in (
+        ("1,0", "is not the highest weight of a genuine type"),
+        ("0,1", "is not dominant for the compact positives"),
+    ):
+        code, out, err = run_cli(capsys, "match", "sp4r", "--mu", mu)
+        assert (code, out) == (2, "")
+        assert err == f"error: ({mu}) {reason}\n"
+
+
 def test_match_writes_nothing_when_the_summary_fails(capsys, monkeypatch):
     def failing_summarize(d, kappa):
         raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")

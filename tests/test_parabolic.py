@@ -85,11 +85,6 @@ def test_rho_l_plus(sp4r):
         p.rho_l_plus((1, 1))
 
 
-def test_m0_copied(sl2c, su21):
-    assert build_parabolic(sl2c, Weight((1,))).m0 == 1
-    assert build_parabolic(su21, Weight((1, 0))).m0 == 0
-
-
 strict_dominant_sp4r = (
     st.tuples(
         st.fractions(min_value=-5, max_value=5, max_denominator=4),
@@ -158,19 +153,25 @@ def test_weights_on_one_face_give_equal_buckets(sp4r, lams):
     ps = [build_parabolic(sp4r, Weight(lam)) for lam in lams]
     first = ps[0]
     for p, lam in zip(ps, lams):
-        assert p.defining_weight == Weight(lam)
+        assert p is first
         assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
             sp4r, Weight(lam)
         )
-        assert (p.u_compact, p.u_noncompact, p.l_pairs) == (
-            first.u_compact,
-            first.u_noncompact,
-            first.l_pairs,
-        )
-        assert p.u_noncompact is first.u_noncompact
         assert p.rho_s_cap_u() == half_sum(p.u_noncompact, rank=2)
         plus = (1,) * p.n_pairs
         assert p.mu_shift() == p.rho_s_cap_u() + p.rho_l_plus(plus)
+
+
+def test_one_parabolic_per_face_and_descriptor(sp4r):
+    # (3,1) and (5,2) lie on the face with every noncompact sign positive.
+    p = build_parabolic(sp4r, Weight((3, 1)))
+    assert build_parabolic(sp4r, Weight((5, 2))) is p
+    assert p.descriptor is sp4r
+    copy = dataclasses.replace(sp4r)
+    q = build_parabolic(copy, Weight((5, 2)))
+    assert q is not p
+    assert q.descriptor is copy
+    assert (q.u_compact, q.u_noncompact, q.l_pairs) == (p.u_compact, p.u_noncompact, p.l_pairs)
 
 
 def test_failing_face_fails_on_every_call(sl2r):
@@ -219,7 +220,7 @@ def test_matching_and_parabolic_share_one_face_table(sp4r):
     assert len(table) == 1
     p = build_parabolic(d, Weight((5, -1)))
     assert len(table) == 1
-    assert p.rho_s_cap_u() is next(iter(table.values())).rho_s_cap_u
+    assert p is next(iter(table.values()))
     assert kappa == Weight((2, 0)) - p.rho_s_cap_u()
     # A face with a Levi pair is a second entry.
     build_parabolic(d, Weight((1, -1)))

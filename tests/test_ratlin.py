@@ -80,17 +80,25 @@ def pd_matrices(draw, rank=2):
 )
 def test_ellipsoid_enumeration_complete_and_sound(quad, center, bound):
     got = sorted(ellipsoid_integer_points(center, quad, bound))
+    # quad is integral; scale the centre to integers and the quadric by m^2,
+    # and clear the bound's denominator.
+    m = center[0].denominator * center[1].denominator
+    cz = [int(c * m) for c in center]
+    gram = [[int(x) for x in row] for row in quad]
+    scaled_bound = bound.numerator * m * m
 
     def q(n):
-        x = tuple(Fraction(n[i]) - center[i] for i in range(2))
-        return sum(x[i] * quad[i][j] * x[j] for i in range(2) for j in range(2))
+        x = [m * n[i] - cz[i] for i in range(2)]
+        return bound.denominator * sum(
+            x[i] * gram[i][j] * x[j] for i in range(2) for j in range(2)
+        )
 
     # oracle: scan a generous integer box around the center
     expected = sorted(
         (i, j)
         for i in range(-16, 17)
         for j in range(-16, 17)
-        if q((i, j)) <= bound
+        if q((i, j)) <= scaled_bound
     )
     assert got == expected
     assert len(set(got)) == len(got)
