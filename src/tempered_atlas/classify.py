@@ -123,10 +123,10 @@ def _chamber_walk(d: RealFormDescriptor):
     column operation, so the centre moves with it.
     """
     shift = genuine_shift(d)
-    center = lattice_coordinates(d, -shift)
-    if center is None:
+    coords = lattice_coordinates(d, -shift)
+    if coords is None:
         raise StructuralInvariantError("integrality basis is singular")
-    center = list(center)
+    center, center_den = list(coords[0]), coords[1]
     den = lcm(shift.int_coords()[1], *(b.int_coords()[1] for b in d.integrality_basis))
 
     def numerators(w: Weight) -> tuple[int, ...]:
@@ -177,7 +177,8 @@ def _chamber_walk(d: RealFormDescriptor):
     basis_nums = tuple(tuple(row[s:]) for row in rows)
     basis = tuple(tuple(Fraction(x, den) for x in row) for row in basis_nums)
     quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
-    return tuple(center), quad, tuple(lower), den, numerators(shift), basis_nums
+    center = tuple(Fraction(c, center_den) for c in center)
+    return center, quad, tuple(lower), den, numerators(shift), basis_nums
 
 
 def enumerate_ball(

@@ -6,7 +6,8 @@ up under the directories in TEMPERED_ATLAS_PATH (suffix ``.group``).  All
 weights on the command line are comma-separated exact rationals; no floats.
 
 Exit codes: 0 success, 2 input or descriptor error, 3 internal invariant
-failure, 4 ambiguous matching input, 5 range error.
+failure, 4 ambiguous matching input, 5 range error.  ``--version`` prints
+the package version and exits 0.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from .classify import enumerate_ball, enumerate_components
 from .errors import (
     AmbiguousPositiveSystem,
@@ -188,8 +190,9 @@ def _figure_cells(d, m_range, n_range):
         summary = summarize_datum(datum)
         label = "*" if summary.n_pairs == 0 else f"N{summary.n_pairs}-{summary.kappa}"
         for w in summary.minimal_k_types:
-            # Integral: a fine weight plus noncompact weights, all in the lattice.
-            m, n = map(int, lattice_coordinates(d, w))
+            # Integral: a fine weight plus noncompact weights, all in the
+            # lattice, so the coordinates' denominator is 1.
+            (m, n), _ = lattice_coordinates(d, w)
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
             if (m, n) in cells:
@@ -265,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tempered-atlas",
         description="Exact classification of essential tempered components.",
     )
+    parser.add_argument("--version", action="version", version=f"tempered-atlas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list built-in groups")

@@ -28,14 +28,18 @@ Descriptor file format (text, human editable, exact rationals only)::
 
 Vectors are comma-separated rationals ("p/q" or "n"; no float literals),
 vector lists are semicolon-separated, and an empty value is an empty list.
+
+Dominance and face tests read one integer pairing table per descriptor;
+lattice coordinates are integers over one denominator, which is 1 exactly
+for integral weights.
 """
 
 import configparser
 import functools
 import io
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DescriptorFormatError,
@@ -44,7 +48,7 @@ from .errors import (
     UnknownGroup,
 )
 from .ratlin import det, gauss_solve, transpose
-from .weights import BilinearForm, Weight, half_sum, is_dominant, parse_rational, reflection_escape
+from .weights import BilinearForm, Weight, half_sum, parse_rational, reflection_escape
 
 
 def per_descriptor(fn):
@@ -91,12 +95,31 @@ class RealFormDescriptor:
         return half_sum(self.positive_compact, rank=self.rank_tc)
 
     @per_descriptor
+    def two_rho_compact(self) -> Weight:
+        """Twice rho_compact, the shift of the inverse matching."""
+        return 2 * self.rho_compact()
+
+    @per_descriptor
     def noncompact_positives(self) -> tuple[Weight, ...]:
         """The lexicographically positive member of each noncompact +-pair."""
         return tuple(sorted(w for w in self.noncompact_weights if lex_positive(w)))
 
+    @per_descriptor
+    def pairing_table(self):
+        """(compact, noncompact, both): the integer pairing rows
+        (``BilinearForm.pairing_rows``) of the positive compact roots, of
+        the noncompact weights, and of both in that order."""
+        compact = self.form.pairing_rows(self.positive_compact)
+        noncompact = self.form.pairing_rows(self.noncompact_weights)
+        return compact, noncompact, compact + noncompact
+
     def is_dominant_weight(self, w: Weight, strict: bool = False) -> bool:
-        return is_dominant(w, self.positive_compact, self.form, strict=strict)
+        """<w, a> >= 0 (> 0 when strict) for every positive compact root a;
+        vacuously true when there is none."""
+        values = self.form.pairings(w, self.pairing_table()[0])
+        if strict:
+            return min(values, default=1) > 0
+        return min(values, default=0) >= 0
 
 
 @per_descriptor
@@ -288,8 +311,9 @@ def _inverse_basis(d: RealFormDescriptor):
 
 
 def lattice_coordinates(d: RealFormDescriptor, w: Weight):
-    """Exact coefficients of w in the integrality basis, or None when the
-    basis is singular."""
+    """(nums, den) with nums[i] / den the exact coefficient of w on the i-th
+    basis weight and den > 0 their least common denominator, as in
+    ``Weight.int_coords``; None when the basis is singular."""
     if len(w) != d.rank_tc:
         raise DimensionMismatch(f"weight rank {len(w)} vs descriptor rank {d.rank_tc}")
     table = _inverse_basis(d)
@@ -298,13 +322,18 @@ def lattice_coordinates(d: RealFormDescriptor, w: Weight):
     rows, den = table
     nums, w_den = w.int_coords()
     den *= w_den
-    return tuple(Fraction(sum(m * x for m, x in zip(row, nums)), den) for row in rows)
+    coords = tuple(sum(map(mul, row, nums)) for row in rows)
+    g = gcd(den, *coords)
+    if g == 1:
+        return coords, den
+    return tuple(c // g for c in coords), den // g
 
 
 def is_integral(d: RealFormDescriptor, w: Weight) -> bool:
-    """Membership of w in the integer span of the integrality basis."""
-    coeffs = lattice_coordinates(d, w)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    """Membership of w in the integer span of the integrality basis: its
+    lattice coordinates have denominator 1."""
+    coords = lattice_coordinates(d, w)
+    return coords is not None and coords[1] == 1
 
 
 def _pm(*weights) -> tuple[Weight, ...]:

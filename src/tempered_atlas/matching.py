@@ -7,7 +7,8 @@ R-group order 2^N.  The inverse direction recovers kappa from a minimal
 K-type as mu - rho_G + rho_K for the unique positive system making
 mu + 2 rho_K strictly dominant; rho_G - rho_K is the rho(s cap u) of the
 shared parabolic of the face with those noncompact signs.  summarize leaves
-every check on kappa to construct_from_kappa.
+every check on kappa to construct_from_kappa.  Every dominance test and
+face key here is read from the descriptor's integer pairing table.
 """
 
 import itertools
@@ -42,19 +43,16 @@ def sign_vectors(n: int):
 
 
 def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
-    """kappa_l shifted by every half signed sum of the Levi pairs; each of
-    the 2^N results is integral, which is checked."""
-    d = datum.descriptor
+    """kappa_l shifted by every half signed sum of the Levi pairs.
+
+    Each of the 2^N results is integral, with nothing left to check:
+    <mu, beta_j^vee> = -1 makes kappa_l = mu + (1/2) sum beta_j, so the sign
+    choice s gives mu plus the beta_j with s_j = +1.  construct_from_kappa
+    has checked mu integral and each coroot pairing, and validate puts
+    every beta_j in the lattice."""
     p = datum.parabolic
-    out = []
-    for signs in sign_vectors(p.n_pairs):
-        w = datum.kappa_l + p.rho_l_plus(signs)
-        if not is_integral(d, w):
-            raise StructuralInvariantError(
-                f"fine weight {w} is not analytically integral"
-            )
-        out.append(w)
-    return tuple(out)
+    kappa_l = datum.kappa_l
+    return tuple(kappa_l + p.rho_l_plus(signs) for signs in sign_vectors(p.n_pairs))
 
 
 def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]:
@@ -63,7 +61,7 @@ def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]
     when the caller already has it."""
     if fine is None:
         fine = fine_weights(datum)
-    shift = 2 * datum.parabolic.rho_s_cap_u()
+    shift = datum.parabolic.two_rho_s_cap_u()
     out = tuple(w + shift for w in fine)
     d = datum.descriptor
     for w in out:
@@ -107,14 +105,14 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
         raise NotIntegral(f"{mu_g} is not analytically integral")
     if not d.is_dominant_weight(mu_g):
         raise NotDominant(f"{mu_g} is not dominant for the compact positives")
-    w = mu_g + 2 * d.rho_compact()
-    sign = d.form.sign
-    signs = tuple(sign(w, gamma) for gamma in d.noncompact_weights)
-    for gamma, s in zip(d.noncompact_weights, signs):
-        if s == 0 and lex_positive(gamma):
-            raise AmbiguousPositiveSystem(
-                f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
-            )
+    values = d.form.pairings(mu_g + d.two_rho_compact(), d.pairing_table()[1])
+    signs = tuple((v > 0) - (v < 0) for v in values)
+    if 0 in signs:
+        for gamma, s in zip(d.noncompact_weights, signs):
+            if s == 0 and lex_positive(gamma):
+                raise AmbiguousPositiveSystem(
+                    f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
+                )
     kappa = mu_g - face(d, signs).rho_s_cap_u()
     if not d.is_dominant_weight(kappa):
         raise NotDominant(

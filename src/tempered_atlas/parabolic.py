@@ -13,7 +13,8 @@ weights, its face.  A descriptor has finitely many faces, and the face is
 the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
 checked and its half-sums computed once, is shared by every lam on it and
 by the inverse matching, whose noncompact positive system is the u of a
-face with no zero sign.
+face with no zero sign.  The signs, and the strict dominance of lam, are
+read from the descriptor's integer pairing table in one pass.
 """
 
 from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError
@@ -50,6 +51,7 @@ class ThetaParabolic:
             )
 
         self._rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
+        self._two_rho_s_cap_u = 2 * self._rho_s_cap_u
         rho_l_all_plus = half_sum(self.l_pairs, rank=d.rank_tc)
         self._mu_shift = self._rho_s_cap_u + rho_l_all_plus
         # rho_l_plus by sign vector; at most 2^N entries.
@@ -58,6 +60,11 @@ class ThetaParabolic:
     def rho_s_cap_u(self) -> Weight:
         """Half-sum of the noncompact weights in the nilradical."""
         return self._rho_s_cap_u
+
+    def two_rho_s_cap_u(self) -> Weight:
+        """Twice rho_s_cap_u, the shift from a fine weight to its minimal
+        K-type."""
+        return self._two_rho_s_cap_u
 
     def mu_shift(self) -> Weight:
         """rho(s cap u) + rho_l_plus(+1, ..., +1), which kappa - mu equals
@@ -114,12 +121,15 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     representatives (first nonzero coordinate positive) are mutually
     orthogonal.  Only the signs over the noncompact weights are computed;
     they pick the shared parabolic of the face, the same object for every
-    lam on it.
+    lam on it.  One read of the pairing table gives both the compact
+    pairings and those signs.
     """
-    if not d.is_dominant_weight(lam, strict=True):
+    compact, _, both = d.pairing_table()
+    values = d.form.pairings(lam, both)
+    k = len(compact)
+    if min(values[:k], default=1) <= 0:
         raise NotStrictlyDominant(
             f"{lam} does not pair strictly positively with every positive "
             "compact root"
         )
-    sign = d.form.sign
-    return face(d, tuple(sign(lam, g) for g in d.noncompact_weights))
+    return face(d, tuple((v > 0) - (v < 0) for v in values[k:]))

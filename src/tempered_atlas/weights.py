@@ -8,12 +8,16 @@ Arithmetic runs on integers: a weight is stored as integer numerators over
 their least common denominator and a form keeps its Gram matrix as integers
 over one denominator, so +, -, scaling and <a, b> are integer sums, with a
 Fraction built only for a pairing's value or when coordinates are read; a
-test of a pairing against 0 reads the sign of the integer sum alone.
+test of a pairing against 0 reads the sign of the integer sum alone.  For
+weights that are paired again and again, ``BilinearForm.pairing_rows``
+builds each one's integer row G t once, and ``BilinearForm.pairings`` then
+reads every pairing against them as one integer dot product per row.
 """
 
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, ZeroRoot
 from .ratlin import ldl, to_matrix
@@ -238,7 +242,26 @@ class BilinearForm:
         if form is not self:
             row = tuple(sum(g * y for g, y in zip(r, b._nums)) for r in self._int_gram)
             b._row = (self, row)
-        return sum(x * y for x, y in zip(a._nums, row))
+        return sum(map(mul, a._nums, row))
+
+    def pairing_rows(self, weights) -> tuple[tuple[int, ...], ...]:
+        """The integer row G t of each weight t, G the Gram matrix scaled to
+        integers: <w, t> is w's numerators dotted with t's row, over
+        positive denominators, so the dot product has the pairing's sign."""
+        rows = []
+        for t in weights:
+            self._check(t)
+            rows.append(
+                tuple(sum(g * y for g, y in zip(r, t._nums)) for r in self._int_gram)
+            )
+        return tuple(rows)
+
+    def pairings(self, w: Weight, rows) -> list[int]:
+        """One integer per row of ``pairing_rows``, of the sign of <w, t>
+        for that row's weight t."""
+        self._check(w)
+        nums = w._nums
+        return [sum(map(mul, nums, row)) for row in rows]
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         return Fraction(self._numerator(a, b), a._den * b._den * self._den)

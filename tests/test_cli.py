@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import tempered_atlas
 from tempered_atlas import cli
@@ -24,6 +28,21 @@ def test_catalog_lists_groups(capsys):
     assert code == 0
     for name in ("sl2c", "sl2r", "sp4r", "su21"):
         assert name in out
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"tempered-atlas {tempered_atlas.__version__}\n"
+
+
+def test_package_version_matches_pyproject():
+    # A regex, not tomllib: the supported Pythons include 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == tempered_atlas.__version__
 
 
 def test_classify_csv_sl2r(capsys):

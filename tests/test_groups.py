@@ -163,7 +163,8 @@ def test_is_integral_examples(sp4r, sl2r):
 
 
 def test_lattice_coordinates(su21):
-    assert lattice_coordinates(su21, Weight((2, -1))) == (2, -1)
+    assert lattice_coordinates(su21, Weight((2, -1))) == ((2, -1), 1)
+    assert lattice_coordinates(su21, Weight((1, Fraction(-1, 2)))) == ((2, -1), 2)
 
 
 @given(

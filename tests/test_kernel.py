@@ -6,16 +6,21 @@ properties pin every integer path to the textbook formula it replaced.
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempered_atlas import catalog
 from tempered_atlas.classify import enumerate_ball, genuine_shift
+from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
 from tempered_atlas.groups import RealFormDescriptor, is_integral, lattice_coordinates
-from tempered_atlas.matching import summarize_datum
+from tempered_atlas.matching import match_inverse, summarize_datum
+from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import det, gauss_solve, transpose
-from tempered_atlas.weights import BilinearForm, Weight
+from tempered_atlas.weights import BilinearForm, Weight, is_dominant
+from test_classify import _product, _walk_groups
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
@@ -143,16 +148,84 @@ def test_lattice_coordinates_match_gauss_solve(case):
         assert coords is None
         assert not is_integral(d, w)
         return
-    assert coords == gauss_solve(transpose(basis), w.coords)
-    assert is_integral(d, w) == all(c.denominator == 1 for c in coords)
+    expected = gauss_solve(transpose(basis), w.coords)
+    nums, den = coords
+    assert den == lcm(*(c.denominator for c in expected))
+    assert tuple(Fraction(n, den) for n in nums) == expected
+    assert is_integral(d, w) == all(c.denominator == 1 for c in expected)
 
 
 def test_lattice_coordinates_non_unimodular_basis():
     d = descriptor_with_basis(((2, 0), (1, 3)))
-    assert lattice_coordinates(d, Weight((3, 3))) == (1, 1)
-    assert lattice_coordinates(d, Weight((1, 0))) == (Fraction(1, 2), 0)
+    assert lattice_coordinates(d, Weight((3, 3))) == ((1, 1), 1)
+    assert lattice_coordinates(d, Weight((1, 0))) == ((1, 0), 2)
     assert is_integral(d, Weight((3, 3)))
     assert not is_integral(d, Weight((1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the per-descriptor pairing table against per-weight pairings
+
+_TABLE_GROUPS = _walk_groups()
+
+
+@st.composite
+def table_cases(draw):
+    """A catalog group, su31, bc1 or a product of two of them, its Gram
+    rescaled, and a weight nums / den with small numerators, so that zero
+    pairings, dominant weights and lattice points all turn up."""
+    names = st.sampled_from(sorted(_TABLE_GROUPS))
+    d = _TABLE_GROUPS[draw(names)]
+    if draw(st.booleans()):
+        d = _product(d, _TABLE_GROUPS[draw(names)])
+    d = dataclasses.replace(d, form=d.form.scaled(draw(scales)))
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=d.rank_tc, max_size=d.rank_tc))
+    return d, Weight(Fraction(n, den) for n in nums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_pairing_table_matches_per_weight_pairings(case):
+    d, w = case
+    compact, noncompact, both = d.pairing_table()
+    targets = d.positive_compact + d.noncompact_weights
+    assert len(both) == len(targets) and both == compact + noncompact
+    signs = tuple(sign_of(v) for v in d.form.pairings(w, both))
+    assert signs == tuple(d.form.sign(w, t) for t in targets)
+
+    for strict in (False, True):
+        expected = is_dominant(w, d.positive_compact, d.form, strict=strict)
+        assert d.is_dominant_weight(w, strict=strict) == expected
+
+    if is_dominant(w, d.positive_compact, d.form, strict=True):
+        p = build_parabolic(d, w)
+        assert p.u_noncompact == tuple(
+            sorted(g for g in d.noncompact_weights if d.form.sign(w, g) > 0)
+        )
+    else:
+        with pytest.raises(NotStrictlyDominant):
+            build_parabolic(d, w)
+
+    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
+    coords = gauss_solve(transpose(basis), w.coords)
+    assert is_integral(d, w) == all(c.denominator == 1 for c in coords)
+
+
+@pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r"))
+def test_wrong_rank_weight_raises_dimension_mismatch(name):
+    d = catalog(name)
+    w = Weight((1,) * (d.rank_tc + 1))
+    # sl2r has no compact root to pair with, so its dominance test must
+    # check the rank itself.
+    with pytest.raises(DimensionMismatch):
+        d.is_dominant_weight(w)
+    with pytest.raises(DimensionMismatch):
+        build_parabolic(d, w)
+    with pytest.raises(DimensionMismatch):
+        match_inverse(d, w)
+    with pytest.raises(DimensionMismatch):
+        is_integral(d, w)
 
 
 def memo_values(d):
