@@ -106,12 +106,13 @@ class RealFormDescriptor:
 
     @per_descriptor
     def pairing_table(self):
-        """(compact, noncompact, both): the integer pairing rows
-        (``BilinearForm.pairing_rows``) of the positive compact roots, of
-        the noncompact weights, and of both in that order."""
-        compact = self.form.pairing_rows(self.positive_compact)
-        noncompact = self.form.pairing_rows(self.noncompact_weights)
-        return compact, noncompact, compact + noncompact
+        """(compact, noncompact): the integer pairing rows
+        (``BilinearForm.pairing_rows``) of the positive compact roots and of
+        the noncompact weights."""
+        return (
+            self.form.pairing_rows(self.positive_compact),
+            self.form.pairing_rows(self.noncompact_weights),
+        )
 
     def is_dominant_weight(self, w: Weight, strict: bool = False) -> bool:
         """<w, a> >= 0 (> 0 when strict) for every positive compact root a;

@@ -14,7 +14,7 @@ the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
 checked and its half-sums computed once, is shared by every lam on it and
 by the inverse matching, whose noncompact positive system is the u of a
 face with no zero sign.  The signs, and the strict dominance of lam, are
-read from the descriptor's integer pairing table in one pass.
+read from the descriptor's integer pairing table.
 """
 
 from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError
@@ -121,15 +121,13 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     representatives (first nonzero coordinate positive) are mutually
     orthogonal.  Only the signs over the noncompact weights are computed;
     they pick the shared parabolic of the face, the same object for every
-    lam on it.  One read of the pairing table gives both the compact
-    pairings and those signs.
+    lam on it.  Both the dominance guard and the signs read the
+    descriptor's pairing table.
     """
-    compact, _, both = d.pairing_table()
-    values = d.form.pairings(lam, both)
-    k = len(compact)
-    if min(values[:k], default=1) <= 0:
+    if not d.is_dominant_weight(lam, strict=True):
         raise NotStrictlyDominant(
             f"{lam} does not pair strictly positively with every positive "
             "compact root"
         )
-    return face(d, tuple((v > 0) - (v < 0) for v in values[k:]))
+    values = d.form.pairings(lam, d.pairing_table()[1])
+    return face(d, tuple((v > 0) - (v < 0) for v in values))

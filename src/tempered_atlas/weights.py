@@ -229,6 +229,10 @@ class BilinearForm:
         if len(w._nums) != len(self._int_gram):
             raise DimensionMismatch(f"weight rank {len(w)} vs form rank {self.rank}")
 
+    def _int_row(self, t: Weight) -> tuple[int, ...]:
+        """G t over the integer Gram matrix, t's numerators unscaled."""
+        return tuple(sum(g * y for g, y in zip(r, t._nums)) for r in self._int_gram)
+
     def _numerator(self, a: Weight, b: Weight) -> int:
         """<a, b> times the positive a._den * b._den * self._den."""
         self._check(a)
@@ -240,7 +244,7 @@ class BilinearForm:
         except AttributeError:
             form = None
         if form is not self:
-            row = tuple(sum(g * y for g, y in zip(r, b._nums)) for r in self._int_gram)
+            row = self._int_row(b)
             b._row = (self, row)
         return sum(map(mul, a._nums, row))
 
@@ -248,13 +252,10 @@ class BilinearForm:
         """The integer row G t of each weight t, G the Gram matrix scaled to
         integers: <w, t> is w's numerators dotted with t's row, over
         positive denominators, so the dot product has the pairing's sign."""
-        rows = []
+        weights = tuple(weights)
         for t in weights:
             self._check(t)
-            rows.append(
-                tuple(sum(g * y for g, y in zip(r, t._nums)) for r in self._int_gram)
-            )
-        return tuple(rows)
+        return tuple(map(self._int_row, weights))
 
     def pairings(self, w: Weight, rows) -> list[int]:
         """One integer per row of ``pairing_rows``, of the sign of <w, t>
