@@ -43,7 +43,7 @@ from .matching import (
     summarize_datum,
 )
 from .parabolic import ThetaParabolic, build_parabolic
-from .weights import BilinearForm, Weight, half_sum, is_dominant, parse_weight, reflect
+from .weights import BilinearForm, Weight, half_sum, parse_weight, reflect
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "freudenthal",
     "genuine_shift",
     "half_sum",
-    "is_dominant",
     "is_genuine",
     "is_integral",
     "lattice_coordinates",

@@ -51,13 +51,6 @@ class EssentialVoganDatum:
     def n_pairs(self) -> int:
         return self.parabolic.n_pairs
 
-    @property
-    def m_values(self) -> tuple[int, ...]:
-        """The sign character's value on each Levi pair: always -1, since
-        construct_from_kappa refuses any mu whose coroot pairing against a
-        Levi pair is not -1."""
-        return (-1,) * self.n_pairs
-
 
 @dataclass(frozen=True)
 class ClassificationRun:
@@ -74,7 +67,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
         raise NotDominant(f"{kappa} is not dominant for the compact positives")
 
     p = build_parabolic(d, kappa + d.rho_compact())
-    mu = kappa - p.mu_shift()
+    mu = kappa - p.mu_shift
     if not is_integral(d, mu):
         raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
 

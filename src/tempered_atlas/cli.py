@@ -195,10 +195,7 @@ def _figure_cells(d, m_range, n_range):
             (m, n), _ = lattice_coordinates(d, w)
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
-            if (m, n) in cells:
-                raise StructuralInvariantError(
-                    f"grid position ({m},{n}) claimed by two components"
-                )
+            # Claimed once: its K-type round-trips to this kappa, and no kappa repeats.
             cells[(m, n)] = label
             if summary.n_pairs >= 1:
                 legend[label] = summary

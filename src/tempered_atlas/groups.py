@@ -222,6 +222,27 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
                 ("noncompact_collinear", f"{names} lie on one line through 0 with no compact root")
             )
 
+    # Likewise in a plane: a strictly dominant weight orthogonal to two
+    # noncompact weights that are not orthogonal is orthogonal to their span,
+    # so a compact root there rules it out.  c is in span(a, b) exactly when
+    # the Gram determinant of the coordinate vectors a, b, c is 0.
+    def gram_det(*ws: Weight):
+        vs = [w.int_coords()[0] for w in ws]
+        return det(tuple(tuple(sum(map(mul, x, y)) for y in vs) for x in vs))
+
+    pairs = sorted({g if lex_positive(g) else -g for g in d.noncompact_weights if not g.is_zero})
+    planes = [
+        (a, b)
+        for i, a in enumerate(pairs)
+        for b in pairs[i + 1 :]
+        if form_ok and line(a) != line(b) and d.form.sign(a, b)
+        and all(gram_det(a, b, c) for c in d.compact_roots)
+    ]
+    if planes:
+        a, b = planes[0]
+        detail = f"{a} and {b} are not orthogonal and no compact root lies in their span"
+        v.append(("noncompact_plane", detail))
+
     compact_set = set(d.compact_roots)
     pos = list(d.positive_compact)
     if any(a not in compact_set for a in pos):

@@ -3,15 +3,14 @@
 From a datum: the 2^N fine weights kappa_l + (1/2) sum s_j b_j, the minimal
 K-types (fine weight + twice the noncompact nilradical half-sum), the Dirac
 highest weight kappa_l + rho(s cap u) (always equal to kappa), and the
-R-group order 2^N.  The inverse direction recovers kappa from a minimal
-K-type as mu - rho_G + rho_K for the unique positive system making
-mu + 2 rho_K strictly dominant; rho_G - rho_K is the rho(s cap u) of the
-shared parabolic of the face with those noncompact signs.  summarize leaves
-every check on kappa to construct_from_kappa.  Every dominance test and
-face key here is read from the descriptor's integer pairing table.
+R-group order 2^N, each offset a plain value of the face.  The inverse
+direction recovers kappa from a minimal K-type as mu - rho_G + rho_K for the
+unique positive system making mu + 2 rho_K strictly dominant; rho_G - rho_K
+is the rho(s cap u) of build_parabolic(mu + 2 rho_K), a face with no Levi
+pair.  summarize leaves every check on kappa to construct_from_kappa.  Every
+dominance test here reads the descriptor's integer pairing table.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .classify import EssentialVoganDatum, construct_from_kappa
@@ -22,8 +21,8 @@ from .errors import (
     NotIntegral,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, is_integral, lex_positive
-from .parabolic import face
+from .groups import RealFormDescriptor, is_integral
+from .parabolic import build_parabolic
 from .weights import Weight
 
 
@@ -37,11 +36,6 @@ class ComponentSummary:
     dirac_hw: Weight
 
 
-def sign_vectors(n: int):
-    """All +-1 vectors of length n, binary-counter order, +1 first."""
-    return itertools.product((1, -1), repeat=n)
-
-
 def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     """kappa_l shifted by every half signed sum of the Levi pairs.
 
@@ -50,9 +44,8 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     choice s gives mu plus the beta_j with s_j = +1.  construct_from_kappa
     has checked mu integral and each coroot pairing, and validate puts
     every beta_j in the lattice."""
-    p = datum.parabolic
     kappa_l = datum.kappa_l
-    return tuple(kappa_l + p.rho_l_plus(signs) for signs in sign_vectors(p.n_pairs))
+    return tuple(kappa_l + r for r in datum.parabolic.rho_l)
 
 
 def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]:
@@ -61,7 +54,7 @@ def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]
     when the caller already has it."""
     if fine is None:
         fine = fine_weights(datum)
-    shift = datum.parabolic.two_rho_s_cap_u()
+    shift = datum.parabolic.two_rho_s_cap_u
     out = tuple(w + shift for w in fine)
     d = datum.descriptor
     for w in out:
@@ -76,7 +69,7 @@ def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]
 
 def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
     """kappa_l + rho(s cap u); algebraically equal to kappa, and checked."""
-    hw = datum.kappa_l + datum.parabolic.rho_s_cap_u()
+    hw = datum.kappa_l + datum.parabolic.rho_s_cap_u
     if hw != datum.kappa:
         raise StructuralInvariantError(
             f"Dirac highest weight {hw} must equal the generating weight "
@@ -93,27 +86,25 @@ def r_group_order(datum: EssentialVoganDatum) -> int:
 def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
     """Recover the generating weight from a minimal K-type highest weight.
 
-    The positive system is resolved purely by the strict sign of
-    <mu_g + 2 rho_K, gamma> over the noncompact weights; a zero pairing
-    means the input is not a minimal K-type of an essential component and
-    is an error, never a tie-break.  That sign vector is a face of the
-    parabolic table with no Levi pair, whose rho(s cap u) is rho_G - rho_K.
-    mu_g must be analytically integral and dominant, which is checked first
-    so that the error names the input, and so must the recovered weight.
+    The positive system is the u of build_parabolic(mu_g + 2 rho_K); a
+    Levi pair there (a zero pairing) means the input is not a minimal K-type
+    of an essential component and is an error, never a tie-break.  With none,
+    its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
+    and dominant, which is checked first so that the error names the input,
+    and so must the recovered weight.
     """
     if not is_integral(d, mu_g):
         raise NotIntegral(f"{mu_g} is not analytically integral")
     if not d.is_dominant_weight(mu_g):
         raise NotDominant(f"{mu_g} is not dominant for the compact positives")
-    values = d.form.pairings(mu_g + d.two_rho_compact(), d.pairing_table()[1])
-    signs = tuple((v > 0) - (v < 0) for v in values)
-    if 0 in signs:
-        for gamma, s in zip(d.noncompact_weights, signs):
-            if s == 0 and lex_positive(gamma):
-                raise AmbiguousPositiveSystem(
-                    f"{mu_g} + 2 rho_K pairs to zero with {gamma}"
-                )
-    kappa = mu_g - face(d, signs).rho_s_cap_u()
+    # build_parabolic's strict-dominance guard holds: mu_g is dominant and
+    # validate's positive_system rule makes 2 rho_K strictly dominant.
+    p = build_parabolic(d, mu_g + d.two_rho_compact())
+    if p.l_pairs:
+        raise AmbiguousPositiveSystem(
+            f"{mu_g} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
+        )
+    kappa = mu_g - p.rho_s_cap_u
     if not d.is_dominant_weight(kappa):
         raise NotDominant(
             f"{mu_g} is not a minimal K-type: it matches back to {kappa}, "

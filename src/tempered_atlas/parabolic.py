@@ -11,13 +11,16 @@ The compact roots in u are the positive compact roots whatever lam is, so
 the buckets depend on lam only through its sign vector over the noncompact
 weights, its face.  A descriptor has finitely many faces, and the face is
 the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
-checked and its half-sums computed once, is shared by every lam on it and
-by the inverse matching, whose noncompact positive system is the u of a
-face with no zero sign.  The signs, and the strict dominance of lam, are
-read from the descriptor's integer pairing table.
+checked and its half-sums stored as plain values once, is shared by every
+lam on it.  build_parabolic is the one map from a weight to its face: the
+inverse matching calls it too, and its noncompact positive system is the u
+of a face with no zero sign.  The signs, and the strict dominance of lam,
+are read from the descriptor's integer pairing table.
 """
 
-from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError
+import itertools
+
+from .errors import NotStrictlyDominant, StructuralInvariantError
 from .groups import RealFormDescriptor, lex_positive, per_descriptor
 from .weights import Weight, half_sum
 
@@ -50,65 +53,24 @@ class ThetaParabolic:
                 "lists are inconsistent"
             )
 
-        self._rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
-        self._two_rho_s_cap_u = 2 * self._rho_s_cap_u
-        rho_l_all_plus = half_sum(self.l_pairs, rank=d.rank_tc)
-        self._mu_shift = self._rho_s_cap_u + rho_l_all_plus
-        # rho_l_plus by sign vector; at most 2^N entries.
-        self._rho_l = {(1,) * self.n_pairs: rho_l_all_plus}
-
-    def rho_s_cap_u(self) -> Weight:
-        """Half-sum of the noncompact weights in the nilradical."""
-        return self._rho_s_cap_u
-
-    def two_rho_s_cap_u(self) -> Weight:
-        """Twice rho_s_cap_u, the shift from a fine weight to its minimal
-        K-type."""
-        return self._two_rho_s_cap_u
-
-    def mu_shift(self) -> Weight:
-        """rho(s cap u) + rho_l_plus(+1, ..., +1), which kappa - mu equals
-        for the all-plus sign choice."""
-        return self._mu_shift
-
-    def rho_l_plus(self, signs) -> Weight:
-        """Half-sum of one signed member per Levi pair: (1/2) sum s_j b_j."""
-        signs = tuple(signs)
-        if len(signs) != self.n_pairs:
-            raise DimensionMismatch(
-                f"{len(signs)} signs for {self.n_pairs} Levi pairs"
-            )
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
-        memo = self._rho_l
-        try:
-            return memo[signs]
-        except KeyError:
-            value = memo[signs] = half_sum(
-                (s * b for s, b in zip(signs, self.l_pairs)),
-                rank=self.descriptor.rank_tc,
-            )
-            return value
+        self.rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
+        # Twice rho_s_cap_u: the shift from a fine weight to its minimal K-type.
+        self.two_rho_s_cap_u = 2 * self.rho_s_cap_u
+        # The signed Levi half-sums (1/2) sum s_j b_j, one per sign vector s
+        # in itertools.product((1, -1), repeat=N) order, +1 first.
+        self.rho_l = tuple(
+            half_sum((s * b for s, b in zip(choice, self.l_pairs)), rank=d.rank_tc)
+            for choice in itertools.product((1, -1), repeat=self.n_pairs)
+        )
+        # kappa - mu for the all-plus sign choice.
+        self.mu_shift = self.rho_s_cap_u + self.rho_l[0]
 
 
 @per_descriptor
 def _face_table(d: RealFormDescriptor) -> dict:
     """Parabolics keyed by a sign vector over the noncompact weights, filled
-    as build_parabolic and match_inverse meet them."""
+    as build_parabolic meets them."""
     return {}
-
-
-def face(d: RealFormDescriptor, signs: tuple[int, ...]) -> ThetaParabolic:
-    """The parabolic of the face with the given sign vector over
-    ``d.noncompact_weights``."""
-    table = _face_table(d)
-    try:
-        return table[signs]
-    except KeyError:
-        # Stored only once every check has passed, so a failing face
-        # fails again on every call.
-        value = table[signs] = ThetaParabolic(d, signs)
-        return value
 
 
 def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
@@ -130,4 +92,12 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
             "compact root"
         )
     values = d.form.pairings(lam, d.pairing_table()[1])
-    return face(d, tuple((v > 0) - (v < 0) for v in values))
+    signs = tuple((v > 0) - (v < 0) for v in values)
+    table = _face_table(d)
+    try:
+        return table[signs]
+    except KeyError:
+        # Stored only once every check has passed, so a failing face
+        # fails again on every call.
+        value = table[signs] = ThetaParabolic(d, signs)
+        return value

@@ -29,7 +29,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    # Fraction-friendly Gaussian elimination; row swaps flip the sign.
+    # Exact Gaussian elimination on int or Fraction entries; row swaps flip the sign.
     n = len(m)
     rows = [list(r) for r in m]
     sign = 1
@@ -41,7 +41,7 @@ def det(m: Matrix) -> Fraction:
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        p = rows[col][col]
+        p = Fraction(rows[col][col])
         d *= p
         for r in range(col + 1, n):
             factor = rows[r][col] / p

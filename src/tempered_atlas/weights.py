@@ -1,4 +1,4 @@
-"""Exact rational weights, bilinear forms, half-sums, and dominance.
+"""Exact rational weights, bilinear forms, half-sums, and reflections.
 
 Weights are coordinate vectors in a fixed basis of the dual of the compact
 torus; the positive definite Gram matrix of a :class:`BilinearForm` carries
@@ -322,16 +322,6 @@ def half_sum(roots, rank: int | None = None) -> Weight:
     for r in roots[1:]:
         total = total + r
     return Fraction(1, 2) * total
-
-
-def is_dominant(w: Weight, positives, form: BilinearForm, strict: bool = False) -> bool:
-    """True when <w, a> >= 0 (or > 0 when strict) for every a in positives.
-
-    Vacuously true for an empty positive set (abelian compact factor).
-    """
-    if strict:
-        return all(form.sign(w, a) > 0 for a in positives)
-    return all(form.sign(w, a) >= 0 for a in positives)
 
 
 def reflect(w: Weight, root: Weight, form: BilinearForm) -> Weight:

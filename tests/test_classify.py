@@ -41,7 +41,8 @@ def test_construct_one_pair(sp4r):
     assert datum.n_pairs == 1
     assert datum.mu == Weight((-1, 0))
     assert datum.kappa_l == Weight((-H, H))
-    assert datum.m_values == (-1,)
+    (beta,) = datum.parabolic.l_pairs
+    assert sp4r.form.coroot_pairing(datum.mu, beta) == -1
 
 
 def test_construct_non_integral_is_empty(sp4r):
@@ -53,10 +54,10 @@ def test_construct_split_rank_one(sl2r):
     datum = construct_from_kappa(sl2r, Weight((0,)))
     assert datum.n_pairs == 1
     assert datum.mu == Weight((-1,))
-    assert datum.m_values == (-1,)
-    # whole group is the Levi here: empty nilradical, half pair sum 1
+    assert sl2r.form.coroot_pairing(datum.mu, Weight((2,))) == -1
+    # whole group is the Levi here: empty nilradical, signed half pair sums +-1
     assert datum.parabolic.u_noncompact == ()
-    assert datum.parabolic.rho_l_plus((1,)) == Weight((1,))
+    assert datum.parabolic.rho_l == (Weight((1,)), Weight((-1,)))
 
 
 def test_construct_requires_dominance(sp4r):
@@ -86,7 +87,7 @@ def test_is_genuine_matches_kappa_adapted_system(sp4r, su21):
                 if not d.is_dominant_weight(kappa):
                     continue
                 p = build_parabolic(d, kappa + d.rho_compact())
-                adapted = p.rho_s_cap_u() + p.rho_l_plus((1,) * p.n_pairs)
+                adapted = p.rho_s_cap_u + p.rho_l[0]
                 from tempered_atlas.groups import is_integral
 
                 assert is_integral(d, kappa - adapted) == is_genuine(d, kappa)
@@ -149,15 +150,17 @@ def test_sign_choice_independence(sp4r, su21):
         p = datum.parabolic
         from tempered_atlas.groups import is_integral
 
-        for signs in itertools.product((1, -1), repeat=p.n_pairs):
-            mu_s = kappa - p.rho_s_cap_u() - p.rho_l_plus(signs)
+        assert len(p.rho_l) == 2**p.n_pairs
+        for rho_l in p.rho_l:
+            mu_s = kappa - p.rho_s_cap_u - rho_l
             assert is_integral(d, mu_s)
             assert project_away(mu_s, p.l_pairs, d.form) == datum.kappa_l
             # an odd coroot pairing is the sign value -1 on that pair
             for beta in p.l_pairs:
                 c = d.form.coroot_pairing(mu_s, beta)
                 assert c.denominator == 1 and c.numerator % 2 == 1
-            assert datum.m_values == (-1,) * p.n_pairs
+        for beta in p.l_pairs:
+            assert d.form.coroot_pairing(datum.mu, beta) == -1
 
 
 def test_condition_v_on_every_constructed_datum(sp4r):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -289,6 +290,86 @@ def test_weights_not_closed_under_reflection_fail_validation(tmp_path, capsys):
     code, out, err = run_cli(capsys, "classify", str(path), "--radius", "2")
     assert (code, out) == (2, "")
     assert "weight_reflection_closure" in err
+
+
+def rank_two_text(name, gram, compact, positive_compact, noncompact):
+    return (
+        f"[group]\nname = {name}\nrank_tc = 2\nrank_g = 2\nzero_weight_s_dim = 0\n\n"
+        f"[form]\ngram = {gram}\n\n[roots]\ncompact = {compact}\n"
+        f"positive_compact = {positive_compact}\nnoncompact = {noncompact}\n\n"
+        "[lattice]\nbasis = 1,0 ; 0,1\n"
+    )
+
+
+def test_noncompact_plane_without_compact_root_fails_validation(tmp_path, capsys):
+    # The roots of su(2,1) all taken noncompact: every other rule passes,
+    # yet at kappa = 0 the non-orthogonal pairs (1,1) and (1,-2) would both
+    # be Levi pairs, and no compact root lies in their span.
+    path = tmp_path / "a2.group"
+    path.write_text(
+        rank_two_text("a2", "2,1 ; 1,2", "", "", "2,-1 ; -2,1 ; 1,1 ; -1,-1 ; -1,2 ; 1,-2"),
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == (
+        "violation noncompact_plane: (1,-2) and (1,1) are not orthogonal and no "
+        "compact root lies in their span\n"
+    )
+    for argv in (("classify", str(path), "--radius", "2"), ("match", str(path), "--mu", "0,0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "noncompact_plane" in err
+
+
+# Rank-two root systems: (Gram, one root per +- pair), integral coordinates.
+ROOT_SYSTEMS = {
+    "a1a1": ("1,0 ; 0,1", ((2, 0), (0, 2))),
+    "a2": ("2,1 ; 1,2", ((2, -1), (1, 1), (-1, 2))),
+    "b2": ("1,0 ; 0,1", ((1, -1), (1, 1), (2, 0), (0, 2))),
+    "g2": ("2,-3 ; -3,6", ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))),
+}
+
+
+def root_system_labellings():
+    """Every labelling of the +- pairs of each rank-two root system as
+    compact or noncompact, with every choice of one positive root per
+    compact pair."""
+
+    def fmt(vectors):
+        return " ; ".join(",".join(map(str, v)) for v in vectors)
+
+    def pm(roots):
+        return fmt(w for r in roots for w in (r, tuple(-x for x in r)))
+
+    for name, (gram, roots) in ROOT_SYSTEMS.items():
+        for compact in itertools.product((False, True), repeat=len(roots)):
+            cs = [r for r, c in zip(roots, compact) if c]
+            ns = [r for r, c in zip(roots, compact) if not c]
+            for flips in itertools.product((1, -1), repeat=len(cs)):
+                positive = [tuple(f * x for x in r) for f, r in zip(flips, cs)]
+                yield rank_two_text(name, gram, pm(cs), fmt(positive), pm(ns))
+
+
+def test_validated_root_system_labellings_never_exit_3(tmp_path, capsys):
+    # A descriptor that validates must never reach an internal invariant
+    # failure: classify and both directions of match on a 7x7 box exit
+    # 0, 2 or 4 only.
+    validated = 0
+    for i, text in enumerate(root_system_labellings()):
+        path = tmp_path / f"{i}.group"
+        path.write_text(text, encoding="utf-8")
+        if run_cli(capsys, "validate", str(path))[0]:
+            continue
+        validated += 1
+        code, _, err = run_cli(capsys, "classify", str(path), "--radius", "3")
+        assert code == 0, (text, err)
+        for m, n in itertools.product(range(-3, 4), repeat=2):
+            for direction in ("forward", "inverse"):
+                argv = ("match", str(path), f"--mu={m},{n}", "--direction", direction)
+                code, _, err = run_cli(capsys, *argv)
+                assert code in (0, 2, 4), (text, argv, err)
+    assert validated == 93
 
 
 def test_descriptor_search_path(tmp_path, capsys, monkeypatch):

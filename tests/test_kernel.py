@@ -19,7 +19,7 @@ from tempered_atlas.groups import RealFormDescriptor, is_integral, lattice_coord
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import det, gauss_solve, transpose
-from tempered_atlas.weights import BilinearForm, Weight, is_dominant
+from tempered_atlas.weights import BilinearForm, Weight
 from test_classify import _product, _walk_groups
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -195,11 +195,12 @@ def test_pairing_table_matches_per_weight_pairings(case):
     signs = tuple(sign_of(v) for v in d.form.pairings(w, rows))
     assert signs == tuple(d.form.sign(w, t) for t in targets)
 
-    for strict in (False, True):
-        expected = is_dominant(w, d.positive_compact, d.form, strict=strict)
-        assert d.is_dominant_weight(w, strict=strict) == expected
+    compact_signs = [d.form.sign(w, a) for a in d.positive_compact]
+    assert d.is_dominant_weight(w) == all(s >= 0 for s in compact_signs)
+    strict = all(s > 0 for s in compact_signs)
+    assert d.is_dominant_weight(w, strict=True) == strict
 
-    if is_dominant(w, d.positive_compact, d.form, strict=True):
+    if strict:
         p = build_parabolic(d, w)
         assert p.u_noncompact == tuple(
             sorted(g for g in d.noncompact_weights if d.form.sign(w, g) > 0)

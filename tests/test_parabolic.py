@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempered_atlas.errors import (
-    DimensionMismatch,
-    NotStrictlyDominant,
-    StructuralInvariantError,
-)
+from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError
 from tempered_atlas import catalog, parabolic
 from tempered_atlas.groups import lex_positive
 from tempered_atlas.matching import match_inverse
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
+
+H = Fraction(1, 2)
 
 
 def brute_force_buckets(d, lam):
@@ -64,25 +62,22 @@ def test_not_strictly_dominant_rejected(sp4r):
 
 
 def test_rho_s_cap_u(sp4r):
-    assert build_parabolic(sp4r, Weight((3, 1))).rho_s_cap_u() == Weight(
-        (Fraction(3, 2), Fraction(3, 2))
-    )
-    assert build_parabolic(sp4r, Weight((1, -1))).rho_s_cap_u() == Weight((1, -1))
+    p = build_parabolic(sp4r, Weight((3, 1)))
+    assert p.rho_s_cap_u == Weight((Fraction(3, 2), Fraction(3, 2)))
+    assert p.two_rho_s_cap_u == Weight((3, 3))
+    assert build_parabolic(sp4r, Weight((1, -1))).rho_s_cap_u == Weight((1, -1))
     # empty nilradical noncompact part for the split rank-one group at 0
-    assert build_parabolic(
-        catalog("sl2r"), Weight((0,))
-    ).rho_s_cap_u() == Weight((0,))
+    assert build_parabolic(catalog("sl2r"), Weight((0,))).rho_s_cap_u == Weight((0,))
 
 
 def test_rho_l_plus(sp4r):
+    # One signed Levi half-sum per sign vector, +1 first.
     p = build_parabolic(sp4r, Weight((1, -1)))
-    assert p.rho_l_plus((1,)) == Weight((Fraction(1, 2), Fraction(1, 2)))
+    assert p.rho_l == (Weight((H, H)), Weight((-H, -H)))
     p2 = build_parabolic(sp4r, Weight((1, 0)))
-    assert p2.rho_l_plus((-1,)) == Weight((0, -1))
+    assert p2.rho_l == (Weight((0, 1)), Weight((0, -1)))
     p3 = build_parabolic(sp4r, Weight((3, 1)))
-    assert p3.rho_l_plus(()) == Weight((0, 0))
-    with pytest.raises(DimensionMismatch):
-        p.rho_l_plus((1, 1))
+    assert p3.rho_l == (Weight((0, 0)),)
 
 
 strict_dominant_sp4r = (
@@ -132,12 +127,14 @@ def test_rho_identity_over_sign_vectors(sp4r, su21):
     ):
         for lam in lams:
             p = build_parabolic(d, lam)
-            for signs in itertools.product((1, -1), repeat=p.n_pairs):
+            sign_vectors = list(itertools.product((1, -1), repeat=p.n_pairs))
+            assert len(p.rho_l) == len(sign_vectors)
+            for signs, rho_l in zip(sign_vectors, p.rho_l):
                 assembled = p.u_noncompact + tuple(s * b for s, b in zip(signs, p.l_pairs))
                 # one member per noncompact pair
                 assert len(assembled) * 2 == len(d.noncompact_weights)
                 assert len({frozenset((w, -w)) for w in assembled}) == len(assembled)
-                assert half_sum(assembled, rank=d.rank_tc) == p.rho_s_cap_u() + p.rho_l_plus(signs)
+                assert half_sum(assembled, rank=d.rank_tc) == p.rho_s_cap_u + rho_l
 
 
 @pytest.mark.parametrize(
@@ -157,9 +154,8 @@ def test_weights_on_one_face_give_equal_buckets(sp4r, lams):
         assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
             sp4r, Weight(lam)
         )
-        assert p.rho_s_cap_u() == half_sum(p.u_noncompact, rank=2)
-        plus = (1,) * p.n_pairs
-        assert p.mu_shift() == p.rho_s_cap_u() + p.rho_l_plus(plus)
+        assert p.rho_s_cap_u == half_sum(p.u_noncompact, rank=2)
+        assert p.mu_shift == p.rho_s_cap_u + half_sum(p.l_pairs, rank=2)
 
 
 def test_one_parabolic_per_face_and_descriptor(sp4r):
@@ -199,7 +195,7 @@ def test_gram_rescaled_descriptor_shares_no_face_table(su21):
             q.l_pairs,
         )
         assert p.u_noncompact is not q.u_noncompact
-        assert p.rho_s_cap_u() is not q.rho_s_cap_u()
+        assert p.rho_s_cap_u is not q.rho_s_cap_u
 
 
 def test_partition_check_catches_compact_roots_outside_the_positive_system(sp4r):
@@ -221,7 +217,7 @@ def test_matching_and_parabolic_share_one_face_table(sp4r):
     p = build_parabolic(d, Weight((5, -1)))
     assert len(table) == 1
     assert p is next(iter(table.values()))
-    assert kappa == Weight((2, 0)) - p.rho_s_cap_u()
+    assert kappa == Weight((2, 0)) - p.rho_s_cap_u
     # A face with a Levi pair is a second entry.
     build_parabolic(d, Weight((1, -1)))
     assert len(table) == 2

@@ -22,6 +22,14 @@ def test_det_examples():
     assert det(to_matrix(((1, 2), (2, 4)))) == 0
 
 
+def test_det_exact_on_int_entries():
+    # The third row is -(first) - 2 (second); int division would leave a
+    # float residue here.
+    m = ((3, -2, 2), (2, 3, -2), (-7, -4, 2))
+    assert det(m) == 0
+    assert type(det(((2, 1), (1, 2)))) is Fraction
+
+
 def test_gauss_solve_unique():
     a = to_matrix(((2, 1), (1, 2)))
     x = gauss_solve(a, (4, 5))

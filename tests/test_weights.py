@@ -5,12 +5,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tempered_atlas.errors import DimensionMismatch, ZeroRoot
+from tempered_atlas.groups import RealFormDescriptor
 from tempered_atlas.ratlin import det
 from tempered_atlas.weights import (
     BilinearForm,
     Weight,
     half_sum,
-    is_dominant,
     parse_rational,
     parse_weight,
     project_away,
@@ -74,18 +74,34 @@ def test_half_sum_examples():
     assert half_sum([Weight((1, -1))]) == Weight((Fraction(1, 2), Fraction(-1, 2)))
 
 
+def positives_only(positives, form=I2) -> RealFormDescriptor:
+    """A rank-two descriptor carrying nothing but the given positive compact
+    roots, which is all RealFormDescriptor.is_dominant_weight reads."""
+    return RealFormDescriptor(
+        name="positives",
+        rank_tc=2,
+        rank_g=2,
+        form=form,
+        compact_roots=(),
+        positive_compact=tuple(positives),
+        noncompact_weights=(),
+        zero_weight_s_dim=0,
+        integrality_basis=(),
+    )
+
+
 def test_dominance_examples():
-    pos = (Weight((1, -1)),)
+    d = positives_only((Weight((1, -1)),))
     zero = Weight((0, 0))
-    assert is_dominant(zero, pos, I2)
-    assert not is_dominant(zero, pos, I2, strict=True)
-    all_pos = (Weight((1, -1)), Weight((1, 1)), Weight((2, 0)), Weight((0, 2)))
-    assert is_dominant(Weight((3, 1)), all_pos, I2, strict=True)
-    assert not is_dominant(Weight((1, 2)), pos, I2)
+    assert d.is_dominant_weight(zero)
+    assert not d.is_dominant_weight(zero, strict=True)
+    all_pos = positives_only((Weight((1, -1)), Weight((1, 1)), Weight((2, 0)), Weight((0, 2))))
+    assert all_pos.is_dominant_weight(Weight((3, 1)), strict=True)
+    assert not d.is_dominant_weight(Weight((1, 2)))
 
 
 def test_dominance_vacuous_for_empty_positives():
-    assert is_dominant(Weight((-7, 3)), (), I2, strict=True)
+    assert positives_only(()).is_dominant_weight(Weight((-7, 3)), strict=True)
 
 
 def test_parse_rational_rejects_floats():
@@ -151,10 +167,9 @@ def test_half_sum_additive(s, t):
 @given(weights2, st.fractions(min_value=Fraction(1, 5), max_value=9, max_denominator=5))
 def test_dominance_invariant_under_form_rescaling(w, c):
     pos = (Weight((1, -1)), Weight((0, 2)))
+    d, scaled = positives_only(pos), positives_only(pos, I2.scaled(c))
     for strict in (False, True):
-        assert is_dominant(w, pos, I2, strict) == is_dominant(
-            w, pos, I2.scaled(c), strict
-        )
+        assert d.is_dominant_weight(w, strict) == scaled.is_dominant_weight(w, strict)
 
 
 def test_form_positive_definite_counterexample():
