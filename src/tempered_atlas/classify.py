@@ -13,35 +13,42 @@ NotGenuine, and every genuine dominant kappa yields a datum.  Ball
 enumeration walks only the dominant genuine kappa: in a basis of the
 shifted lattice adapted to the simple compact roots, dominance is one
 integer lower bound per pivot coordinate of the integer ellipsoid walk, and
-a walked kappa the construction refuses is an internal failure.
+a walked kappa the construction refuses is an internal failure.  Each test
+on kappa and mu runs on numerators over D, as the walk hands kappa on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (
-    RealFormDescriptor, is_integral, lattice_coordinates, per_descriptor, simple_compact_roots
+    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, per_descriptor,
+    simple_compact_roots,
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points, mat_mul, transpose
 from .weights import Weight, half_sum, project_away
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EssentialVoganDatum:
     """Computable shadow of one essential component.
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed.
+    removed, carried on as its numerators over D (``kappa_l_nums``).
     """
 
     parabolic: ThetaParabolic
     kappa: Weight
     mu: Weight
     kappa_l: Weight
+    kappa_l_nums: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa_l_nums", self.parabolic.frame.over_den(self.kappa_l))
 
     @property
     def descriptor(self) -> RealFormDescriptor:
@@ -59,18 +66,23 @@ class ClassificationRun:
     entries: tuple[EssentialVoganDatum, ...]
 
 
-def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
+def construct_from_kappa(d: RealFormDescriptor, kappa):
     """The datum generated by kappa.  Raises NotDominant unless kappa is
     dominant, and NotGenuine unless it is genuine, which is exactly when
-    the shifted weight mu is integral."""
-    if not d.is_dominant_weight(kappa):
-        raise NotDominant(f"{kappa} is not dominant for the compact positives")
+    the shifted weight mu is integral.  kappa is a Weight or, from the
+    walk, its numerators over D, over which every genuine weight lies."""
+    frame = integer_frame(d)
+    k = frame.over_den(kappa)
+    values = frame.pairings(kappa if k is None else k)
+    if min(values[: frame.n_compact], default=0) < 0:
+        raise NotDominant(f"{frame.weight(kappa)} is not dominant for the compact positives")
+    if k is not None:
+        p = build_parabolic(d, list(map(add, values, frame.rho_pairings)))
+        mu = tuple(map(sub, k, p.mu_shift_nums))
+    if k is None or not is_integral(d, mu):
+        raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
-    p = build_parabolic(d, kappa + d.rho_compact())
-    mu = kappa - p.mu_shift
-    if not is_integral(d, mu):
-        raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
-
+    mu = frame.weight(mu)
     form = d.form
     for beta in p.l_pairs:
         if form.coroot_pairing(mu, beta) != -1:
@@ -81,7 +93,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
             )
 
     kappa_l = project_away(mu, p.l_pairs, form)
-    return EssentialVoganDatum(parabolic=p, kappa=kappa, mu=mu, kappa_l=kappa_l)
+    return EssentialVoganDatum(parabolic=p, kappa=frame.weight(kappa), mu=mu, kappa_l=kappa_l)
 
 
 @per_descriptor
@@ -103,8 +115,8 @@ def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
 
 @per_descriptor
 def _chamber_walk(d: RealFormDescriptor):
-    """(center, quad, lower, den, shift_nums, basis_nums): the walk over the
-    dominant genuine weights kappa = (shift_nums + m basis_nums) / den.
+    """(center, quad, lower, shift_nums, basis_nums): the walk over the
+    dominant genuine weights kappa = (shift_nums + m basis_nums) / D.
 
     Built once per descriptor.  The integrality basis is changed by a
     unimodular integer transform that brings the pairing matrix
@@ -120,11 +132,7 @@ def _chamber_walk(d: RealFormDescriptor):
     if coords is None:
         raise StructuralInvariantError("integrality basis is singular")
     center, center_den = list(coords[0]), coords[1]
-    den = lcm(shift.int_coords()[1], *(b.int_coords()[1] for b in d.integrality_basis))
-
-    def numerators(w: Weight) -> tuple[int, ...]:
-        nums, w_den = w.int_coords()
-        return tuple(x * (den // w_den) for x in nums)
+    frame = integer_frame(d)
 
     # One integer column per simple root: its coroot pairings with shift
     # and then with each basis row, over their common denominator.
@@ -136,7 +144,7 @@ def _chamber_walk(d: RealFormDescriptor):
         columns.append([int(x * scale) for x in col])
     # Each row: its pairings with the simples, then its basis numerators.
     rows = [
-        [*(col[j + 1] for col in columns), *numerators(b)]
+        [*(col[j + 1] for col in columns), *frame.over_den(b)]
         for j, b in enumerate(d.integrality_basis)
     ]
     r = len(rows)
@@ -168,10 +176,10 @@ def _chamber_walk(d: RealFormDescriptor):
 
     s = len(simples)
     basis_nums = tuple(tuple(row[s:]) for row in rows)
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in basis_nums)
+    basis = tuple(tuple(Fraction(x, frame.den) for x in row) for row in basis_nums)
     quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
     center = tuple(Fraction(c, center_den) for c in center)
-    return center, quad, tuple(lower), den, numerators(shift), basis_nums
+    return center, quad, tuple(lower), frame.over_den(shift), basis_nums
 
 
 def enumerate_ball(
@@ -188,29 +196,24 @@ def enumerate_ball(
     that construct_from_kappa refuses is a hard correctness failure, not a
     skip.
     """
-    center, quad, lower, den, shift_nums, basis_nums = _chamber_walk(d)
+    center, quad, lower, shift_nums, basis_nums = _chamber_walk(d)
+    columns = tuple(zip(*basis_nums))
     found = []
     for n in ellipsoid_integer_points(center, quad, radius_sq, lower):
-        kappa = Weight.from_ints(
-            tuple(
-                s + sum(c * row[j] for c, row in zip(n, basis_nums))
-                for j, s in enumerate(shift_nums)
-            ),
-            den,
-        )
+        k = tuple([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
         try:
-            found.append(construct_from_kappa(d, kappa))
+            found.append((k, construct_from_kappa(d, k)))
         except (NotDominant, NotGenuine) as exc:
             kind = "non-dominant" if isinstance(exc, NotDominant) else "non-genuine"
             raise InternalBijectionFailure(
-                f"the dominant-chamber walk reached the {kind} weight {kappa}"
+                f"the dominant-chamber walk reached the {kind} weight {integer_frame(d).weight(k)}"
             ) from exc
 
-    found.sort(key=lambda datum: datum.kappa)
-    kappas = [datum.kappa for datum in found]
-    if len(set(kappas)) != len(kappas):
+    # Over one positive D, numerator order is kappa order.
+    found.sort(key=lambda item: item[0])
+    if len({k for k, _ in found}) != len(found):
         raise InternalBijectionFailure("duplicate kappa in enumeration")
-    return tuple(found)
+    return tuple(datum for _, datum in found)
 
 
 def enumerate_components(d: RealFormDescriptor, radius) -> ClassificationRun:

@@ -31,7 +31,8 @@ vector lists are semicolon-separated, and an empty value is an empty list.
 
 Dominance and face tests read one integer pairing table per descriptor;
 lattice coordinates are integers over one denominator, which is 1 exactly
-for integral weights.
+for integral weights.  The hot path carries each weight as its numerators
+over one denominator D per descriptor (``integer_frame``).
 """
 
 import configparser
@@ -95,11 +96,6 @@ class RealFormDescriptor:
         return half_sum(self.positive_compact, rank=self.rank_tc)
 
     @per_descriptor
-    def two_rho_compact(self) -> Weight:
-        """Twice rho_compact, the shift of the inverse matching."""
-        return 2 * self.rho_compact()
-
-    @per_descriptor
     def noncompact_positives(self) -> tuple[Weight, ...]:
         """The lexicographically positive member of each noncompact +-pair."""
         return tuple(sorted(w for w in self.noncompact_weights if lex_positive(w)))
@@ -114,7 +110,7 @@ class RealFormDescriptor:
             self.form.pairing_rows(self.noncompact_weights),
         )
 
-    def is_dominant_weight(self, w: Weight, strict: bool = False) -> bool:
+    def is_dominant_weight(self, w, strict: bool = False) -> bool:
         """<w, a> >= 0 (> 0 when strict) for every positive compact root a;
         vacuously true when there is none."""
         values = self.form.pairings(w, self.pairing_table()[0])
@@ -332,26 +328,66 @@ def _inverse_basis(d: RealFormDescriptor):
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
-def lattice_coordinates(d: RealFormDescriptor, w: Weight):
-    """(nums, den) with nums[i] / den the exact coefficient of w on the i-th
-    basis weight and den > 0 their least common denominator, as in
-    ``Weight.int_coords``; None when the basis is singular."""
-    if len(w) != d.rank_tc:
+class IntegerFrame:
+    """A descriptor's denominator D (``den``), over which each genuine or
+    integral weight, rho_K and noncompact half-sum has integer numerators,
+    and ``pairings`` with the pairing table's rows, the ``n_compact``
+    compact ones first.  Pairings over D add: kappa + rho_K's are kappa's
+    plus ``rho_pairings``."""
+
+    __slots__ = ("rank", "den", "n_compact", "pairings", "rho_pairings", "two_rho_pairings")
+
+    def __init__(self, d: RealFormDescriptor):
+        self.rank = d.rank_tc
+        weights = (*d.compact_roots, *d.positive_compact, *d.noncompact_weights)
+        self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
+                       *(b.int_coords()[1] for b in d.integrality_basis))
+        compact, noncompact = d.pairing_table()
+        self.n_compact = len(compact)
+        self.pairings = functools.partial(d.form.pairings, rows=compact + noncompact)
+        self.rho_pairings = self.pairings(self.over_den(d.rho_compact()))
+        self.two_rho_pairings = [2 * v for v in self.rho_pairings]
+
+    def over_den(self, w) -> tuple[int, ...] | None:
+        """w's numerators over D, or None when they are not integers."""
+        if type(w) is tuple:
+            return w
+        nums, den = w.int_coords()
+        if len(nums) != self.rank:
+            raise DimensionMismatch(f"weight rank {len(nums)} vs descriptor rank {self.rank}")
+        if den == self.den:
+            return nums
+        q, r = divmod(self.den, den)
+        return None if r else tuple([x * q for x in nums])
+
+    def weight(self, w) -> Weight:
+        """w, or the Weight its numerators over D give."""
+        return Weight.from_ints(w, self.den) if type(w) is tuple else w
+
+
+integer_frame = per_descriptor(IntegerFrame)
+
+
+def lattice_coordinates(d: RealFormDescriptor, w):
+    """(nums, den) with nums[i] / den the exact coefficient of w (or of the
+    numerators over D) on the i-th basis weight and den > 0 their least
+    common denominator, as in ``Weight.int_coords``; None when singular."""
+    if type(w) is not tuple and len(w) != d.rank_tc:
         raise DimensionMismatch(f"weight rank {len(w)} vs descriptor rank {d.rank_tc}")
+    nums, w_den = (w, integer_frame(d).den) if type(w) is tuple else w.int_coords()
     table = _inverse_basis(d)
     if table is None:
         return None
     rows, den = table
-    nums, w_den = w.int_coords()
     den *= w_den
-    coords = tuple(sum(map(mul, row, nums)) for row in rows)
+    coords = [sum(map(mul, row, nums)) for row in rows]
     g = gcd(den, *coords)
     if g == 1:
-        return coords, den
-    return tuple(c // g for c in coords), den // g
+        return tuple(coords), den
+    return tuple([c // g for c in coords]), den // g
 
 
-def is_integral(d: RealFormDescriptor, w: Weight) -> bool:
+def is_integral(d: RealFormDescriptor, w) -> bool:
     """Membership of w in the integer span of the integrality basis: its
     lattice coordinates have denominator 1."""
     coords = lattice_coordinates(d, w)

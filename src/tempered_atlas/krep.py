@@ -8,7 +8,8 @@ Brauer-Klimyk fold: each weight of the second factor (a weight of V, or of
 the spin module S) shifts hw + rho into the dominant chamber, and the
 parity of the walk is its sign.
 
-Weight multisets are plain dicts Weight -> positive integer.
+Weight multisets are plain dicts Weight -> positive integer.  A highest
+weight must be dominant and integral on each simple compact coroot.
 """
 
 import itertools
@@ -43,17 +44,22 @@ def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
     )
 
 
-def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
-    """Product over positive compact roots of <hw + rho, a> / <rho, a>."""
+def _check_highest_weight(d: RealFormDescriptor, hw: Weight) -> None:
+    """Dominant and integral on each simple compact coroot, or NotDominant."""
     if not d.is_dominant_weight(hw):
         raise NotDominant(f"{hw} is not dominant")
+    for a in simple_compact_roots(d):
+        if (c := d.form.coroot_pairing(hw, a)).denominator != 1:
+            raise NotDominant(f"{hw} is not a highest weight: <{hw}, {a}^vee> = {c}")
+
+
+def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
+    """Product over positive compact roots of <hw + rho, a> / <rho, a>."""
+    _check_highest_weight(d, hw)
     rho = d.rho_compact()
     value = Fraction(1)
     for a in d.positive_compact:
-        num = d.form.inner(hw + rho, a)
-        if num <= 0:
-            raise NotDominant(f"{hw} + rho_K is not strictly dominant")
-        value *= num / d.form.inner(rho, a)
+        value *= d.form.inner(hw + rho, a) / d.form.inner(rho, a)
     if value.denominator != 1 or value <= 0:
         raise StructuralInvariantError(
             f"dimension formula gave the non-integer {value}"
@@ -81,6 +87,7 @@ def _positive_root_simple_coords(d: RealFormDescriptor):
 # of single queries typically meets a few dozen highest weights.
 @lru_cache(maxsize=256)
 def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
+    _check_highest_weight(d, hw)  # once per cached hw; a refusal is never cached
     form = d.form
     simples = simple_compact_roots(d)
     mult = {hw: 1}
@@ -146,8 +153,6 @@ def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
 
 def freudenthal(d: RealFormDescriptor, hw: Weight) -> WeightMultiset:
     """Full weight multiset of the irreducible with highest weight hw."""
-    if not d.is_dominant_weight(hw):
-        raise NotDominant(f"{hw} is not dominant")
     return dict(_freudenthal_items(d, hw))
 
 
@@ -172,9 +177,7 @@ def _klimyk_fold(d: RealFormDescriptor, hw: Weight, items) -> dict[Weight, int]:
 def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
     """Irreducible decomposition of the tensor product, as a sorted tuple
     of (dominant highest weight, multiplicity)."""
-    for hw in (hw1, hw2):
-        if not d.is_dominant_weight(hw):
-            raise NotDominant(f"{hw} is not dominant")
+    _check_highest_weight(d, hw1)  # freudenthal checks hw2
     acc = _klimyk_fold(d, hw1, freudenthal(d, hw2).items())
     out = tuple(sorted((w, c) for w, c in acc.items() if c != 0))
     for w, c in out:

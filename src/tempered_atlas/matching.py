@@ -8,10 +8,12 @@ direction recovers kappa from a minimal K-type as mu - rho_G + rho_K for the
 unique positive system making mu + 2 rho_K strictly dominant; rho_G - rho_K
 is the rho(s cap u) of build_parabolic(mu + 2 rho_K), a face with no Levi
 pair.  summarize leaves every check on kappa to construct_from_kappa.  Every
-dominance test here reads the descriptor's integer pairing table.
+dominance test here reads the descriptor's integer pairing table, and each
+weight is kappa_l plus a face offset, as numerators over D.
 """
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .classify import EssentialVoganDatum, construct_from_kappa
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     NotIntegral,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, is_integral
+from .groups import RealFormDescriptor, integer_frame, is_integral
 from .parabolic import build_parabolic
 from .weights import Weight
 
@@ -44,38 +46,32 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     choice s gives mu plus the beta_j with s_j = +1.  construct_from_kappa
     has checked mu integral and each coroot pairing, and validate puts
     every beta_j in the lattice."""
-    kappa_l = datum.kappa_l
-    return tuple(kappa_l + r for r in datum.parabolic.rho_l)
+    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
+    return tuple(frame.weight(tuple(map(add, kappa_l, r))) for r in datum.parabolic.rho_l_nums)
 
 
 def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]:
     """Fine weights shifted by 2 rho(s cap u): the minimal K-type highest
-    weights, pairwise distinct and dominant.  ``fine`` is fine_weights(datum)
-    when the caller already has it."""
-    if fine is None:
-        fine = fine_weights(datum)
-    shift = datum.parabolic.two_rho_s_cap_u
-    out = tuple(w + shift for w in fine)
+    weights, pairwise distinct and dominant.  Each is kappa_l plus an
+    offset of the face, so ``fine`` (fine_weights(datum)) is not read."""
     d = datum.descriptor
+    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
+    out = [tuple(map(add, kappa_l, s)) for s in datum.parabolic.k_type_shift_nums]
     for w in out:
         if not d.is_dominant_weight(w):
-            raise DominanceFailure(
-                f"computed minimal K-type {w} is not dominant"
-            )
+            raise DominanceFailure(f"computed minimal K-type {frame.weight(w)} is not dominant")
     if len(set(out)) != len(out):
         raise StructuralInvariantError("minimal K-types must be pairwise distinct")
-    return out
+    return tuple(map(frame.weight, out))
 
 
 def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
     """kappa_l + rho(s cap u); algebraically equal to kappa, and checked."""
-    hw = datum.kappa_l + datum.parabolic.rho_s_cap_u
-    if hw != datum.kappa:
-        raise StructuralInvariantError(
-            f"Dirac highest weight {hw} must equal the generating weight "
-            f"{datum.kappa}"
-        )
-    return hw
+    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
+    hw = kappa_l and tuple(map(add, kappa_l, datum.parabolic.rho_s_cap_u_nums))
+    if hw != frame.over_den(datum.kappa):
+        raise StructuralInvariantError(f"Dirac weight kappa_l + rho(s cap u) is not {datum.kappa}")
+    return datum.kappa
 
 
 def r_group_order(datum: EssentialVoganDatum) -> int:
@@ -83,7 +79,7 @@ def r_group_order(datum: EssentialVoganDatum) -> int:
     return 2**datum.n_pairs
 
 
-def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
+def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     """Recover the generating weight from a minimal K-type highest weight.
 
     The positive system is the u of build_parabolic(mu_g + 2 rho_K); a
@@ -91,26 +87,29 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
     of an essential component and is an error, never a tie-break.  With none,
     its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
     and dominant, which is checked first so that the error names the input,
-    and so must the recovered weight.
+    and so must the recovered weight.  Numerators over D give numerators.
     """
+    frame = integer_frame(d)
     if not is_integral(d, mu_g):
-        raise NotIntegral(f"{mu_g} is not analytically integral")
-    if not d.is_dominant_weight(mu_g):
-        raise NotDominant(f"{mu_g} is not dominant for the compact positives")
+        raise NotIntegral(f"{frame.weight(mu_g)} is not analytically integral")
+    m = frame.over_den(mu_g)  # integral, so over D
+    values = frame.pairings(m)
+    if min(values[: frame.n_compact], default=0) < 0:
+        raise NotDominant(f"{frame.weight(mu_g)} is not dominant for the compact positives")
     # build_parabolic's strict-dominance guard holds: mu_g is dominant and
     # validate's positive_system rule makes 2 rho_K strictly dominant.
-    p = build_parabolic(d, mu_g + d.two_rho_compact())
+    p = build_parabolic(d, list(map(add, values, frame.two_rho_pairings)))
     if p.l_pairs:
         raise AmbiguousPositiveSystem(
-            f"{mu_g} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
+            f"{frame.weight(mu_g)} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
         )
-    kappa = mu_g - p.rho_s_cap_u
-    if not d.is_dominant_weight(kappa):
+    kappa = tuple(map(sub, m, p.rho_s_cap_u_nums))
+    if min(map(sub, values[: frame.n_compact], p.rho_s_cap_u_compact), default=0) < 0:
         raise NotDominant(
-            f"{mu_g} is not a minimal K-type: it matches back to {kappa}, "
-            "which is not dominant for the compact positives"
+            f"{frame.weight(mu_g)} is not a minimal K-type: it matches back to "
+            f"{frame.weight(kappa)}, which is not dominant for the compact positives"
         )
-    return kappa
+    return kappa if type(mu_g) is tuple else frame.weight(kappa)
 
 
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
@@ -118,20 +117,21 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
     the Dirac highest weight equals kappa, and every minimal K-type maps
     back to kappa through the inverse matching."""
     d = datum.descriptor
-    fine = fine_weights(datum)
-    k_types = minimal_k_types(datum, fine)
+    frame = datum.parabolic.frame
+    kappa = frame.over_den(datum.kappa)
+    k_types = minimal_k_types(datum)
     for w in k_types:
-        back = match_inverse(d, w)
-        if back != datum.kappa:
+        back = match_inverse(d, frame.over_den(w))
+        if back != kappa:
             raise StructuralInvariantError(
-                f"minimal K-type {w} matches back to {back}, expected "
+                f"minimal K-type {w} matches back to {frame.weight(back)}, expected "
                 f"{datum.kappa}"
             )
     return ComponentSummary(
         kappa=datum.kappa,
         n_pairs=datum.n_pairs,
         r_order=r_group_order(datum),
-        fine_weights=fine,
+        fine_weights=fine_weights(datum),
         minimal_k_types=k_types,
         dirac_hw=dirac_highest_weight(datum),
     )

@@ -15,13 +15,14 @@ checked and its half-sums stored as plain values once, is shared by every
 lam on it.  build_parabolic is the one map from a weight to its face: the
 inverse matching calls it too, and its noncompact positive system is the u
 of a face with no zero sign.  The signs, and the strict dominance of lam,
-are read from the descriptor's integer pairing table.
+are read from the descriptor's integer pairing table, and the face keeps
+its offsets as numerators over D too (``integer_frame``).
 """
 
 import itertools
 
 from .errors import NotStrictlyDominant, StructuralInvariantError
-from .groups import RealFormDescriptor, lex_positive, per_descriptor
+from .groups import RealFormDescriptor, integer_frame, lex_positive, per_descriptor
 from .weights import Weight, half_sum
 
 
@@ -65,6 +66,14 @@ class ThetaParabolic:
         # kappa - mu for the all-plus sign choice.
         self.mu_shift = self.rho_s_cap_u + self.rho_l[0]
 
+        # Over D, with each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type.
+        self.frame = frame = integer_frame(d)
+        self.mu_shift_nums = frame.over_den(self.mu_shift)
+        self.rho_s_cap_u_nums = frame.over_den(self.rho_s_cap_u)
+        self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
+        self.rho_l_nums = tuple(map(frame.over_den, self.rho_l))
+        self.k_type_shift_nums = tuple(frame.over_den(r + self.two_rho_s_cap_u) for r in self.rho_l)
+
 
 @per_descriptor
 def _face_table(d: RealFormDescriptor) -> dict:
@@ -73,7 +82,7 @@ def _face_table(d: RealFormDescriptor) -> dict:
     return {}
 
 
-def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
+def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     """Bucket every torus weight of the group by the exact sign of its
     pairing with lam.
 
@@ -83,16 +92,14 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     representatives (first nonzero coordinate positive) are mutually
     orthogonal.  Only the signs over the noncompact weights are computed;
     they pick the shared parabolic of the face, the same object for every
-    lam on it.  Both the dominance guard and the signs read the
-    descriptor's pairing table.
+    lam on it.  The guard on public input and the signs read lam's
+    ``IntegerFrame.pairings``, which the hot path passes in place of lam.
     """
-    if not d.is_dominant_weight(lam, strict=True):
-        raise NotStrictlyDominant(
-            f"{lam} does not pair strictly positively with every positive "
-            "compact root"
-        )
-    values = d.form.pairings(lam, d.pairing_table()[1])
-    signs = tuple((v > 0) - (v < 0) for v in values)
+    frame = integer_frame(d)
+    values = frame.pairings(lam) if isinstance(lam, Weight) else lam
+    if min(values[: frame.n_compact], default=1) <= 0:
+        raise NotStrictlyDominant(f"{lam} is not strictly dominant for the compact positives")
+    signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
     table = _face_table(d)
     try:
         return table[signs]

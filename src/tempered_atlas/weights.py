@@ -63,7 +63,7 @@ class Weight:
         """The weight nums / den for den > 0, reduced to lowest terms."""
         g = gcd(den, *nums)
         if g != 1:
-            nums = tuple(n // g for n in nums)
+            nums = tuple([n // g for n in nums])
             den //= g
         w = object.__new__(cls)
         w._nums = nums
@@ -257,12 +257,13 @@ class BilinearForm:
             self._check(t)
         return tuple(map(self._int_row, weights))
 
-    def pairings(self, w: Weight, rows) -> list[int]:
+    def pairings(self, w, rows) -> list[int]:
         """One integer per row of ``pairing_rows``, of the sign of <w, t>
-        for that row's weight t."""
-        self._check(w)
-        nums = w._nums
-        return [sum(map(mul, nums, row)) for row in rows]
+        for that row's weight t; w may also be its integer numerators."""
+        if type(w) is not tuple:
+            self._check(w)
+            w = w._nums
+        return [sum(map(mul, w, row)) for row in rows]
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         return Fraction(self._numerator(a, b), a._den * b._den * self._den)
@@ -360,13 +361,9 @@ def project_away(w: Weight, roots, form: BilinearForm) -> Weight:
     """Remove the components of w along mutually orthogonal roots.
 
     The orthogonality makes the removal a plain sum of rank-one
-    projections; it is checked.
+    projections.  It is the caller's to ensure, and not checked here: the
+    Levi pairs of a ThetaParabolic are checked orthogonal once per face.
     """
-    roots = tuple(roots)
-    for i, a in enumerate(roots):
-        for b in roots[i + 1 :]:
-            if form.sign(a, b):
-                raise ValueError(f"roots {a} and {b} are not orthogonal")
     out = w
     for a in roots:
         out = out - (form.inner(w, a) / form.norm_sq(a)) * a

@@ -223,6 +223,19 @@ def test_krep_rejects_bad_weight(capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (("dim", "1/2,0"), ("tensor", "1/2,0", "1,0"), ("weights", "1/2,0")),
+)
+def test_krep_rejects_a_dominant_weight_that_is_no_highest_weight(capsys, argv):
+    # (1/2,0) is dominant for sp4r but pairs to 1/2 with the coroot of
+    # (1,-1); dim and tensor exited 3 on it, and weights printed a multiset.
+    code, out, err = run_cli(capsys, "krep", "sp4r", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: (1/2,0) is not a highest weight")
+    assert "(1,-1)" in err
+
+
 def test_validate_command(tmp_path, capsys):
     good = tmp_path / "good.group"
     good.write_text(serialize_descriptor(catalog("su21")), encoding="utf-8")

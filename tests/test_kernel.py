@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempered_atlas import catalog
-from tempered_atlas.classify import enumerate_ball, genuine_shift
+from tempered_atlas.classify import construct_from_kappa, enumerate_ball, genuine_shift
 from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
-from tempered_atlas.groups import RealFormDescriptor, is_integral, lattice_coordinates
+from tempered_atlas.groups import (
+    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, validate
+)
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import det, gauss_solve, transpose
-from tempered_atlas.weights import BilinearForm, Weight
-from test_classify import _product, _walk_groups
+from tempered_atlas.weights import BilinearForm, Weight, project_away
+from test_classify import _product, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
@@ -252,3 +254,62 @@ def test_gram_rescaling_shares_no_tables_and_keeps_output(c):
     ids = {id(v) for v in memo_values(base)}
     assert ids and memo_values(scaled)
     assert not ids & {id(v) for v in memo_values(scaled)}
+
+
+# ---------------------------------------------------------------------------
+# the integer component path against Weight arithmetic
+
+
+@st.composite
+def oracle_cases(draw):
+    """A walk group or a product of two, its Gram rescaled, and its lattice
+    basis moved by a unimodular matrix and divided by m.  Dividing keeps
+    every weight in the lattice and gives the basis denominators other than
+    1, so that D, not the walk's own denominator, sets the scale."""
+    names = st.sampled_from(sorted(_TABLE_GROUPS))
+    d = _TABLE_GROUPS[draw(names)]
+    if draw(st.booleans()):
+        d = _product(d, _TABLE_GROUPS[draw(names)])
+    scale = draw(scales)
+    m = draw(st.sampled_from((1, 2, 3) if d.rank_tc <= 3 else (1, 2)))
+    zero = Weight.zero(d.rank_tc)
+    basis = tuple(
+        Fraction(1, m) * sum((c * b for c, b in zip(row, d.integrality_basis)), zero)
+        for row in draw(unimodular(d.rank_tc))
+    )
+    d = dataclasses.replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    return d, scale * draw(st.sampled_from((1, 2, 4, 6)))
+
+
+def oracle(d, kappa):
+    """The component's formulas in Weight arithmetic: mu, kappa_l, the fine
+    weights, the minimal K-types and each K-type's recovered weight."""
+    p = build_parabolic(d, kappa + d.rho_compact())
+    mu = kappa - p.mu_shift
+    kappa_l = project_away(mu, p.l_pairs, d.form)
+    fine = tuple(kappa_l + r for r in p.rho_l)
+    k_types = tuple(f + p.two_rho_s_cap_u for f in fine)
+    back = tuple(
+        w - build_parabolic(d, w + 2 * d.rho_compact()).rho_s_cap_u for w in k_types
+    )
+    return mu, kappa_l, fine, k_types, back
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+def test_integer_component_path_matches_weight_arithmetic(case):
+    d, radius_sq = case
+    assert validate(d).ok, validate(d).violations
+    den = integer_frame(d).den
+    assert all(den % (2 * w.int_coords()[1]) == 0 for w in d.noncompact_weights)
+    assert all(den % b.int_coords()[1] == 0 for b in d.integrality_basis)
+    for datum in enumerate_ball(d, radius_sq)[:12]:
+        kappa = datum.kappa
+        mu, kappa_l, fine, k_types, back = oracle(d, kappa)
+        assert (datum.mu, datum.kappa_l) == (mu, kappa_l)
+        # The public entry point, from a Weight, gives the same datum.
+        assert construct_from_kappa(d, kappa) == datum
+        s = summarize_datum(datum)
+        assert (s.fine_weights, s.minimal_k_types) == (fine, k_types)
+        assert s.dirac_hw == kappa_l + datum.parabolic.rho_s_cap_u == kappa
+        assert tuple(match_inverse(d, w) for w in k_types) == back == (kappa,) * len(back)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempered_atlas import catalog
+from tempered_atlas import catalog, cli
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.errors import (
     AmbiguousPositiveSystem,
@@ -190,3 +190,32 @@ def test_summaries_round_trip_on_su21(su21):
         assert len(s.minimal_k_types) == s.r_order == 2**s.n_pairs
         for w in s.minimal_k_types:
             assert match_inverse(su21, w) == datum.kappa
+
+
+# ---------------------------------------------------------------------------
+# the matching cell by cell, in both directions
+
+
+@pytest.mark.parametrize(
+    "name, box, claimed_count",
+    (("sl2r", 10, None), ("sp4r", 8, 126), ("su21", 8, 135), ("su31", 4, None)),
+)
+def test_matching_cell_by_cell_in_both_directions(name, box, claimed_count):
+    """Every integral weight in a box of lattice coordinates is either
+    refused by the inverse matching or a minimal K-type of the component it
+    matches to; in rank 2, figure claims exactly the cells not refused."""
+    d = loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name)
+    claimed = set()
+    for cell in itertools.product(range(-box, box + 1), repeat=d.rank_tc):
+        w = sum((c * b for c, b in zip(cell, d.integrality_basis)), Weight.zero(d.rank_tc))
+        try:
+            kappa = match_inverse(d, w)
+        except (AmbiguousPositiveSystem, NotDominant):
+            continue
+        assert w in summarize(d, kappa).minimal_k_types
+        claimed.add(cell)
+    assert claimed
+    if d.rank_tc == 2:
+        cells, _ = cli._figure_cells(d, (-box, box), (-box, box))
+        assert set(cells) == claimed
+        assert len(claimed) == claimed_count
