@@ -3,18 +3,19 @@
 Starting from a dominant weight kappa, the parabolic is built at
 kappa + rho_K, the shifted weight mu = kappa - rho(s cap u) - rho_l(+1..+1)
 is tested for lattice integrality, and a datum (parabolic, kappa, mu,
-kappa_l) comes back when it passes.  The construction checks that mu has
-coroot pairing -1 against each Levi pair, so the sign character is -1 on
-every pair and every datum is essential by construction; nothing is stored
-for it.  Genuineness of kappa is the same integrality condition phrased
-against the half-sum of a noncompact positive system, so the construction
-is the one owner of both checks on kappa: it raises NotDominant or
-NotGenuine, and every genuine dominant kappa yields a datum.  Ball
-enumeration walks only the dominant genuine kappa: in a basis of the
-shifted lattice adapted to the simple compact roots, dominance is one
-integer lower bound per pivot coordinate of the integer ellipsoid walk, and
-a walked kappa the construction refuses is an internal failure.  Each test
-on kappa and mu runs on numerators over D, as the walk hands kappa on.
+kappa_l) comes back when it passes.  mu has coroot pairing -1 against each
+Levi pair, a law of the face that its ThetaParabolic checks once for every
+kappa on it, so the sign character is -1 on every pair and every datum is
+essential by construction; nothing is stored for it.  Genuineness of kappa
+is the same integrality condition phrased against the half-sum of a
+noncompact positive system, so the construction is the one owner of both
+checks on kappa: it raises NotDominant or NotGenuine, and every genuine
+dominant kappa yields a datum.  Ball enumeration walks only the dominant
+genuine kappa: in a basis of the shifted lattice adapted to the simple
+compact roots, dominance is one integer lower bound per pivot coordinate of
+the integer ellipsoid walk, and a walked kappa the construction refuses is
+an internal failure.  Each test on kappa and mu runs on numerators over D,
+as the walk hands kappa on.
 """
 
 from dataclasses import dataclass, field
@@ -83,16 +84,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
     mu = frame.weight(mu)
-    form = d.form
-    for beta in p.l_pairs:
-        if form.coroot_pairing(mu, beta) != -1:
-            raise StructuralInvariantError(
-                f"mu must restrict to minus one half of each Levi pair; "
-                f"coroot pairing against {beta} is "
-                f"{form.coroot_pairing(mu, beta)}"
-            )
-
-    kappa_l = project_away(mu, p.l_pairs, form)
+    kappa_l = project_away(mu, p.l_pairs, d.form)
     return EssentialVoganDatum(parabolic=p, kappa=frame.weight(kappa), mu=mu, kappa_l=kappa_l)
 
 

@@ -110,13 +110,10 @@ class RealFormDescriptor:
             self.form.pairing_rows(self.noncompact_weights),
         )
 
-    def is_dominant_weight(self, w, strict: bool = False) -> bool:
-        """<w, a> >= 0 (> 0 when strict) for every positive compact root a;
-        vacuously true when there is none."""
-        values = self.form.pairings(w, self.pairing_table()[0])
-        if strict:
-            return min(values, default=1) > 0
-        return min(values, default=0) >= 0
+    def is_dominant_weight(self, w) -> bool:
+        """<w, a> >= 0 for every positive compact root a; vacuously true
+        when there is none."""
+        return min(self.form.pairings(w, self.pairing_table()[0]), default=0) >= 0
 
 
 @per_descriptor
@@ -596,6 +593,7 @@ def _fmt_vectors(weights) -> str:
 
 
 def serialize_descriptor(d: RealFormDescriptor) -> str:
+    """d as descriptor file text; loads_descriptor reads a valid d back."""
     out = io.StringIO()
     out.write("[group]\n")
     out.write(f"name = {d.name}\n")

@@ -2,11 +2,12 @@
 
 Everything is driven by the compact root data alone, so a central torus
 (U(2), SO(2)) costs nothing: central directions ride along as free abelian
-coordinates.  Multiplicities come from the Freudenthal recursion, tensor
-products and the multiplicity of a spin-cover type in V (x) S from one
-Brauer-Klimyk fold: each weight of the second factor (a weight of V, or of
-the spin module S) shifts hw + rho into the dominant chamber, and the
-parity of the walk is its sign.
+coordinates.  Multiplicities come from the Freudenthal recursion, whose sum
+along each positive root a stops at the first w + k a that is not a weight.
+Tensor products and the multiplicity of a spin-cover type in V (x) S come
+from one Brauer-Klimyk fold: each weight of the second factor (a weight of
+V, or of the spin module S) shifts hw + rho into the dominant chamber, and
+the parity of the walk is its sign.
 
 Weight multisets are plain dicts Weight -> positive integer.  A highest
 weight must be dominant and integral on each simple compact coroot.
@@ -19,7 +20,6 @@ from functools import lru_cache
 from .classify import is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
 from .groups import RealFormDescriptor, is_integral, per_descriptor, simple_compact_roots
-from .ratlin import gauss_solve, transpose
 from .weights import Weight, half_sum, reflect
 
 WeightMultiset = dict
@@ -67,22 +67,6 @@ def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
     return int(value)
 
 
-@per_descriptor
-def _positive_root_simple_coords(d: RealFormDescriptor):
-    simples = simple_compact_roots(d)
-    cols = transpose(tuple(s.coords for s in simples))
-    out = []
-    for a in d.positive_compact:
-        sol = gauss_solve(cols, a.coords)
-        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
-            raise StructuralInvariantError(
-                f"positive compact root {a} is not a nonnegative integer "
-                "combination of the simple roots"
-            )
-        out.append((a, tuple(int(c) for c in sol)))
-    return tuple(out)
-
-
 # Bounded so that a long-lived process does not grow without limit; a run
 # of single queries typically meets a few dozen highest weights.
 @lru_cache(maxsize=256)
@@ -91,62 +75,40 @@ def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
     form = d.form
     simples = simple_compact_roots(d)
     mult = {hw: 1}
-    if not simples:
-        return ((hw, 1),)
-    pos_coords = _positive_root_simple_coords(d)
     rho = d.rho_compact()
     top = form.norm_sq(hw + rho)
 
     # Walk hw - (nonnegative combinations of simple roots) level by level.
     # Every true weight below hw has a true-weight parent one simple root
     # up, so expanding only positive-multiplicity frontiers loses nothing.
-    coeff = {hw: (0,) * len(simples)}
     frontier = [hw]
     while frontier:
-        candidates = {}
-        for w in frontier:
-            cw = coeff[w]
-            for i, s in enumerate(simples):
-                child = w - s
-                if child not in candidates:
-                    cc = list(cw)
-                    cc[i] += 1
-                    candidates[child] = tuple(cc)
+        candidates = {w - s for w in frontier for s in simples}
         frontier = []
         for w in sorted(candidates):
-            cw = candidates[w]
             wd = to_dominant_chamber(d, w)[0]
             if wd != w:
                 # Multiplicities are reflection invariant; the dominant
                 # image sits at a strictly earlier level, already decided.
                 m = mult.get(wd, 0)
             else:
+                # A dominant w below hw is a weight (Humphreys 21.3), and
+                # the a-string through a weight is unbroken, so the sum
+                # over w + k a, k >= 1, ends at the first k off the string.
+                acc = 0
+                for a in d.positive_compact:
+                    x = w + a
+                    while mk := mult.get(x):
+                        acc += mk * form.inner(x, a)
+                        x = x + a
                 denom = top - form.norm_sq(w + rho)
-                if denom <= 0:
-                    m = 0
-                else:
-                    acc = Fraction(0)
-                    for a, acoords in pos_coords:
-                        k_max = min(
-                            cw[i] // acoords[i]
-                            for i in range(len(simples))
-                            if acoords[i]
-                        )
-                        x = w
-                        for _ in range(k_max):
-                            x = x + a
-                            mk = mult.get(x, 0)
-                            if mk:
-                                acc += mk * form.inner(x, a)
-                    m_exact = 2 * acc / denom
-                    if m_exact.denominator != 1 or m_exact < 0:
-                        raise StructuralInvariantError(
-                            f"multiplicity recursion gave {m_exact} at {w}"
-                        )
-                    m = int(m_exact)
+                if denom <= 0 or (m := 2 * acc / denom).denominator != 1 or m < 0:
+                    raise StructuralInvariantError(
+                        f"multiplicity recursion gave 2 * {acc} / {denom} at {w}"
+                    )
+                m = int(m)
             if m > 0:
                 mult[w] = m
-                coeff[w] = cw
                 frontier.append(w)
     return tuple(sorted(mult.items()))
 

@@ -44,31 +44,29 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     Each of the 2^N results is integral, with nothing left to check:
     <mu, beta_j^vee> = -1 makes kappa_l = mu + (1/2) sum beta_j, so the sign
     choice s gives mu plus the beta_j with s_j = +1.  construct_from_kappa
-    has checked mu integral and each coroot pairing, and validate puts
-    every beta_j in the lattice."""
+    has checked mu integral, the face each coroot pairing, and validate
+    puts every beta_j in the lattice."""
     frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
     return tuple(frame.weight(tuple(map(add, kappa_l, r))) for r in datum.parabolic.rho_l_nums)
 
 
-def minimal_k_types(datum: EssentialVoganDatum, fine=None) -> tuple[Weight, ...]:
+def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     """Fine weights shifted by 2 rho(s cap u): the minimal K-type highest
-    weights, pairwise distinct and dominant.  Each is kappa_l plus an
-    offset of the face, so ``fine`` (fine_weights(datum)) is not read."""
+    weights, each kappa_l plus an offset of the face, checked dominant; the
+    face's orthogonal Levi pairs make them pairwise distinct."""
     d = datum.descriptor
     frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
     out = [tuple(map(add, kappa_l, s)) for s in datum.parabolic.k_type_shift_nums]
     for w in out:
         if not d.is_dominant_weight(w):
             raise DominanceFailure(f"computed minimal K-type {frame.weight(w)} is not dominant")
-    if len(set(out)) != len(out):
-        raise StructuralInvariantError("minimal K-types must be pairwise distinct")
     return tuple(map(frame.weight, out))
 
 
 def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
     """kappa_l + rho(s cap u); algebraically equal to kappa, and checked."""
     frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
-    hw = kappa_l and tuple(map(add, kappa_l, datum.parabolic.rho_s_cap_u_nums))
+    hw = tuple(map(add, kappa_l, datum.parabolic.rho_s_cap_u_nums))
     if hw != frame.over_den(datum.kappa):
         raise StructuralInvariantError(f"Dirac weight kappa_l + rho(s cap u) is not {datum.kappa}")
     return datum.kappa

@@ -12,7 +12,10 @@ the buckets depend on lam only through its sign vector over the noncompact
 weights, its face.  A descriptor has finitely many faces, and the face is
 the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
 checked and its half-sums stored as plain values once, is shared by every
-lam on it.  build_parabolic is the one map from a weight to its face: the
+lam on it.  So are the laws on those constants: the Levi pairs are
+orthogonal, and mu = kappa - mu_shift pairs to -1 with each coroot for
+every kappa whose kappa + rho_K lies on the face; each face checks them
+once.  build_parabolic is the one map from a weight to its face: the
 inverse matching calls it too, and its noncompact positive system is the u
 of a face with no zero sign.  The signs, and the strict dominance of lam,
 are read from the descriptor's integer pairing table, and the face keeps
@@ -40,6 +43,9 @@ class ThetaParabolic:
         self.l_pairs = tuple(sorted(g for g, s in zip(weights, signs) if not s and lex_positive(g)))
         self.n_pairs = len(self.l_pairs)
 
+        # Nonzero (the partition check rejects a zero weight) and orthogonal,
+        # the Levi pairs give 2^N distinct offsets (1/2) sum s_j b_j: the
+        # minimal K-types of every component are pairwise distinct.
         for i, a in enumerate(self.l_pairs):
             for b in self.l_pairs[i + 1 :]:
                 if d.form.sign(a, b):
@@ -65,6 +71,15 @@ class ThetaParabolic:
         )
         # kappa - mu for the all-plus sign choice.
         self.mu_shift = self.rho_s_cap_u + self.rho_l[0]
+        # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
+        # face, so each such mu has <mu, b^vee> = -<rho_K + mu_shift, b^vee>.
+        for beta in self.l_pairs:
+            c = d.form.coroot_pairing(d.rho_compact() + self.mu_shift, beta)
+            if c != 1:
+                raise StructuralInvariantError(
+                    f"mu must restrict to minus one half of each Levi pair; "
+                    f"coroot pairing against {beta} is {-c}"
+                )
 
         # Over D, with each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type.
         self.frame = frame = integer_frame(d)

@@ -14,7 +14,8 @@ import tempered_atlas
 from tempered_atlas import cli
 from tempered_atlas.cli import main
 from tempered_atlas.errors import NotGenuine
-from tempered_atlas.groups import catalog, serialize_descriptor
+from tempered_atlas.groups import RealFormDescriptor, catalog, serialize_descriptor
+from tempered_atlas.weights import BilinearForm, Weight
 from test_su31_custom import SU31_TEXT
 
 
@@ -194,6 +195,37 @@ def test_figure_empty_range_exits_5(capsys):
     code, _, err = run_cli(capsys, "figure", "sp4r", "--m-range=5:2", "--n-range=0:1")
     assert code == 5
     assert "range" in err
+
+
+def test_figure_malformed_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "figure", "sp4r", "--m-range=5", "--n-range=0:1")
+    assert (code, out) == (2, "")
+    assert err == "error: range must be LO:HI, got '5'\n"
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    # Built in code, so validate never sees it: with no compact roots the
+    # weights +-(2,0), +-(2,2) are not closed under reflection, and on the
+    # first face the walk meets, kappa + rho_K is orthogonal to (2,0) and
+    # negative on (2,2), so mu pairs to 0 with (2,0)'s coroot instead of -1.
+    d = RealFormDescriptor(
+        name="y",
+        rank_tc=2,
+        rank_g=2,
+        form=BilinearForm.identity(2),
+        compact_roots=(),
+        positive_compact=(),
+        noncompact_weights=tuple(Weight(w) for w in ((2, 0), (-2, 0), (2, 2), (-2, -2))),
+        zero_weight_s_dim=0,
+        integrality_basis=(Weight((1, 0)), Weight((0, 1))),
+    )
+    monkeypatch.setattr(cli, "resolve_descriptor", lambda name: d)
+    code, out, err = run_cli(capsys, "classify", "y", "--radius", "2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal invariant failure: mu must restrict to minus one half of each "
+        "Levi pair; coroot pairing against (2,0) is 0\n"
+    )
 
 
 def test_figure_rank_one_group_exits_2(capsys):

@@ -1,0 +1,76 @@
+"""Lint for the exact-arithmetic contract: no floating point in the package.
+
+Every module under src/tempered_atlas is parsed and searched for a float
+literal, a math import other than the integer functions gcd, lcm and isqrt,
+and any use of the name ``float``.  The one allowed use is the isinstance
+test in ``weights._coerce`` that rejects float input.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tempered_atlas"
+MODULES = sorted(SRC.glob("*.py"))
+INTEGER_MATH = {"gcd", "lcm", "isqrt"}
+
+
+def float_uses(tree: ast.Module, module: str) -> list[str]:
+    """One line per offending node, as 'line: what'."""
+    allowed = set()
+    for fn in ast.walk(tree):
+        if module == "weights.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_coerce":
+            for call in ast.walk(fn):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance"
+                    and len(call.args) == 2
+                ):
+                    allowed.add(id(call.args[1]))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            bad = [a.name for a in node.names if a.name not in INTEGER_MATH]
+            if bad:
+                found.append(f"{node.lineno}: from math import {', '.join(bad)}")
+        elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
+            found.append(f"{node.lineno}: name float")
+    return found
+
+
+def test_the_package_has_modules():
+    assert {"weights.py", "classify.py", "krep.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_no_floats(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert float_uses(tree, path.name) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    (
+        ("x = 0.5", ["1: literal 0.5"]),
+        ("x = 1e3", ["1: literal 1000.0"]),
+        ("import math", ["1: import math"]),
+        ("from math import gcd, sqrt", ["1: from math import sqrt"]),
+        ("from math import gcd, isqrt, lcm", []),
+        ("y = float(x)", ["1: name float"]),
+        ("def f(v):\n    return isinstance(v, float)", ["2: name float"]),
+    ),
+)
+def test_lint_flags_each_kind(source, expected):
+    assert float_uses(ast.parse(source), "other.py") == expected
+
+
+def test_lint_allows_only_the_coerce_rejection():
+    source = "def _coerce(v):\n    if isinstance(v, float):\n        raise TypeError\n"
+    assert float_uses(ast.parse(source), "weights.py") == []
+    assert float_uses(ast.parse(source), "groups.py") == ["2: name float"]

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempered_atlas import groups
+from tempered_atlas.cli import main
 from tempered_atlas.errors import (
     DescriptorFormatError,
     DescriptorValidationError,
@@ -21,7 +23,7 @@ from tempered_atlas.groups import (
     serialize_descriptor,
     validate,
 )
-from tempered_atlas.weights import Weight
+from tempered_atlas.weights import BilinearForm, Weight
 from test_su31_custom import SU31_TEXT
 
 
@@ -208,3 +210,79 @@ def test_positive_roots_outside_one_chamber_reported():
             "their half-sum does not pair positively with (1,-1,0)",
         ),
     )
+
+
+SP4R_TEXT = serialize_descriptor(catalog("sp4r"))
+
+
+def sp4r_edit(old, new):
+    """The sp4r descriptor text with one line replaced."""
+    assert SP4R_TEXT.count(old) == 1
+    return SP4R_TEXT.replace(old, new)
+
+
+# (rule, detail fragment, sp4r text edit) for every rule a file can break.
+TEXT_RULES = [
+    ("form_symmetric", "not symmetric", ("gram = 1,0 ; 0,1", "gram = 1,1 ; 0,1")),
+    ("compact_dimension", "(1,-1,0)", ("\ncompact = 1,-1 ;", "\ncompact = 1,-1,0 ;")),
+    ("positive_compact_dimension", "(1,-1,0)", ("compact = 1,-1\n", "compact = 1,-1,0\n")),
+    ("noncompact_dimension", "(1)", ("noncompact = 1,1 ;", "noncompact = 1 ;")),
+    ("lattice_dimension", "(0,1,0)", ("basis = 1,0 ; 0,1", "basis = 1,0 ; 0,1,0")),
+    ("compact_zero_entry", "zero vector", ("; -1,1\npositive", "; -1,1 ; 0,0\npositive")),
+    ("noncompact_zero_entry", "zero vector", ("noncompact = 1,1 ;", "noncompact = 0,0 ; 1,1 ;")),
+    ("positive_system", "not a subset", ("compact = 1,-1\n", "compact = 1,1\n")),
+    ("positive_system", "duplicate", ("compact = 1,-1\n", "compact = 1,-1 ; 1,-1\n")),
+    ("positive_system", "exactly one of", ("compact = 1,-1\n", "compact = 1,-1 ; -1,1\n")),
+    ("lattice_basis_shape", "rank_tc rows", ("basis = 1,0 ; 0,1", "basis = 1,0")),
+    ("lattice_basis_invertible", "singular", ("basis = 1,0 ; 0,1", "basis = 1,0 ; 2,0")),
+    ("root_lattice_membership", "(1,-1)", ("basis = 1,0 ; 0,1", "basis = 2,0 ; 0,2")),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, fragment, edit", TEXT_RULES, ids=[f"{r}-{f}" for r, f, _ in TEXT_RULES]
+)
+def test_each_validate_rule_a_file_can_break(rule, fragment, edit, tmp_path, capsys):
+    text = sp4r_edit(*edit)
+    violations = validate(parse_descriptor(text)).violations
+    assert any(name == rule and fragment in detail for name, detail in violations), violations
+    path = tmp_path / "bad.group"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert f"violation {rule}: " in capsys.readouterr().out
+
+
+def test_form_of_the_wrong_rank_is_reported(sp4r):
+    # The parser refuses a Gram matrix of the wrong shape, so only a
+    # descriptor built in code can reach this rule.
+    d = dataclasses.replace(sp4r, form=BilinearForm.identity(3))
+    assert validate(d).violations == (("form_shape", "Gram is 3x3, rank_tc = 2"),)
+
+
+FORMAT_ERRORS = [
+    ("empty vector in [roots] compact", ("\ncompact = 1,-1 ;", "\ncompact = 1,-1 ; ;")),
+    ("rank_tc: not an integer: 'two'", ("rank_tc = 2", "rank_tc = two")),
+    ("Source contains parsing errors", ("[form]", "[form")),
+    ("[group] name is empty", ("name = sp4r", "name =")),
+    ("[form] gram must be rank_tc x rank_tc", ("gram = 1,0 ; 0,1", "gram = 1,0")),
+]
+
+
+@pytest.mark.parametrize("message, edit", FORMAT_ERRORS, ids=[m for m, _ in FORMAT_ERRORS])
+def test_each_format_error(message, edit, tmp_path, capsys):
+    text = sp4r_edit(*edit)
+    with pytest.raises(DescriptorFormatError) as err:
+        parse_descriptor(text)
+    assert message in str(err.value)
+    path = tmp_path / "bad.group"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unreadable_descriptor_file(tmp_path, capsys):
+    # A directory exists as a path but cannot be read as a file.
+    with pytest.raises(DescriptorFormatError, match="cannot read"):
+        load_descriptor(tmp_path)
+    assert main(["classify", str(tmp_path), "--radius", "1"]) == 2
+    assert "cannot read" in capsys.readouterr().err

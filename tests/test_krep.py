@@ -125,6 +125,58 @@ def test_freudenthal_mass_is_dimension(sp4r, su21):
                 assert sum(freudenthal(d, hw).values()) == weyl_dim(d, hw)
 
 
+# B2-type: the compact roots are those of so(5), the noncompact weights the
+# short roots, with a one-dimensional zero-weight part.
+SO51_TEXT = """
+[group]
+name = so51
+rank_tc = 2
+rank_g = 3
+zero_weight_s_dim = 1
+
+[form]
+gram = 1,0 ; 0,1
+
+[roots]
+compact = 1,0 ; -1,0 ; 0,1 ; 0,-1 ; 1,1 ; -1,-1 ; 1,-1 ; -1,1
+positive_compact = 1,0 ; 0,1 ; 1,1 ; 1,-1
+noncompact = 1,0 ; -1,0 ; 0,1 ; 0,-1
+
+[lattice]
+basis = 1,0 ; 0,1
+"""
+
+
+def test_so51_weyl_dims():
+    d = loads_descriptor(SO51_TEXT)
+    assert weyl_dim(d, Weight((2, 1))) == 35
+    assert weyl_dim(d, Weight((H, H))) == 4  # the spin module of so(5)
+    assert weyl_dim(d, Weight((1, 0))) == 5
+
+
+def test_freudenthal_mass_and_weyl_invariance_b2():
+    # B2 has roots of two lengths, unlike the A1 and A2 systems tested
+    # elsewhere (test_su31_custom checks A2 the same way).  Over every
+    # highest weight in a box, spin weights included: the multiplicities
+    # sum to the Weyl dimension and are invariant under each simple
+    # reflection.
+    d = loads_descriptor(SO51_TEXT)
+    simples = simple_compact_roots(d)
+    seen = 0
+    for c in itertools.product([Fraction(k, 2) for k in range(9)], repeat=2):
+        hw = Weight(c)
+        if not d.is_dominant_weight(hw) or any(
+            d.form.coroot_pairing(hw, a).denominator != 1 for a in simples
+        ):
+            continue
+        seen += 1
+        ms = freudenthal(d, hw)
+        assert sum(ms.values()) == weyl_dim(d, hw), hw
+        for a in simples:
+            assert {reflect(w, a, d.form): m for w, m in ms.items()} == ms, (hw, a)
+    assert seen == 25
+
+
 def test_freudenthal_weyl_symmetry(sp4r):
     alpha = Weight((1, -1))
     for hw in (Weight((3, -1)), Weight((4, 0))):

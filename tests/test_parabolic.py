@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError
 from tempered_atlas import catalog, parabolic
+from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.groups import lex_positive
 from tempered_atlas.matching import match_inverse
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.weights import Weight, half_sum
+from tempered_atlas.weights import BilinearForm, Weight, half_sum
 
 H = Fraction(1, 2)
 
@@ -221,3 +222,24 @@ def test_matching_and_parabolic_share_one_face_table(sp4r):
     # A face with a Levi pair is a second entry.
     build_parabolic(d, Weight((1, -1)))
     assert len(table) == 2
+
+
+def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
+    d = dataclasses.replace(sp4r)
+    enumerate_ball(d, 1)  # builds the walk's own per-descriptor tables
+    parabolic._face_table(d).clear()
+    calls = []
+    pairing = BilinearForm.coroot_pairing
+
+    def counted(form, w, root):
+        calls.append(root)
+        return pairing(form, w, root)
+
+    monkeypatch.setattr(BilinearForm, "coroot_pairing", counted)
+    entries = enumerate_ball(d, 100)
+    faces = parabolic._face_table(d).values()
+    assert sum(e.n_pairs for e in entries) > len(calls) > 0
+    assert sorted(calls) == sorted(b for p in faces for b in p.l_pairs)
+    calls.clear()
+    assert enumerate_ball(d, 100) == entries
+    assert calls == []

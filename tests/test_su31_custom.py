@@ -9,12 +9,20 @@ cannot: multi-root Freudenthal strings, wall hits in the Klimyk fold,
 chamber walks beyond a single reflection, and rank-3 ball enumeration.
 """
 
+import contextlib
+import io
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tempered_atlas import cli
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, enumerate_components
+from tempered_atlas.errors import TemperedAtlasError
 from tempered_atlas.groups import loads_descriptor, validate
 from tempered_atlas.krep import (
     dirac_multiplicity,
@@ -171,3 +179,65 @@ def test_enumerate_ball_order_is_fraction_coordinate_order(su31):
     assert len(kappas) > 20
     assert kappas == sorted(kappas, key=lambda k: k.coords)
     assert all(Weight(k.coords) == k for k in kappas)
+
+
+# ---------------------------------------------------------------------------
+# mutated su31 text: refused cleanly, or classified and matched without an
+# internal failure
+
+
+_VECTOR_KEYS = ("gram", "compact", "positive_compact", "noncompact", "basis")
+
+
+@st.composite
+def mutated_su31_text(draw):
+    """SU31_TEXT after one to three edits of its vector lists: drop,
+    duplicate or negate a vector, or set one coordinate to a small
+    rational."""
+    lines = SU31_TEXT.split("\n")
+    keyed = [i for i, line in enumerate(lines) if line.partition(" = ")[0] in _VECTOR_KEYS]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.sampled_from(keyed))
+        key, _, value = lines[i].partition(" = ")
+        vectors = [v.strip().split(",") for v in value.split(";") if v.strip()]
+        if not vectors:
+            continue
+        j = draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "negate", "edit")))
+        if kind == "drop":
+            del vectors[j]
+        elif kind == "duplicate":
+            vectors.insert(j, vectors[j])
+        elif kind == "negate":
+            vectors[j] = [str(-Fraction(x)) for x in vectors[j]]
+        else:
+            k = draw(st.integers(min_value=0, max_value=len(vectors[j]) - 1))
+            x = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2))
+            vectors[j] = [*vectors[j][:k], str(x), *vectors[j][k + 1 :]]
+        lines[i] = f"{key} = " + " ; ".join(",".join(v) for v in vectors)
+    return "\n".join(lines)
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_su31_text())
+def test_mutated_su31_text_is_refused_or_classified(text):
+    # Any other exception escapes loads_descriptor and fails the test.
+    try:
+        loads_descriptor(text)
+    except TemperedAtlasError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.group")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = run_main("classify", path, "--radius", "3")
+        assert code == 0, (text, err)
+        code, err = run_main("match", path, "--mu", "0,0,0", "--direction", "inverse")
+        assert code != 3, (text, err)

@@ -94,14 +94,11 @@ def test_dominance_examples():
     d = positives_only((Weight((1, -1)),))
     zero = Weight((0, 0))
     assert d.is_dominant_weight(zero)
-    assert not d.is_dominant_weight(zero, strict=True)
-    all_pos = positives_only((Weight((1, -1)), Weight((1, 1)), Weight((2, 0)), Weight((0, 2))))
-    assert all_pos.is_dominant_weight(Weight((3, 1)), strict=True)
     assert not d.is_dominant_weight(Weight((1, 2)))
 
 
 def test_dominance_vacuous_for_empty_positives():
-    assert positives_only(()).is_dominant_weight(Weight((-7, 3)), strict=True)
+    assert positives_only(()).is_dominant_weight(Weight((-7, 3)))
 
 
 def test_parse_rational_rejects_floats():
@@ -169,8 +166,7 @@ def test_half_sum_additive(s, t):
 def test_dominance_invariant_under_form_rescaling(w, c):
     pos = (Weight((1, -1)), Weight((0, 2)))
     d, scaled = positives_only(pos), positives_only(pos, I2.scaled(c))
-    for strict in (False, True):
-        assert d.is_dominant_weight(w, strict) == scaled.is_dominant_weight(w, strict)
+    assert d.is_dominant_weight(w) == scaled.is_dominant_weight(w)
 
 
 def test_form_positive_definite_counterexample():
