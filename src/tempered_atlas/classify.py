@@ -20,7 +20,6 @@ as the walk hands kappa on.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
@@ -113,9 +112,12 @@ def _chamber_walk(d: RealFormDescriptor):
     Built once per descriptor.  The integrality basis is changed by a
     unimodular integer transform that brings the pairing matrix
     <b_j, alpha_i^vee> against the simple compact roots to echelon form:
-    root i pivots in row r - 1 - i, with zeros in the rows before it.  The
-    walk fixes coordinates from the last, so dominance on alpha_i is one
-    integer lower bound on coordinate r - 1 - i given those already fixed.
+    root i pivots in row r - 1 - i, with zeros in the rows before it.  Its
+    columns are read from the descriptor's pairing table over D, each a
+    positive multiple of the coroot pairings, which gives the same echelon
+    basis and the same lower bounds.  The walk fixes coordinates from the
+    last, so dominance on alpha_i is one integer lower bound on coordinate
+    r - 1 - i given those already fixed.
     A row operation on the basis acts on lattice coordinates by the inverse
     column operation, so the centre moves with it.
     """
@@ -126,14 +128,11 @@ def _chamber_walk(d: RealFormDescriptor):
     center, center_den = list(coords[0]), coords[1]
     frame = integer_frame(d)
 
-    # One integer column per simple root: its coroot pairings with shift
-    # and then with each basis row, over their common denominator.
+    # One integer column per simple root: its pairing-table entries for
+    # shift and then for each basis row, over D.
     simples = simple_compact_roots(d)
-    columns = []
-    for alpha in simples:
-        col = [d.form.coroot_pairing(w, alpha) for w in (shift, *d.integrality_basis)]
-        scale = lcm(*(x.denominator for x in col))
-        columns.append([int(x * scale) for x in col])
+    pairings = [frame.pairings(frame.over_den(w)) for w in (shift, *d.integrality_basis)]
+    columns = [[v[d.positive_compact.index(alpha)] for v in pairings] for alpha in simples]
     # Each row: its pairings with the simples, then its basis numerators.
     rows = [
         [*(col[j + 1] for col in columns), *frame.over_den(b)]

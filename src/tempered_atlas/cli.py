@@ -21,6 +21,7 @@ from . import __version__
 from .classify import enumerate_ball, enumerate_components
 from .errors import (
     AmbiguousPositiveSystem,
+    DescriptorValidationError,
     DominanceFailure,
     InternalBijectionFailure,
     RangeError,
@@ -28,14 +29,7 @@ from .errors import (
     TemperedAtlasError,
     UnknownGroup,
 )
-from .groups import (
-    catalog,
-    catalog_names,
-    lattice_coordinates,
-    load_descriptor,
-    parse_descriptor,
-    validate,
-)
+from .groups import catalog, catalog_names, lattice_coordinates, load_descriptor
 from .krep import dirac_multiplicity, freudenthal, tensor_decompose, weyl_dim
 from .matching import match_inverse, summarize, summarize_datum
 from .ratlin import sqrt_upper
@@ -111,16 +105,14 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    d = parse_descriptor(text)
-    report = validate(d)
-    if report.ok:
-        out.write(f"OK {d.name}\n")
-        return EXIT_OK
-    for name, detail in report.violations:
-        out.write(f"violation {name}: {detail}\n")
-    return EXIT_INPUT
+    try:
+        d = load_descriptor(args.path)
+    except DescriptorValidationError as exc:
+        for name, detail in exc.report.violations:
+            out.write(f"violation {name}: {detail}\n")
+        return EXIT_INPUT
+    out.write(f"OK {d.name}\n")
+    return EXIT_OK
 
 
 def cmd_classify(args, out) -> int:

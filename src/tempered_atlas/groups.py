@@ -29,10 +29,11 @@ Descriptor file format (text, human editable, exact rationals only)::
 Vectors are comma-separated rationals ("p/q" or "n"; no float literals),
 vector lists are semicolon-separated, and an empty value is an empty list.
 
-Dominance and face tests read one integer pairing table per descriptor;
-lattice coordinates are integers over one denominator, which is 1 exactly
-for integral weights.  The hot path carries each weight as its numerators
-over one denominator D per descriptor (``integer_frame``).
+Dominance and face tests read one integer pairing table per descriptor,
+one row per positive compact root and per noncompact +-pair; lattice
+coordinates are integers over one denominator, which is 1 exactly for
+integral weights.  The hot path carries each weight as its numerators over
+one denominator D per descriptor (``integer_frame``).
 """
 
 import configparser
@@ -100,20 +101,11 @@ class RealFormDescriptor:
         """The lexicographically positive member of each noncompact +-pair."""
         return tuple(sorted(w for w in self.noncompact_weights if lex_positive(w)))
 
-    @per_descriptor
-    def pairing_table(self):
-        """(compact, noncompact): the integer pairing rows
-        (``BilinearForm.pairing_rows``) of the positive compact roots and of
-        the noncompact weights."""
-        return (
-            self.form.pairing_rows(self.positive_compact),
-            self.form.pairing_rows(self.noncompact_weights),
-        )
-
     def is_dominant_weight(self, w) -> bool:
         """<w, a> >= 0 for every positive compact root a; vacuously true
         when there is none."""
-        return min(self.form.pairings(w, self.pairing_table()[0]), default=0) >= 0
+        frame = integer_frame(self)
+        return min(self.form.pairings(w, frame.rows[: frame.n_compact]), default=0) >= 0
 
 
 @per_descriptor
@@ -328,20 +320,23 @@ def _inverse_basis(d: RealFormDescriptor):
 class IntegerFrame:
     """A descriptor's denominator D (``den``), over which each genuine or
     integral weight, rho_K and noncompact half-sum has integer numerators,
-    and ``pairings`` with the pairing table's rows, the ``n_compact``
-    compact ones first.  Pairings over D add: kappa + rho_K's are kappa's
+    and its one pairing table: ``rows`` holds the integer row
+    (``BilinearForm.pairing_rows``) of each of the ``n_compact`` positive
+    compact roots, then of each of ``noncompact_positives``: one per +-pair,
+    as a weight pairs with -g as minus with g.  ``pairings`` reads a weight
+    against every row.  Pairings over D add: kappa + rho_K's are kappa's
     plus ``rho_pairings``."""
 
-    __slots__ = ("rank", "den", "n_compact", "pairings", "rho_pairings", "two_rho_pairings")
+    __slots__ = ("rank", "den", "n_compact", "rows", "pairings", "rho_pairings", "two_rho_pairings")
 
     def __init__(self, d: RealFormDescriptor):
         self.rank = d.rank_tc
         weights = (*d.compact_roots, *d.positive_compact, *d.noncompact_weights)
         self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
                        *(b.int_coords()[1] for b in d.integrality_basis))
-        compact, noncompact = d.pairing_table()
-        self.n_compact = len(compact)
-        self.pairings = functools.partial(d.form.pairings, rows=compact + noncompact)
+        self.n_compact = len(d.positive_compact)
+        self.rows = d.form.pairing_rows((*d.positive_compact, *d.noncompact_positives()))
+        self.pairings = functools.partial(d.form.pairings, rows=self.rows)
         self.rho_pairings = self.pairings(self.over_den(d.rho_compact()))
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
 

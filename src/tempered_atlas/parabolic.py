@@ -7,13 +7,15 @@ strictly negative (the opposite nilradical, kept implicitly).  The zero
 bucket then consists of noncompact +-pairs only, one rank-one split factor
 per pair, mutually orthogonal, plus the central zero-weight part.
 
-The compact roots in u are the positive compact roots whatever lam is, so
-the buckets depend on lam only through its sign vector over the noncompact
-weights, its face.  A descriptor has finitely many faces, and the face is
-the parabolic: one ThetaParabolic per sign vector, with its sorted buckets
-checked and its half-sums stored as plain values once, is shared by every
-lam on it.  So are the laws on those constants: the Levi pairs are
-orthogonal, and mu = kappa - mu_shift pairs to -1 with each coroot for
+The compact roots in u are the positive compact roots whatever lam is, and
+lam pairs with -g as minus with g, so the buckets depend on lam only
+through its sign vector over the noncompact positive system, one sign per
++-pair: its face.  A sign + puts g in u, a sign - puts -g there, and a
+zero makes g a Levi pair.  A descriptor has finitely many faces, and the
+face is the parabolic: one ThetaParabolic per sign vector, with its sorted
+buckets checked and its half-sums stored as plain values once, is shared
+by every lam on it.  So are the laws on those constants: the Levi pairs
+are orthogonal, and mu = kappa - mu_shift pairs to -1 with each coroot for
 every kappa whose kappa + rho_K lies on the face; each face checks them
 once.  build_parabolic is the one map from a weight to its face: the
 inverse matching calls it too, and its noncompact positive system is the u
@@ -25,7 +27,7 @@ its offsets as numerators over D too (``integer_frame``).
 import itertools
 
 from .errors import NotStrictlyDominant, StructuralInvariantError
-from .groups import RealFormDescriptor, integer_frame, lex_positive, per_descriptor
+from .groups import RealFormDescriptor, integer_frame, per_descriptor
 from .weights import Weight, half_sum
 
 
@@ -38,9 +40,9 @@ class ThetaParabolic:
         # partition check below fails on a descriptor where they are not.
         self.descriptor = d
         self.u_compact = tuple(sorted(d.positive_compact))
-        weights = d.noncompact_weights
-        self.u_noncompact = tuple(sorted(g for g, s in zip(weights, signs) if s > 0))
-        self.l_pairs = tuple(sorted(g for g, s in zip(weights, signs) if not s and lex_positive(g)))
+        positives = d.noncompact_positives()
+        self.u_noncompact = tuple(sorted(s * g for g, s in zip(positives, signs) if s))
+        self.l_pairs = tuple(g for g, s in zip(positives, signs) if not s)
         self.n_pairs = len(self.l_pairs)
 
         # Nonzero (the partition check rejects a zero weight) and orthogonal,
@@ -92,8 +94,8 @@ class ThetaParabolic:
 
 @per_descriptor
 def _face_table(d: RealFormDescriptor) -> dict:
-    """Parabolics keyed by a sign vector over the noncompact weights, filled
-    as build_parabolic meets them."""
+    """Parabolics keyed by a sign vector over the noncompact positive
+    system, filled as build_parabolic meets them."""
     return {}
 
 
@@ -105,10 +107,11 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     compact roots in u are then the positive ones, the zero bucket is
     guaranteed to contain noncompact pairs only, and the pair
     representatives (first nonzero coordinate positive) are mutually
-    orthogonal.  Only the signs over the noncompact weights are computed;
-    they pick the shared parabolic of the face, the same object for every
-    lam on it.  The guard on public input and the signs read lam's
-    ``IntegerFrame.pairings``, which the hot path passes in place of lam.
+    orthogonal.  Only the signs over the noncompact positive system are
+    computed, one per +-pair; they pick the shared parabolic of the face,
+    the same object for every lam on it.  The guard on public input and
+    the signs read lam's ``IntegerFrame.pairings``, which the hot path
+    passes in place of lam.
     """
     frame = integer_frame(d)
     values = frame.pairings(lam) if isinstance(lam, Weight) else lam

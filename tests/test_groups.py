@@ -286,3 +286,9 @@ def test_unreadable_descriptor_file(tmp_path, capsys):
         load_descriptor(tmp_path)
     assert main(["classify", str(tmp_path), "--radius", "1"]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # validate reads the file the same way, for a directory and a missing path.
+    for path in (tmp_path, tmp_path / "missing.group"):
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot read {path}: " in captured.err
+        assert captured.out == ""

@@ -190,10 +190,11 @@ def table_cases(draw):
 @given(table_cases())
 def test_pairing_table_matches_per_weight_pairings(case):
     d, w = case
-    compact, noncompact = d.pairing_table()
-    rows = compact + noncompact
-    targets = d.positive_compact + d.noncompact_weights
+    frame = integer_frame(d)
+    rows = frame.rows
+    targets = d.positive_compact + d.noncompact_positives()
     assert len(rows) == len(targets)
+    assert frame.n_compact == len(d.positive_compact)
     signs = tuple(sign_of(v) for v in d.form.pairings(w, rows))
     assert signs == tuple(d.form.sign(w, t) for t in targets)
 

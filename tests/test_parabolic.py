@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError
 from tempered_atlas import catalog, parabolic
 from tempered_atlas.classify import enumerate_ball
-from tempered_atlas.groups import lex_positive
-from tempered_atlas.matching import match_inverse
+from tempered_atlas.groups import lex_positive, loads_descriptor
+from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
+from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
 
@@ -243,3 +244,27 @@ def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     calls.clear()
     assert enumerate_ball(d, 100) == entries
     assert calls == []
+
+
+def face_buckets(p):
+    return p.u_compact, p.u_noncompact, p.l_pairs, p.rho_s_cap_u, p.rho_l, p.mu_shift
+
+
+@pytest.mark.parametrize("name", ("sp4r", "su21", "su31"))
+def test_faces_do_not_depend_on_the_noncompact_list_order(name):
+    # A fresh copy, so its face table holds only the faces met below.
+    d = dataclasses.replace(loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name))
+    # The pairs in reverse order, each listed negative-first.
+    listed = tuple(w for g in reversed(d.noncompact_positives()) for w in (-g, g))
+    assert sorted(listed) == sorted(d.noncompact_weights) and listed != d.noncompact_weights
+    e = dataclasses.replace(d, noncompact_weights=listed)
+    radius_sq = 25 if name == "su31" else 100
+    ours, theirs = enumerate_ball(d, radius_sq), enumerate_ball(e, radius_sq)
+    assert list(map(summarize_datum, ours)) == list(map(summarize_datum, theirs))
+    for a, b in zip(ours, theirs):
+        assert (a.kappa, a.mu, a.kappa_l) == (b.kappa, b.mu, b.kappa_l)
+        assert face_buckets(a.parabolic) == face_buckets(b.parabolic)
+    # One sign per +-pair, over the same positive system whatever the order.
+    keys = parabolic._face_table(e).keys()
+    assert {len(k) for k in keys} == {len(d.noncompact_positives())}
+    assert keys == parabolic._face_table(d).keys()
