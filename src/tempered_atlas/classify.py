@@ -18,37 +18,38 @@ an internal failure.  Each test on kappa and mu runs on numerators over D,
 as the walk hands kappa on.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (
-    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, per_descriptor,
-    simple_compact_roots,
+    RealFormDescriptor, _Frozen, integer_frame, is_integral, lattice_coordinates,
+    per_descriptor, simple_compact_roots,
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points, mat_mul, transpose
 from .weights import Weight, half_sum, project_away
 
 
-@dataclass(frozen=True, slots=True)
-class EssentialVoganDatum:
+class EssentialVoganDatum(_Frozen):
     """Computable shadow of one essential component.
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed, carried on as its numerators over D (``kappa_l_nums``).
+    removed, carried on as its numerators over D (``kappa_l_nums``, which
+    equality, hashing and repr do not read).
     """
 
-    parabolic: ThetaParabolic
-    kappa: Weight
-    mu: Weight
-    kappa_l: Weight
-    kappa_l_nums: tuple = field(init=False, repr=False, compare=False)
+    __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
+    __slots__ = (*__match_args__, "kappa_l_nums")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa_l_nums", self.parabolic.frame.over_den(self.kappa_l))
+    def __init__(self, parabolic: ThetaParabolic, kappa: Weight, mu: Weight, kappa_l: Weight):
+        set_slot = object.__setattr__
+        set_slot(self, "parabolic", parabolic)
+        set_slot(self, "kappa", kappa)
+        set_slot(self, "mu", mu)
+        set_slot(self, "kappa_l", kappa_l)
+        set_slot(self, "kappa_l_nums", parabolic.frame.over_den(kappa_l))
 
     @property
     def descriptor(self) -> RealFormDescriptor:
@@ -59,11 +60,14 @@ class EssentialVoganDatum:
         return self.parabolic.n_pairs
 
 
-@dataclass(frozen=True)
-class ClassificationRun:
-    group: str
-    radius: Fraction
-    entries: tuple[EssentialVoganDatum, ...]
+class ClassificationRun(_Frozen):
+    """The data of every component in the ball of the given radius about 0
+    in group, sorted by kappa."""
+
+    __match_args__ = ("group", "radius", "entries")
+
+    def __init__(self, group: str, radius: Fraction, entries: tuple[EssentialVoganDatum, ...]):
+        self.__dict__.update(group=group, radius=radius, entries=entries)
 
 
 def construct_from_kappa(d: RealFormDescriptor, kappa):

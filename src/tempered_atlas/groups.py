@@ -36,10 +36,8 @@ integral weights.  The hot path carries each weight as its numerators over
 one denominator D per descriptor (``integer_frame``).
 """
 
-import configparser
 import functools
 import io
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
@@ -79,17 +77,70 @@ def lex_positive(w: Weight) -> bool:
     return next((x > 0 for x in w.int_coords()[0] if x), False)
 
 
-@dataclass(frozen=True)
-class RealFormDescriptor:
-    name: str
-    rank_tc: int
-    rank_g: int
-    form: BilinearForm
-    compact_roots: tuple[Weight, ...]
-    positive_compact: tuple[Weight, ...]
-    noncompact_weights: tuple[Weight, ...]
-    zero_weight_s_dim: int
-    integrality_basis: tuple[Weight, ...]
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__match_args__``, and its ``__init__``
+    sets each one once, bypassing ``__setattr__``.  Equality, hashing, repr
+    and copying read that tuple, as a frozen dataclass's do, and assigning
+    or deleting an attribute raises AttributeError.  Written by hand:
+    importing ``dataclasses``, which imports ``inspect``, is about a quarter
+    of a CLI call's set-up."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RealFormDescriptor(_Frozen):
+    """A group's compact-torus weight data; see the module docstring.  The
+    instance dict holds only what ``per_descriptor`` memoises."""
+
+    __match_args__ = (
+        "name", "rank_tc", "rank_g", "form", "compact_roots", "positive_compact",
+        "noncompact_weights", "zero_weight_s_dim", "integrality_basis",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        rank_tc: int,
+        rank_g: int,
+        form: BilinearForm,
+        compact_roots: tuple[Weight, ...],
+        positive_compact: tuple[Weight, ...],
+        noncompact_weights: tuple[Weight, ...],
+        zero_weight_s_dim: int,
+        integrality_basis: tuple[Weight, ...],
+    ):
+        self.__dict__.update(
+            name=name, rank_tc=rank_tc, rank_g=rank_g, form=form, compact_roots=compact_roots,
+            positive_compact=positive_compact, noncompact_weights=noncompact_weights,
+            zero_weight_s_dim=zero_weight_s_dim, integrality_basis=integrality_basis,
+        )
 
     @per_descriptor
     def rho_compact(self) -> Weight:
@@ -117,9 +168,13 @@ def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[tuple[str, str], ...]
+class ValidationReport(_Frozen):
+    """validate's (invariant name, detail) pairs, empty when d is valid."""
+
+    __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple[tuple[str, str], ...]):
+        self.__dict__.update(violations=violations)
 
     @property
     def ok(self) -> bool:
@@ -516,11 +571,10 @@ def _parse_int(text: str, what: str) -> int:
     return int(text)
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
-    try:
-        return cp.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        raise DescriptorFormatError(f"missing [{section}] {key}") from None
+def _get(cp: "configparser.ConfigParser", section: str, key: str) -> str:
+    if not cp.has_option(section, key):
+        raise DescriptorFormatError(f"missing [{section}] {key}")
+    return cp.get(section, key)
 
 
 @functools.lru_cache(maxsize=32)
@@ -529,7 +583,10 @@ def parse_descriptor(text: str) -> RealFormDescriptor:
 
     Memoised on the text itself, so equal texts share one descriptor (and
     its memoised tables) while an edited file parses afresh.  Format
-    errors are raised, never cached."""
+    errors are raised, never cached.  configparser is imported here, its
+    one user, so that a run on catalog groups never loads it."""
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     try:
         cp.read_string(text)

@@ -12,7 +12,6 @@ dominance test here reads the descriptor's integer pairing table, and each
 weight is kappa_l plus a face offset, as numerators over D.
 """
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .classify import EssentialVoganDatum, construct_from_kappa
@@ -23,19 +22,32 @@ from .errors import (
     NotIntegral,
     StructuralInvariantError,
 )
-from .groups import RealFormDescriptor, integer_frame, is_integral
+from .groups import RealFormDescriptor, _Frozen, integer_frame, is_integral
 from .parabolic import build_parabolic
 from .weights import Weight
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    kappa: Weight
-    n_pairs: int
-    r_order: int
-    fine_weights: tuple[Weight, ...]
-    minimal_k_types: tuple[Weight, ...]
-    dirac_hw: Weight
+class ComponentSummary(_Frozen):
+    """The invariants of the component kappa generates, as summarize_datum
+    checks them."""
+
+    __match_args__ = (
+        "kappa", "n_pairs", "r_order", "fine_weights", "minimal_k_types", "dirac_hw",
+    )
+
+    def __init__(
+        self,
+        kappa: Weight,
+        n_pairs: int,
+        r_order: int,
+        fine_weights: tuple[Weight, ...],
+        minimal_k_types: tuple[Weight, ...],
+        dirac_hw: Weight,
+    ):
+        self.__dict__.update(
+            kappa=kappa, n_pairs=n_pairs, r_order=r_order, fine_weights=fine_weights,
+            minimal_k_types=minimal_k_types, dirac_hw=dirac_hw,
+        )
 
 
 def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
@@ -113,13 +125,15 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
     """Assemble one component's invariants, verifying both round trips:
     the Dirac highest weight equals kappa, and every minimal K-type maps
-    back to kappa through the inverse matching."""
+    back to kappa through the inverse matching.  Each K-type goes to
+    match_inverse as its numerators over D, kappa_l's plus the face's
+    offset, and comes back as numerators compared with kappa's."""
     d = datum.descriptor
-    frame = datum.parabolic.frame
+    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
     kappa = frame.over_den(datum.kappa)
     k_types = minimal_k_types(datum)
-    for w in k_types:
-        back = match_inverse(d, frame.over_den(w))
+    for w, shift in zip(k_types, datum.parabolic.k_type_shift_nums):
+        back = match_inverse(d, tuple(map(add, kappa_l, shift)))
         if back != kappa:
             raise StructuralInvariantError(
                 f"minimal K-type {w} matches back to {frame.weight(back)}, expected "

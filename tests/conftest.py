@@ -1,6 +1,14 @@
 import pytest
 
-from tempered_atlas import catalog
+from tempered_atlas import RealFormDescriptor, catalog
+
+
+def replace(d: RealFormDescriptor, **changes) -> RealFormDescriptor:
+    """A new descriptor with d's fields except those changed, built through
+    the constructor, so it starts with no memoised tables; an unknown field
+    name raises TypeError."""
+    fields = {name: getattr(d, name) for name in RealFormDescriptor.__match_args__}
+    return RealFormDescriptor(**{**fields, **changes})
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import csv
-import dataclasses
 import io
 import itertools
 import random
@@ -28,6 +27,7 @@ from tempered_atlas.matching import (
 )
 from tempered_atlas.ratlin import sqrt_upper
 from tempered_atlas.weights import Weight, half_sum, project_away
+from conftest import replace
 from test_classify import brute_force_kappas
 from test_su31_custom import SU31_TEXT
 
@@ -255,7 +255,7 @@ def test_dirac_converse_least_shifted_norm(sp4r, sl2r, sl2c, su21):
 
 
 def test_criterion_09_gram_scale_invariance(sp4r):
-    scaled = dataclasses.replace(sp4r, form=sp4r.form.scaled(3))
+    scaled = replace(sp4r, form=sp4r.form.scaled(3))
 
     def sweep_data(d):
         out = []

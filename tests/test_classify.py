@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import itertools
 import os
@@ -31,6 +30,7 @@ from tempered_atlas.groups import (
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import gauss_solve, mat_mul, transpose
 from tempered_atlas.weights import BilinearForm, Weight, project_away
+from conftest import replace
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -131,7 +131,7 @@ def test_enumerate_deterministic(su21):
 def test_enumerate_scale_invariance(sp4r, su21):
     # same kappa set when the form triples and the squared radius follows
     for d in (sp4r, su21):
-        scaled = dataclasses.replace(d, form=d.form.scaled(3))
+        scaled = replace(d, form=d.form.scaled(3))
         base = enumerate_ball(d, Fraction(25, 2))
         comp = enumerate_ball(scaled, 3 * Fraction(25, 2))
         assert [e.kappa for e in base] == [e.kappa for e in comp]
@@ -272,7 +272,7 @@ def test_enumerate_ball_matches_brute_force(name, data, scale, radius_sq):
         sum((c * b for c, b in zip(row, d.integrality_basis)), Weight.zero(d.rank_tc))
         for row in u
     )
-    d = dataclasses.replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    d = replace(d, form=d.form.scaled(scale), integrality_basis=basis)
     assert validate(d).ok
     got = tuple(e.kappa for e in enumerate_ball(d, radius_sq))
     assert got == brute_force_kappas(d, radius_sq)
@@ -356,15 +356,15 @@ _scales = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4)
 def test_validated_product_classifies(name1, name2, scale1, scale2, data):
     groups = _walk_groups()
     d = _product(
-        dataclasses.replace(groups[name1], form=groups[name1].form.scaled(scale1)),
-        dataclasses.replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
+        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
     )
     u = data.draw(unimodular(d.rank_tc))
     basis = tuple(
         sum((c * b for c, b in zip(row, d.integrality_basis)), Weight.zero(d.rank_tc))
         for row in u
     )
-    text = serialize_descriptor(dataclasses.replace(d, integrality_basis=basis))
+    text = serialize_descriptor(replace(d, integrality_basis=basis))
     report = validate(parse_descriptor(text))
     assert report.ok, report.violations
     with tempfile.TemporaryDirectory() as tmp:

@@ -449,6 +449,35 @@ def cold_run(*argv):
     return proc.returncode, proc.stdout
 
 
+def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
+    # A fresh interpreter, so that only the CLI's own imports are loaded.
+    script = (
+        "import json, sys\n"
+        "import tempered_atlas.cli\n"
+        "loaded = sorted(sys.modules)\n"
+        "from tempered_atlas.groups import loads_descriptor, validate\n"
+        "d = loads_descriptor(sys.stdin.read())\n"
+        "print(json.dumps([loaded, d.name, validate(d).ok]))\n"
+    )
+    su31 = Path(__file__).resolve().parents[1] / "bench" / "data" / "su31.group"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tempered_atlas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=su31.read_text(encoding="utf-8"),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    loaded, name, ok = json.loads(proc.stdout)
+    assert not {"dataclasses", "inspect", "configparser"} & set(loaded)
+    # bench/tracer.py's install() wraps krep's functions by looking the
+    # module up in sys.modules after this import, so krep stays eager.
+    assert "tempered_atlas.krep" in loaded
+    # The descriptor file parser imports configparser on first use.
+    assert (name, ok) == ("su31", True)
+
+
 def test_repeated_main_calls_match_a_cold_run(tmp_path, capsys):
     su31 = tmp_path / "su31.group"
     su31.write_text(SU31_TEXT, encoding="utf-8")

@@ -1,4 +1,6 @@
-import dataclasses
+import copy
+import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempered_atlas import groups
+from tempered_atlas.classify import (
+    ClassificationRun,
+    EssentialVoganDatum,
+    construct_from_kappa,
+    enumerate_components,
+)
 from tempered_atlas.cli import main
 from tempered_atlas.errors import (
     DescriptorFormatError,
@@ -13,6 +21,8 @@ from tempered_atlas.errors import (
     UnknownGroup,
 )
 from tempered_atlas.groups import (
+    RealFormDescriptor,
+    ValidationReport,
     catalog,
     catalog_names,
     is_integral,
@@ -23,7 +33,9 @@ from tempered_atlas.groups import (
     serialize_descriptor,
     validate,
 )
+from tempered_atlas.matching import ComponentSummary, summarize
 from tempered_atlas.weights import BilinearForm, Weight
+from conftest import replace
 from test_su31_custom import SU31_TEXT
 
 
@@ -74,7 +86,53 @@ def test_descriptors_are_built_once_and_validated_on_every_resolve(monkeypatch):
 def test_serialize_round_trip():
     for name in catalog_names():
         d = catalog(name)
-        assert loads_descriptor(serialize_descriptor(d)) == d
+        back = loads_descriptor(serialize_descriptor(d))
+        assert back == d and hash(back) == hash(d)
+        assert back is not d
+
+
+def test_value_classes_compare_by_value_and_are_frozen():
+    d = catalog("sp4r")
+    kappa, other = Weight((Fraction(7, 2), Fraction(1, 2))), Weight((Fraction(9, 2), Fraction(3, 2)))
+    # Each value twice, built apart, then a value that differs in one field.
+    triples = {
+        RealFormDescriptor: (d, replace(d), replace(d, name="other")),
+        ValidationReport: (validate(d), validate(replace(d)), ValidationReport((("x", "y"),))),
+        EssentialVoganDatum: (
+            construct_from_kappa(d, kappa),
+            construct_from_kappa(d, kappa),
+            construct_from_kappa(d, other),
+        ),
+        ClassificationRun: (
+            enumerate_components(d, 3),
+            enumerate_components(d, 3),
+            enumerate_components(d, 2),
+        ),
+        ComponentSummary: (summarize(d, kappa), summarize(d, kappa), summarize(d, other)),
+    }
+    assert len(triples) == 5
+    for cls, (a, b, c) in triples.items():
+        assert type(a) is type(b) is type(c) is cls
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != c and a != tuple(getattr(a, f) for f in cls.__match_args__)
+        assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
+        assert repr(a).startswith(f"{cls.__name__}(")
+        assert all(f"{f}={getattr(a, f)!r}" in repr(a) for f in cls.__match_args__)
+        assert copy.copy(a) == a
+    # kappa_l's numerators over D are carried on the datum, outside its fields.
+    datum = triples[EssentialVoganDatum][0]
+    assert "kappa_l_nums" not in datum.__match_args__ and "kappa_l_nums" not in repr(datum)
+    assert not hasattr(datum, "__dict__")
+    for value, field in ((d, "name"), (datum, "kappa"), (datum, "kappa_l_nums"),
+                         (triples[ComponentSummary][0], "minimal_k_types")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    # A copy is rebuilt through the constructor: equal, with no memoised tables.
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back is not d
+    assert not any(key.startswith("_memo_") for key in vars(back))
 
 
 def test_load_descriptor_from_file(tmp_path, sp4r):
@@ -255,7 +313,7 @@ def test_each_validate_rule_a_file_can_break(rule, fragment, edit, tmp_path, cap
 def test_form_of_the_wrong_rank_is_reported(sp4r):
     # The parser refuses a Gram matrix of the wrong shape, so only a
     # descriptor built in code can reach this rule.
-    d = dataclasses.replace(sp4r, form=BilinearForm.identity(3))
+    d = replace(sp4r, form=BilinearForm.identity(3))
     assert validate(d).violations == (("form_shape", "Gram is 3x3, rank_tc = 2"),)
 
 

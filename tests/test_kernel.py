@@ -4,7 +4,6 @@ Weights and forms compute on integers over a common denominator; these
 properties pin every integer path to the textbook formula it replaced.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +21,7 @@ from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.ratlin import det, gauss_solve, transpose
 from tempered_atlas.weights import BilinearForm, Weight, project_away
+from conftest import replace
 from test_classify import _product, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -180,7 +180,7 @@ def table_cases(draw):
     d = _TABLE_GROUPS[draw(names)]
     if draw(st.booleans()):
         d = _product(d, _TABLE_GROUPS[draw(names)])
-    d = dataclasses.replace(d, form=d.form.scaled(draw(scales)))
+    d = replace(d, form=d.form.scaled(draw(scales)))
     den = draw(st.sampled_from((1, 2, 3, 6)))
     nums = draw(st.lists(st.integers(-6, 6), min_size=d.rank_tc, max_size=d.rank_tc))
     return d, Weight(Fraction(n, den) for n in nums)
@@ -240,7 +240,7 @@ def memo_values(d):
 @given(scales)
 def test_gram_rescaling_shares_no_tables_and_keeps_output(c):
     base = catalog("su21")
-    scaled = dataclasses.replace(base, form=base.form.scaled(c))
+    scaled = replace(base, form=base.form.scaled(c))
 
     def sweep(d, radius_sq):
         return [
@@ -277,7 +277,7 @@ def oracle_cases(draw):
         Fraction(1, m) * sum((c * b for c, b in zip(row, d.integrality_basis)), zero)
         for row in draw(unimodular(d.rank_tc))
     )
-    d = dataclasses.replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    d = replace(d, form=d.form.scaled(scale), integrality_basis=basis)
     return d, scale * draw(st.sampled_from((1, 2, 4, 6)))
 
 

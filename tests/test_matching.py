@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from tempered_atlas.matching import (
 from tempered_atlas.groups import loads_descriptor
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
+from conftest import replace
 from test_parabolic import brute_force_buckets
 from test_su31_custom import SU31_TEXT
 
@@ -127,7 +127,7 @@ def test_match_inverse_against_brute_force(name, parabolic_first):
     # lies on the face match_inverse reads, so the parabolic built there
     # and the matching share it whichever fills it first.
     base = loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name)
-    d = dataclasses.replace(base)
+    d = replace(base)
     two_rho_k = 2 * d.rho_compact()
     mus = [
         mu

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from tempered_atlas.groups import lex_positive, loads_descriptor
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
+from conftest import replace
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -165,7 +165,7 @@ def test_one_parabolic_per_face_and_descriptor(sp4r):
     p = build_parabolic(sp4r, Weight((3, 1)))
     assert build_parabolic(sp4r, Weight((5, 2))) is p
     assert p.descriptor is sp4r
-    copy = dataclasses.replace(sp4r)
+    copy = replace(sp4r)
     q = build_parabolic(copy, Weight((5, 2)))
     assert q is not p
     assert q.descriptor is copy
@@ -175,7 +175,7 @@ def test_one_parabolic_per_face_and_descriptor(sp4r):
 def test_failing_face_fails_on_every_call(sl2r):
     # Noncompact weights +-2, +-4: lam = 0 puts the non-orthogonal pair
     # (2), (4) in the Levi.
-    d = dataclasses.replace(
+    d = replace(
         sl2r,
         noncompact_weights=(Weight((2,)), Weight((-2,)), Weight((4,)), Weight((-4,))),
     )
@@ -188,7 +188,7 @@ def test_failing_face_fails_on_every_call(sl2r):
 
 
 def test_gram_rescaled_descriptor_shares_no_face_table(su21):
-    scaled = dataclasses.replace(su21, form=su21.form.scaled(Fraction(2, 3)))
+    scaled = replace(su21, form=su21.form.scaled(Fraction(2, 3)))
     for lam in (Weight((1, 0)), Weight((3, 1))):
         p, q = build_parabolic(su21, lam), build_parabolic(scaled, lam)
         assert (p.u_compact, p.u_noncompact, p.l_pairs) == (
@@ -204,14 +204,14 @@ def test_partition_check_catches_compact_roots_outside_the_positive_system(sp4r)
     # +-(1,2) are listed as compact roots but neither is a positive compact
     # root, so the buckets of a face miss them.
     extra = (Weight((1, 2)), Weight((-1, -2)))
-    d = dataclasses.replace(sp4r, compact_roots=sp4r.compact_roots + extra)
+    d = replace(sp4r, compact_roots=sp4r.compact_roots + extra)
     for _ in range(2):
         with pytest.raises(StructuralInvariantError, match="partition"):
             build_parabolic(d, Weight((3, 1)))
 
 
 def test_matching_and_parabolic_share_one_face_table(sp4r):
-    d = dataclasses.replace(sp4r)
+    d = replace(sp4r)
     # (2,0) + 2 rho_K = (3,-1) and (5,-1) lie on one face with no zero sign.
     kappa = match_inverse(d, Weight((2, 0)))
     table = parabolic._face_table(d)
@@ -226,7 +226,7 @@ def test_matching_and_parabolic_share_one_face_table(sp4r):
 
 
 def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
-    d = dataclasses.replace(sp4r)
+    d = replace(sp4r)
     enumerate_ball(d, 1)  # builds the walk's own per-descriptor tables
     parabolic._face_table(d).clear()
     calls = []
@@ -253,11 +253,11 @@ def face_buckets(p):
 @pytest.mark.parametrize("name", ("sp4r", "su21", "su31"))
 def test_faces_do_not_depend_on_the_noncompact_list_order(name):
     # A fresh copy, so its face table holds only the faces met below.
-    d = dataclasses.replace(loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name))
+    d = replace(loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name))
     # The pairs in reverse order, each listed negative-first.
     listed = tuple(w for g in reversed(d.noncompact_positives()) for w in (-g, g))
     assert sorted(listed) == sorted(d.noncompact_weights) and listed != d.noncompact_weights
-    e = dataclasses.replace(d, noncompact_weights=listed)
+    e = replace(d, noncompact_weights=listed)
     radius_sq = 25 if name == "su31" else 100
     ours, theirs = enumerate_ball(d, radius_sq), enumerate_ball(e, radius_sq)
     assert list(map(summarize_datum, ours)) == list(map(summarize_datum, theirs))
