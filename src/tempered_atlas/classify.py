@@ -36,12 +36,13 @@ class EssentialVoganDatum(_Frozen):
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed, carried on as its numerators over D (``kappa_l_nums``, which
-    equality, hashing and repr do not read).
+    removed.  kappa and kappa_l are also carried on as their numerators
+    over D (``kappa_nums``, ``kappa_l_nums``, which equality, hashing and
+    repr do not read).
     """
 
     __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
-    __slots__ = (*__match_args__, "kappa_l_nums")
+    __slots__ = (*__match_args__, "kappa_nums", "kappa_l_nums")
 
     def __init__(self, parabolic: ThetaParabolic, kappa: Weight, mu: Weight, kappa_l: Weight):
         set_slot = object.__setattr__
@@ -49,6 +50,7 @@ class EssentialVoganDatum(_Frozen):
         set_slot(self, "kappa", kappa)
         set_slot(self, "mu", mu)
         set_slot(self, "kappa_l", kappa_l)
+        set_slot(self, "kappa_nums", parabolic.frame.over_den(kappa))
         set_slot(self, "kappa_l_nums", parabolic.frame.over_den(kappa_l))
 
     @property

@@ -11,9 +11,7 @@ the package version and exits 0.
 """
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 
@@ -120,11 +118,17 @@ def cmd_classify(args, out) -> int:
     radius = parse_rational(args.radius)
     run = enumerate_components(d, radius)
     records = [_record(summarize_datum(e)) for e in run.entries]
+    # csv and json are imported by the formats that write them, so that
+    # no other command pays for them at start-up.
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_SUMMARY_FIELDS)
         writer.writerows(_cells(r) for r in records)
     elif args.format == "json":
+        import json
+
         doc = {"group": run.group, "radius": str(run.radius), "components": records}
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
@@ -206,6 +210,8 @@ def cmd_figure(args, out) -> int:
     cells, legend = _figure_cells(d, m_range, n_range)
 
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["m", "n", "content"])
         for (m, n) in sorted(cells):

@@ -378,9 +378,11 @@ class IntegerFrame:
     and its one pairing table: ``rows`` holds the integer row
     (``BilinearForm.pairing_rows``) of each of the ``n_compact`` positive
     compact roots, then of each of ``noncompact_positives``: one per +-pair,
-    as a weight pairs with -g as minus with g.  ``pairings`` reads a weight
-    against every row.  Pairings over D add: kappa + rho_K's are kappa's
-    plus ``rho_pairings``."""
+    as a weight pairs with -g as minus with g.  Each row is built from its
+    root's numerators over D, so all share one scale: x over E dotted with
+    t's row is <x, t> E D times the form's denominator.  ``pairings`` reads
+    a weight against every row.  Pairings over D add: kappa + rho_K's are
+    kappa's plus ``rho_pairings``."""
 
     __slots__ = ("rank", "den", "n_compact", "rows", "pairings", "rho_pairings", "two_rho_pairings")
 
@@ -390,7 +392,8 @@ class IntegerFrame:
         self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
                        *(b.int_coords()[1] for b in d.integrality_basis))
         self.n_compact = len(d.positive_compact)
-        self.rows = d.form.pairing_rows((*d.positive_compact, *d.noncompact_positives()))
+        roots = (*d.positive_compact, *d.noncompact_positives())
+        self.rows = d.form.pairing_rows(map(self.over_den, roots))
         self.pairings = functools.partial(d.form.pairings, rows=self.rows)
         self.rho_pairings = self.pairings(self.over_den(d.rho_compact()))
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]

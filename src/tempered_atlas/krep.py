@@ -9,34 +9,65 @@ from one Brauer-Klimyk fold: each weight of the second factor (a weight of
 V, or of the spin module S) shifts hw + rho into the dominant chamber, and
 the parity of the walk is its sign.
 
+All three run on integers: a weight is its numerators over E = lcm(D, its
+denominator), and each positive compact root a its numerators and its row
+of the pairing table over D.  So x.row is E D <x, a> and y.G.y is E^2 |y|^2,
+each times the form's denominator, on one scale for every root.
+
 Weight multisets are plain dicts Weight -> positive integer.  A highest
 weight must be dominant and integral on each simple compact coroot.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .classify import is_genuine
-from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import RealFormDescriptor, is_integral, per_descriptor, simple_compact_roots
-from .weights import Weight, half_sum, reflect
-
-WeightMultiset = dict
+from .errors import DimensionMismatch, NotDominant, NotGenuine, StructuralInvariantError
+from .groups import RealFormDescriptor, integer_frame, is_integral, per_descriptor
+from .groups import simple_compact_roots
+from .weights import Weight, half_sum
 
 _MAX_CHAMBER_STEPS = 100_000
 
 
-def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
-    """(dominant image, reflection parity, hit a chamber wall)."""
-    simples = simple_compact_roots(d)
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+@per_descriptor
+def _roots(d: RealFormDescriptor):
+    """(simple, positive, rho_K, Gram rows) over D: each simple compact root
+    as (numerators, row, a.row), each positive one as (numerators, row)."""
+    frame, n = integer_frame(d), d.rank_tc
+    nums = map(frame.over_den, d.positive_compact)
+    positive = dict(zip(d.positive_compact, zip(nums, frame.rows)))
+    simple = tuple((a, row, _dot(a, row)) for a, row in map(positive.get, simple_compact_roots(d)))
+    gram = d.form.pairing_rows([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
+    return simple, tuple(positive.values()), frame.over_den(d.rho_compact()), gram
+
+
+def _walk(simple, w):
+    """(dominant image, reflection parity, hit a chamber wall) of w's
+    numerators over some E.  Each step reflects in the first simple root a
+    with p = 2 w.row < 0: s_a(w) is w less p / q times a's numerators over
+    D, q = a.row; p / q, the coroot pairing times E / D, must be an integer."""
     sign = 1
     for _ in range(_MAX_CHAMBER_STEPS):
-        neg = next((s for s in simples if d.form.sign(w, s) < 0), None)
-        if neg is None:
-            singular = any(d.form.sign(w, s) == 0 for s in simples)
+        singular = False
+        for a, row, q in simple:
+            p = 2 * _dot(w, row)
+            if p < 0:
+                break
+            singular = singular or p == 0
+        else:
             return w, sign, singular
-        w = reflect(w, neg, d.form)
+        if p % q:
+            raise StructuralInvariantError(
+                f"reflection coefficient {p}/{q}: the compact roots are not crystallographic"
+            )
+        w = tuple(map(sub, w, map((p // q).__mul__, a)))
         sign = -sign
     raise StructuralInvariantError(
         "dominant chamber walk did not terminate; compact root data is "
@@ -44,18 +75,38 @@ def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
     )
 
 
-def _check_highest_weight(d: RealFormDescriptor, hw: Weight) -> None:
-    """Dominant and integral on each simple compact coroot, or NotDominant."""
+def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
+    """(dominant image, reflection parity, hit a chamber wall).  The walk
+    runs on w's numerators times the least f that makes each p / q an
+    integer; then so is every one along it."""
+    nums, den = w.int_coords()
+    if len(nums) != d.rank_tc:
+        raise DimensionMismatch(f"weight rank {len(nums)} vs descriptor rank {d.rank_tc}")
+    simple = _roots(d)[0]
+    f = lcm(*(q // gcd(2 * _dot(nums, row), q) for _, row, q in simple))
+    image, sign, singular = _walk(simple, tuple(map(f.__mul__, nums)))
+    return Weight.from_ints(image, den * f), sign, singular
+
+
+def _highest_weight(d: RealFormDescriptor, hw: Weight):
+    """(hw's numerators over E = lcm(D, its denominator), E), or NotDominant
+    unless hw is dominant and integral on each simple compact coroot."""
     if not d.is_dominant_weight(hw):
         raise NotDominant(f"{hw} is not dominant")
-    for a in simple_compact_roots(d):
-        if (c := d.form.coroot_pairing(hw, a)).denominator != 1:
+    nums, den = hw.int_coords()
+    e = lcm(D := integer_frame(d).den, den)
+    top = tuple(map((e // den).__mul__, nums))
+    for a, row, q in _roots(d)[0]:
+        # The coroot pairing is p / (q E / D).
+        if (p := 2 * _dot(top, row)) % (e // D * q):
+            c, a = Fraction(p, e // D * q), Weight.from_ints(a, D)
             raise NotDominant(f"{hw} is not a highest weight: <{hw}, {a}^vee> = {c}")
+    return top, e
 
 
 def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
     """Product over positive compact roots of <hw + rho, a> / <rho, a>."""
-    _check_highest_weight(d, hw)
+    _highest_weight(d, hw)
     rho = d.rho_compact()
     value = Fraction(1)
     for a in d.positive_compact:
@@ -70,23 +121,24 @@ def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
 # Bounded so that a long-lived process does not grow without limit; a run
 # of single queries typically meets a few dozen highest weights.
 @lru_cache(maxsize=256)
-def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
-    _check_highest_weight(d, hw)  # once per cached hw; a refusal is never cached
-    form = d.form
-    simples = simple_compact_roots(d)
-    mult = {hw: 1}
-    rho = d.rho_compact()
-    top = form.norm_sq(hw + rho)
-
+def _weight_table(d: RealFormDescriptor, hw: Weight):
+    """(E, sorted (numerators over E, multiplicity) pairs) of V(hw)."""
+    top, den = _highest_weight(d, hw)  # once per cached hw; a refusal is never cached
+    simple, positive, rho, gram = _roots(d)
+    k = den // integer_frame(d).den
+    rho, steps = tuple(map(k.__mul__, rho)), [tuple(map(k.__mul__, a)) for a, _, _ in simple]
+    positive = [(tuple(map(k.__mul__, a)), row) for a, row in positive]
+    pairings, y = d.form.pairings, tuple(map(add, top, rho))
+    mult, top_norm = {top: 1}, _dot(y, pairings(y, gram))
     # Walk hw - (nonnegative combinations of simple roots) level by level.
     # Every true weight below hw has a true-weight parent one simple root
     # up, so expanding only positive-multiplicity frontiers loses nothing.
-    frontier = [hw]
+    frontier = [top]
     while frontier:
-        candidates = {w - s for w in frontier for s in simples}
+        candidates = {tuple(map(sub, w, s)) for w in frontier for s in steps}
         frontier = []
-        for w in sorted(candidates):
-            wd = to_dominant_chamber(d, w)[0]
+        for w in candidates:
+            wd = _walk(simple, w)[0]
             if wd != w:
                 # Multiplicities are reflection invariant; the dominant
                 # image sits at a strictly earlier level, already decided.
@@ -94,99 +146,103 @@ def _freudenthal_items(d: RealFormDescriptor, hw: Weight):
             else:
                 # A dominant w below hw is a weight (Humphreys 21.3), and
                 # the a-string through a weight is unbroken, so the sum
-                # over w + k a, k >= 1, ends at the first k off the string.
+                # over w + j a, j >= 1, ends at the first j off the string.
                 acc = 0
-                for a in d.positive_compact:
-                    x = w + a
-                    while mk := mult.get(x):
-                        acc += mk * form.inner(x, a)
-                        x = x + a
-                denom = top - form.norm_sq(w + rho)
-                if denom <= 0 or (m := 2 * acc / denom).denominator != 1 or m < 0:
+                for a, row in positive:
+                    x = tuple(map(add, w, a))
+                    while mx := mult.get(x):
+                        acc += mx * _dot(x, row)
+                        x = tuple(map(add, x, a))
+                # m = 2 acc / (|hw + rho|^2 - |w + rho|^2), times E / D for
+                # the scales of acc and the norms.
+                y = tuple(map(add, w, rho))
+                acc, denom = 2 * k * acc, top_norm - _dot(y, pairings(y, gram))
+                if denom <= 0 or acc % denom or acc < 0:
                     raise StructuralInvariantError(
-                        f"multiplicity recursion gave 2 * {acc} / {denom} at {w}"
+                        f"multiplicity recursion gave {acc} / {denom} at {Weight.from_ints(w, den)}"
                     )
-                m = int(m)
+                m = acc // denom
             if m > 0:
                 mult[w] = m
                 frontier.append(w)
-    return tuple(sorted(mult.items()))
+    return den, tuple(sorted(mult.items()))
 
 
-def freudenthal(d: RealFormDescriptor, hw: Weight) -> WeightMultiset:
+def freudenthal(d: RealFormDescriptor, hw: Weight) -> dict:
     """Full weight multiset of the irreducible with highest weight hw."""
-    return dict(_freudenthal_items(d, hw))
+    den, items = _weight_table(d, hw)
+    return {Weight.from_ints(w, den): m for w, m in items}
 
 
-def _klimyk_fold(d: RealFormDescriptor, hw: Weight, items) -> dict[Weight, int]:
-    """Coefficients of the irreducibles in V(hw) (x) M, keyed by highest
-    weight, for the (weight, multiplicity) items of M; zeros may remain.
+def _klimyk_fold(d: RealFormDescriptor, top, den: int, items) -> dict:
+    """Coefficients of the irreducibles in V(top) (x) M, keyed by highest
+    weight, for the (weight, multiplicity) items of M, every weight its
+    numerators over den; zeros may remain.
 
     Each weight nu of M moves hw + rho into some chamber; wall hits cancel,
     interior points contribute the parity of the walk.
     """
-    rho = d.rho_compact()
-    acc: dict[Weight, int] = {}
+    simple, _, rho, _ = _roots(d)
+    rho = tuple(map((den // integer_frame(d).den).__mul__, rho))
+    start, acc = tuple(map(add, top, rho)), {}
     for nu, m in items:
-        moved, sign, singular = to_dominant_chamber(d, hw + rho + nu)
-        if singular:
-            continue
-        target = moved - rho
-        acc[target] = acc.get(target, 0) + sign * m
+        moved, sign, singular = _walk(simple, tuple(map(add, start, nu)))
+        if not singular:
+            target = tuple(map(sub, moved, rho))
+            acc[target] = acc.get(target, 0) + sign * m
     return acc
 
 
 def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
     """Irreducible decomposition of the tensor product, as a sorted tuple
     of (dominant highest weight, multiplicity)."""
-    _check_highest_weight(d, hw1)  # freudenthal checks hw2
-    acc = _klimyk_fold(d, hw1, freudenthal(d, hw2).items())
-    out = tuple(sorted((w, c) for w, c in acc.items() if c != 0))
+    top, den1 = _highest_weight(d, hw1)  # _weight_table checks hw2
+    den2, items = _weight_table(d, hw2)
+    if (den := lcm(den1, den2)) != den2:
+        items = [(tuple(map((den // den2).__mul__, nu)), m) for nu, m in items]
+    acc = _klimyk_fold(d, tuple(map((den // den1).__mul__, top)), den, items)
+    # Over one positive den, numerator order is weight order.
+    out = tuple((Weight.from_ints(w, den), c) for w, c in sorted(acc.items()) if c)
     for w, c in out:
         if c < 0 or not d.is_dominant_weight(w):
-            raise StructuralInvariantError(
-                f"tensor decomposition produced invalid term ({w}, {c})"
-            )
+            raise StructuralInvariantError(f"tensor decomposition produced invalid term ({w}, {c})")
     return out
 
 
-def spin_weights(d: RealFormDescriptor) -> WeightMultiset:
+def spin_weights(d: RealFormDescriptor) -> dict:
     """Weight multiset of the spin module of the noncompact part.
 
     Subset sums of one noncompact positive system around its half-sum; a
     zero-weight part of dimension m0 contributes a uniform factor
     2**(m0 // 2), so the total mass is 2**(dim(s) // 2).
     """
-    return dict(_spin_items(d))
+    return {integer_frame(d).weight(w): m for w, m in _spin_items(d)}
 
 
 @per_descriptor
-def _spin_items(d: RealFormDescriptor) -> tuple[tuple[Weight, int], ...]:
-    """spin_weights(d) as sorted (weight, multiplicity) pairs, built once
-    per descriptor and never handed out mutable."""
-    pairs = d.noncompact_positives()
-    base = half_sum(pairs, rank=d.rank_tc)
-    factor = 2 ** (d.zero_weight_s_dim // 2)
-    out: WeightMultiset = {}
-    for picks in itertools.product((0, 1), repeat=len(pairs)):
-        w = base
-        for take, gamma in zip(picks, pairs):
-            if take:
-                w = w - gamma
-        out[w] = out.get(w, 0) + factor
+def _spin_items(d: RealFormDescriptor) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """spin_weights(d) as sorted (numerators over D, multiplicity) pairs,
+    built once per descriptor and never handed out mutable: each noncompact
+    positive in turn adds to every weight so far its shift by minus it."""
+    frame, pairs = integer_frame(d), d.noncompact_positives()
+    out = {frame.over_den(half_sum(pairs, rank=d.rank_tc)): 2 ** (d.zero_weight_s_dim // 2)}
+    for gamma in map(frame.over_den, pairs):
+        for w, m in list(out.items()):
+            w = tuple(map(sub, w, gamma))
+            out[w] = out.get(w, 0) + m
     return tuple(sorted(out.items()))
 
 
 def dirac_multiplicity(d: RealFormDescriptor, tau_hw: Weight, v_hw: Weight) -> int:
     """Multiplicity of the genuine type with highest weight tau_hw inside
-    V(v_hw) (x) S, by the Klimyk fold of v_hw over the spin weights."""
+    V(v_hw) (x) S, by the Klimyk fold of v_hw over the spin weights, all
+    over D: the one is genuine, the other integral."""
     if not d.is_dominant_weight(tau_hw) or not is_genuine(d, tau_hw):
         raise NotGenuine(f"{tau_hw} is not a genuine dominant highest weight")
     if not d.is_dominant_weight(v_hw) or not is_integral(d, v_hw):
         raise NotDominant(f"{v_hw} is not a dominant integral highest weight")
-    total = _klimyk_fold(d, v_hw, _spin_items(d)).get(tau_hw, 0)
-    if total < 0:
-        raise StructuralInvariantError(
-            f"Klimyk fold gave the negative multiplicity {total}"
-        )
+    frame = integer_frame(d)
+    acc = _klimyk_fold(d, frame.over_den(v_hw), frame.den, _spin_items(d))
+    if (total := acc.get(frame.over_den(tau_hw), 0)) < 0:
+        raise StructuralInvariantError(f"Klimyk fold gave the negative multiplicity {total}")
     return total

@@ -77,9 +77,8 @@ def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
 
 def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
     """kappa_l + rho(s cap u); algebraically equal to kappa, and checked."""
-    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
-    hw = tuple(map(add, kappa_l, datum.parabolic.rho_s_cap_u_nums))
-    if hw != frame.over_den(datum.kappa):
+    hw = tuple(map(add, datum.kappa_l_nums, datum.parabolic.rho_s_cap_u_nums))
+    if hw != datum.kappa_nums:
         raise StructuralInvariantError(f"Dirac weight kappa_l + rho(s cap u) is not {datum.kappa}")
     return datum.kappa
 
@@ -129,8 +128,7 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
     match_inverse as its numerators over D, kappa_l's plus the face's
     offset, and comes back as numerators compared with kappa's."""
     d = datum.descriptor
-    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
-    kappa = frame.over_den(datum.kappa)
+    frame, kappa_l, kappa = datum.parabolic.frame, datum.kappa_l_nums, datum.kappa_nums
     k_types = minimal_k_types(datum)
     for w, shift in zip(k_types, datum.parabolic.k_type_shift_nums):
         back = match_inverse(d, tuple(map(add, kappa_l, shift)))

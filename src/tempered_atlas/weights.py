@@ -30,7 +30,9 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    # The pattern has validated both parts; Fraction(text) would match again.
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def _coerce(value) -> Fraction:
@@ -229,9 +231,9 @@ class BilinearForm:
         if len(w._nums) != len(self._int_gram):
             raise DimensionMismatch(f"weight rank {len(w)} vs form rank {self.rank}")
 
-    def _int_row(self, t: Weight) -> tuple[int, ...]:
-        """G t over the integer Gram matrix, t's numerators unscaled."""
-        return tuple(sum(g * y for g, y in zip(r, t._nums)) for r in self._int_gram)
+    def _int_row(self, nums: tuple[int, ...]) -> tuple[int, ...]:
+        """G t over the integer Gram matrix, for t's numerators nums."""
+        return tuple(sum(g * y for g, y in zip(r, nums)) for r in self._int_gram)
 
     def _numerator(self, a: Weight, b: Weight) -> int:
         """<a, b> times the positive a._den * b._den * self._den."""
@@ -244,18 +246,20 @@ class BilinearForm:
         except AttributeError:
             form = None
         if form is not self:
-            row = self._int_row(b)
+            row = self._int_row(b._nums)
             b._row = (self, row)
         return sum(map(mul, a._nums, row))
 
     def pairing_rows(self, weights) -> tuple[tuple[int, ...], ...]:
         """The integer row G t of each weight t, G the Gram matrix scaled to
         integers: <w, t> is w's numerators dotted with t's row, over
-        positive denominators, so the dot product has the pairing's sign."""
-        weights = tuple(weights)
-        for t in weights:
-            self._check(t)
-        return tuple(map(self._int_row, weights))
+        positive denominators, so the dot product has the pairing's sign.
+        A t may also be integer numerators, so that rows share one scale."""
+        nums = [t if type(t) is tuple else t._nums for t in weights]
+        for t in nums:
+            if len(t) != len(self._int_gram):
+                raise DimensionMismatch(f"weight rank {len(t)} vs form rank {self.rank}")
+        return tuple(map(self._int_row, nums))
 
     def pairings(self, w, rows) -> list[int]:
         """One integer per row of ``pairing_rows``, of the sign of <w, t>

@@ -249,6 +249,21 @@ def test_krep_subcommands(capsys):
     assert (code, out) == (0, "1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    (
+        (("dim", "1/3,1/3"), "1\n"),
+        (("weights", "1/3,1/3"), "(1/3,1/3) 1\n"),
+        (("tensor", "1/3,1/3", "1,0"), "(4/3,1/3) 1\n"),
+    ),
+)
+def test_krep_takes_central_weights_off_the_descriptor_denominator(capsys, argv, expected):
+    # (1/3,1/3) is a highest weight of sp4r's K = U(2) whose denominator 3
+    # does not divide sp4r's D = 2, so krep works over lcm(D, 3).
+    code, out, _ = run_cli(capsys, "krep", "sp4r", *argv)
+    assert (code, out) == (0, expected)
+
+
 def test_krep_rejects_bad_weight(capsys):
     code, _, err = run_cli(capsys, "krep", "sp4r", "dim", "0.5,1")
     assert code == 2
@@ -450,11 +465,13 @@ def cold_run(*argv):
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
-    # A fresh interpreter, so that only the CLI's own imports are loaded.
+    # A fresh interpreter, so that only the CLI's own imports are loaded;
+    # the snapshot is taken before the script imports json itself.
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "import tempered_atlas.cli\n"
         "loaded = sorted(sys.modules)\n"
+        "import json\n"
         "from tempered_atlas.groups import loads_descriptor, validate\n"
         "d = loads_descriptor(sys.stdin.read())\n"
         "print(json.dumps([loaded, d.name, validate(d).ok]))\n"
@@ -471,6 +488,8 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     )
     loaded, name, ok = json.loads(proc.stdout)
     assert not {"dataclasses", "inspect", "configparser"} & set(loaded)
+    # Only classify and figure write CSV or JSON, and import them there.
+    assert not {"json", "csv"} & set(loaded)
     # bench/tracer.py's install() wraps krep's functions by looking the
     # module up in sys.modules after this import, so krep stays eager.
     assert "tempered_atlas.krep" in loaded

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine
-from tempered_atlas.groups import is_integral, loads_descriptor
+from tempered_atlas.groups import catalog, is_integral, loads_descriptor
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
@@ -256,6 +258,42 @@ def test_weyl_group_orders(sp4r, sl2r, su21):
         orbit = weyl_orbit(d, d.rho_compact())
         assert len(orbit) == order
         assert sum(orbit.values()) == (1 if order == 1 else 0)
+
+
+def reference_walk(d, w):
+    """Oracle: the walk on Fractions, reflecting in the first simple compact
+    root that w pairs negatively with; (image, parity, on a wall)."""
+    simples = simple_compact_roots(d)
+    sign = 1
+    while True:
+        neg = next((a for a in simples if d.form.inner(w, a) < 0), None)
+        if neg is None:
+            return w, sign, any(d.form.inner(w, a) == 0 for a in simples)
+        w = reflect(w, neg, d.form)
+        sign = -sign
+
+
+_WALK_GROUPS = {
+    "sp4r": catalog("sp4r"),
+    "su21": catalog("su21"),
+    "su31": loads_descriptor(SU31_TEXT),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_WALK_GROUPS)),
+    st.sampled_from((1, 2, 3, 4, 5, 6, 12)),
+    st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+)
+@example("sp4r", 3, [1, 1, 0])
+@example("su31", 7, [-3, 5, 1])
+def test_to_dominant_chamber_matches_a_reference_walk(name, den, nums):
+    # Denominators 1 and 2 keep w over each group's D; the rest leave it,
+    # with coroot pairings that are no integers.
+    d = _WALK_GROUPS[name]
+    w = Weight(Fraction(n, den) for n in nums[: d.rank_tc])
+    assert to_dominant_chamber(d, w) == reference_walk(d, w)
 
 
 def test_dominant_representative(sp4r):

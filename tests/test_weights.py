@@ -109,6 +109,20 @@ def test_parse_rational_rejects_floats():
             parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    (
+        ("+3", Fraction(3)),
+        ("-0/5", Fraction(0)),
+        ("007/3", Fraction(7, 3)),
+        (" -6/4 ", Fraction(-3, 2)),
+    ),
+)
+def test_parse_rational_builds_the_value_from_its_two_parts(text, value):
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == value
+
+
 def test_parse_weight():
     assert parse_weight("1/2,-1/2") == Weight((Fraction(1, 2), Fraction(-1, 2)))
     assert parse_weight("(2,0)") == Weight((2, 0))
