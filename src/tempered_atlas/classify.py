@@ -27,7 +27,7 @@ from .groups import (
     per_descriptor, simple_compact_roots,
 )
 from .parabolic import ThetaParabolic, build_parabolic
-from .ratlin import ellipsoid_integer_points, mat_mul, transpose
+from .ratlin import ellipsoid_integer_points
 from .weights import Weight, half_sum, project_away
 
 
@@ -112,8 +112,9 @@ def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
 
 @per_descriptor
 def _chamber_walk(d: RealFormDescriptor):
-    """(center, quad, lower, shift_nums, basis_nums): the walk over the
-    dominant genuine weights kappa = (shift_nums + m basis_nums) / D.
+    """(center, quad, scale, lower, shift_nums, basis_nums): the walk over
+    the dominant genuine weights kappa = (shift_nums + m basis_nums) / D,
+    whose squared norm is m quad m^T / scale for the integer quad.
 
     Built once per descriptor.  The integrality basis is changed by a
     unimodular integer transform that brings the pairing matrix
@@ -173,10 +174,11 @@ def _chamber_walk(d: RealFormDescriptor):
 
     s = len(simples)
     basis_nums = tuple(tuple(row[s:]) for row in rows)
-    basis = tuple(tuple(Fraction(x, frame.den) for x in row) for row in basis_nums)
-    quad = mat_mul(mat_mul(basis, d.form.gram), transpose(basis))
+    # Numerators over D pair to <x, y> times D^2 and the form's denominator.
+    gram_rows = d.form.pairing_rows(basis_nums)
+    quad = tuple(tuple(sum(map(mul, x, row)) for row in gram_rows) for x in basis_nums)
     center = tuple(Fraction(c, center_den) for c in center)
-    return center, quad, tuple(lower), frame.over_den(shift), basis_nums
+    return center, quad, frame.den**2 * d.form._den, tuple(lower), frame.over_den(shift), basis_nums
 
 
 def enumerate_ball(
@@ -193,10 +195,10 @@ def enumerate_ball(
     that construct_from_kappa refuses is a hard correctness failure, not a
     skip.
     """
-    center, quad, lower, shift_nums, basis_nums = _chamber_walk(d)
+    center, quad, scale, lower, shift_nums, basis_nums = _chamber_walk(d)
     columns = tuple(zip(*basis_nums))
     found = []
-    for n in ellipsoid_integer_points(center, quad, radius_sq, lower):
+    for n in ellipsoid_integer_points(center, quad, radius_sq * scale, lower):
         k = tuple([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
         try:
             found.append((k, construct_from_kappa(d, k)))

@@ -47,7 +47,7 @@ from .errors import (
     DimensionMismatch,
     UnknownGroup,
 )
-from .ratlin import det, gauss_solve, transpose
+from .ratlin import eliminate
 from .weights import BilinearForm, Weight, half_sum, parse_rational, reflection_escape
 
 
@@ -250,17 +250,24 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
         n = next(x for x in nums if x)
         return Weight.from_ints(tuple(x if n > 0 else -x for x in nums), abs(n))
 
-    compact_lines = {line(a) for a in d.compact_roots if not a.is_zero}
-    reps_by_line: dict[Weight, set[Weight]] = {}
-    for g in d.noncompact_weights:
-        if not g.is_zero and line(g) not in compact_lines:
-            reps_by_line.setdefault(line(g), set()).add(g if lex_positive(g) else -g)
-    for _, reps in sorted(reps_by_line.items()):
-        if len(reps) > 1:
-            names = " and ".join(str(g) for g in sorted(reps))
-            v.append(
-                ("noncompact_collinear", f"{names} lie on one line through 0 with no compact root")
-            )
+    def by_line(weights, skip=()) -> dict[Weight, set[Weight]]:
+        reps: dict[Weight, set[Weight]] = {}
+        for w in weights:
+            if not w.is_zero and line(w) not in skip:
+                reps.setdefault(line(w), set()).add(w if lex_positive(w) else -w)
+        return reps
+
+    # A compact group's root system is reduced: a and 2a are never both roots.
+    compact_lines = by_line(d.compact_roots)
+    noncompact_lines = by_line(d.noncompact_weights, skip=compact_lines)
+    for rule, reps_by_line, why in (
+        ("compact_reduced", compact_lines, ", but a compact root system is reduced"),
+        ("noncompact_collinear", noncompact_lines, " with no compact root"),
+    ):
+        for _, reps in sorted(reps_by_line.items()):
+            if len(reps) > 1:
+                names = " and ".join(str(g) for g in sorted(reps))
+                v.append((rule, f"{names} lie on one line through 0{why}"))
 
     # Likewise in a plane: a strictly dominant weight orthogonal to two
     # noncompact weights that are not orthogonal is orthogonal to their span,
@@ -268,7 +275,7 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     # the Gram determinant of the coordinate vectors a, b, c is 0.
     def gram_det(*ws: Weight):
         vs = [w.int_coords()[0] for w in ws]
-        return det(tuple(tuple(sum(map(mul, x, y)) for y in vs) for x in vs))
+        return eliminate([[sum(map(mul, x, y)) for y in vs] for x in vs])[0]
 
     pairs = sorted({g if lex_positive(g) else -g for g in d.noncompact_weights if not g.is_zero})
     planes = [
@@ -317,24 +324,22 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
 
     if len(d.integrality_basis) != d.rank_tc or not d.integrality_basis:
         v.append(("lattice_basis_shape", "basis must have rank_tc rows"))
-    elif all(len(w) == d.rank_tc for w in d.integrality_basis):
-        basis = tuple(tuple(w.coords) for w in d.integrality_basis)
-        if det(basis) == 0:
-            v.append(("lattice_basis_invertible", "basis matrix is singular"))
-        else:
-            outside = [
-                w
-                for w in sorted(set(d.compact_roots) | set(d.noncompact_weights))
-                if not is_integral(d, w)
-            ]
-            if outside:
-                v.append(
-                    (
-                        "root_lattice_membership",
-                        "weights outside the integral lattice: "
-                        + " ".join(str(w) for w in outside),
-                    )
+    elif _inverse_basis(d) is None:
+        v.append(("lattice_basis_invertible", "basis matrix is singular"))
+    else:
+        outside = [
+            w
+            for w in sorted(set(d.compact_roots) | set(d.noncompact_weights))
+            if not is_integral(d, w)
+        ]
+        if outside:
+            v.append(
+                (
+                    "root_lattice_membership",
+                    "weights outside the integral lattice: "
+                    + " ".join(str(w) for w in outside),
                 )
+            )
 
     # Reflections in the listed weights must permute them: a weight set that
     # is not a root system can pass every rule above and still give a
@@ -358,18 +363,23 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
 @per_descriptor
 def _inverse_basis(d: RealFormDescriptor):
     """(rows, den): the inverse of the transposed basis matrix as integer
-    rows over one denominator, so lattice coordinates are one mat-vec.  None
-    when the basis is not a nonsingular square matrix."""
-    n = d.rank_tc
-    basis = tuple(tuple(b.coords) for b in d.integrality_basis)
-    if len(basis) != n or any(len(b) != n for b in basis) or det(basis) == 0:
+    rows over one denominator den > 0, so lattice coordinates are one
+    mat-vec.  None when the basis is not a nonsingular square matrix.
+
+    With the basis over one denominator c, N = c B, the inverse is
+    c adj(N^T) / delta for delta = det(N^T), from one elimination of
+    [N^T | I]; den is |delta|, the sign moved onto the rows."""
+    n, basis = d.rank_tc, d.integrality_basis
+    if len(basis) != n or any(len(b) != n for b in basis):
         return None
-    columns = tuple(
-        gauss_solve(transpose(basis), tuple(int(i == j) for i in range(n))) for j in range(n)
-    )
-    rows = transpose(columns)
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+    c = lcm(*(b.int_coords()[1] for b in basis))
+    scaled = [tuple(x * (c // den) for x in nums) for nums, den in map(Weight.int_coords, basis)]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    delta, rows, _ = eliminate([[*col, *e] for col, e in zip(zip(*scaled), identity)])
+    if delta == 0:
+        return None
+    c = c if delta > 0 else -c
+    return tuple(tuple(c * x for x in row[n:]) for row in rows), abs(delta)
 
 
 class IntegerFrame:

@@ -106,16 +106,15 @@ def _highest_weight(d: RealFormDescriptor, hw: Weight):
 
 def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
     """Product over positive compact roots of <hw + rho, a> / <rho, a>."""
-    _highest_weight(d, hw)
-    rho = d.rho_compact()
-    value = Fraction(1)
-    for a in d.positive_compact:
-        value *= d.form.inner(hw + rho, a) / d.form.inner(rho, a)
-    if value.denominator != 1 or value <= 0:
-        raise StructuralInvariantError(
-            f"dimension formula gave the non-integer {value}"
-        )
-    return int(value)
+    top, e = _highest_weight(d, hw)
+    rho = tuple(map((e // integer_frame(d).den).__mul__, _roots(d)[2]))
+    num = den = 1
+    for _, row in _roots(d)[1]:  # both pairings over E, on one scale
+        num, den = num * _dot(map(add, top, rho), row), den * _dot(rho, row)
+    if num % den or num // den <= 0:
+        value = Fraction(num, den)
+        raise StructuralInvariantError(f"dimension formula gave the non-integer {value}")
+    return num // den
 
 
 # Bounded so that a long-lived process does not grow without limit; a run

@@ -1,105 +1,48 @@
-"""Exact linear algebra over Fraction: solve, determinants, LDL,
-and integer-point enumeration inside rational ellipsoids.
+"""Exact linear algebra on integers: one fraction-free elimination, and
+integer-point enumeration inside rational ellipsoids.
 
-Matrices are tuples of tuples of Fractions; everything here is pure and
-float-free.  The ellipsoid walk factors its form once in Fractions and then
-runs on integer budgets only, with optional integer lower bounds that cut
-each coordinate's window.
+Every matrix the package eliminates is an integer matrix up to one scale,
+so ``eliminate`` runs Bareiss's fraction-free Gauss-Jordan elimination
+(E. H. Bareiss, Math. Comp. 22, 1968): each division in it is exact, and
+one pass gives the determinant, the adjugate and the leading principal
+minors.  The ellipsoid walk factors its form with it once and then runs on
+integer budgets only, with optional integer lower bounds that cut each
+coordinate's window.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 
+def eliminate(rows):
+    """(det, rows, pivot_rows) for n integer rows [A | B] of length n + k.
 
-def to_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def det(m: Matrix) -> Fraction:
-    # Exact Gaussian elimination on int or Fraction entries; row swaps flip the sign.
-    n = len(m)
-    rows = [list(r) for r in m]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = Fraction(rows[col][col])
-        d *= p
-        for r in range(col + 1, n):
-            factor = rows[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * d
-
-
-def gauss_solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
-    """One exact solution of a x = b, or None when the system is
-    inconsistent.  Free variables (if any) are set to zero."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        p = rows[row][col]
-        rows[row] = [x / p for x in rows[row]]
-        for r in range(m):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if rows[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n]
-    return tuple(x)
-
-
-def ldl(m: Matrix):
-    """LDL^T factorization of a symmetric positive definite matrix.
-
-    Returns (L, D) with L unit lower triangular and D the diagonal, both
-    exact; returns None when a pivot fails to be positive.
+    det is det A.  When it is nonzero the rows end as [det I | adj(A) B],
+    so A^-1 B is the right block over det; when it is 0 the elimination
+    stops at the first column with no pivot.  pivot_rows[i] is row i as
+    column i is reached, before any swap: while no earlier swap was needed,
+    its entry i is the leading principal minor m_i of order i + 1 and its
+    entries j > i are those of m_(i-1) times the i-th row of Gaussian
+    elimination.  A swap negates the row it moves, so det needs no sign.
     """
-    n = len(m)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        D[j] = m[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if D[j] <= 0:
-            return None
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            L[i][j] = (m[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    return tuple(tuple(r) for r in L), tuple(D)
+    rows = [list(row) for row in rows]
+    pivot_rows, prev = [], 1
+    for i in range(len(rows)):
+        pivot_rows.append(rows[i])
+        p = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if p is None:
+            return 0, rows, pivot_rows
+        if p != i:
+            rows[i], rows[p] = rows[p], [-x for x in rows[i]]
+        pivot, q = rows[i], rows[i][i]
+        for r, row in enumerate(rows):
+            # Every entry is a minor of [A | B] at every step (Sylvester's
+            # identity), so the division by the last pivot is exact.
+            if r != i:
+                c = row[i]
+                rows[r] = [(q * x - c * y) // prev for x, y in zip(row, pivot)]
+        prev = q
+    return prev, rows, pivot_rows
 
 
 def sqrt_upper(q: Fraction) -> Fraction:
@@ -114,17 +57,19 @@ def sqrt_upper(q: Fraction) -> Fraction:
     return Fraction(r + 1, den)
 
 
-def ellipsoid_integer_points(center, quad: Matrix, bound, lower=None):
+def ellipsoid_integer_points(center, quad, bound, lower=None):
     """Yield every integer vector n with (n - center) Q (n - center)^T <= bound
     that meets the caller's lower bounds.
 
-    Q must be symmetric positive definite.  With Q = L D L^T the quadric
-    splits as sum_i d_i y_i^2, y_i = x_i + sum_{j>i} x_j L[j][i], so
-    coordinates are fixed from the last to the first.  L, D, the centre
-    and the bound are scaled once to integers, after which every budget
-    and window is integer arithmetic: the window of n_i is exact, from one
-    ``isqrt`` of the remaining integer budget, and no point outside the
-    ellipsoid is visited.
+    Q must be symmetric positive definite, with rational entries.  Scaled
+    to integers, its leading principal minors m_i (m_-1 = 1) and the
+    pivot rows P of ``eliminate`` split the quadric as
+    sum_i z_i^2 / (m_(i-1) m_i), z_i = sum_{j>=i} P[i][j] x_j with
+    P[i][i] = m_i, so coordinates are fixed from the last to the first.
+    The centre and the bound are scaled once to integers, after which every
+    budget and window is integer arithmetic: the window of n_i is exact,
+    from one ``isqrt`` of the remaining integer budget, and no point outside
+    the ellipsoid is visited.
 
     ``lower``, when given, holds per coordinate None or a pair (c, row) of
     integers with row[i] > 0 and row[j] == 0 for j < i.  It asks for
@@ -143,40 +88,40 @@ def ellipsoid_integer_points(center, quad: Matrix, bound, lower=None):
     if r == 0:
         yield ()
         return
-    fact = ldl(quad)
-    if fact is None:
+    qd = lcm(*(Fraction(x).denominator for row in quad for x in row))
+    _, _, pivot_rows = eliminate([[int(x * qd) for x in row] for row in quad])
+    m = [row[i] for i, row in enumerate(pivot_rows)]
+    if min(m) <= 0:
         raise ValueError("quadratic form is not positive definite")
-    L, D = fact
     center = tuple(Fraction(c) for c in center)
 
-    # With lz = a L and cz = b center integral and t = a b, the window
-    # centre of n_i is mid / t for the integer
-    # mid = a cz_i - sum_{j>i} (b n_j - cz_j) lz[j][i], and the budget
-    # test d_i (n_i - mid / t)^2 <= budget becomes w_i (t n_i - mid)^2 <=
-    # beta, the whole quadric scaled by t^2 and the denominators of D and
-    # the bound.
-    a = lcm(*(L[j][i].denominator for j in range(r) for i in range(j)))
+    # With cz = b center integral, b z_i = t_i n_i - mid for t_i = b m_i and
+    # the integer mid = m_i cz_i - sum_{j>i} P[i][j] (b n_j - cz_j), and the
+    # budget test becomes w_i (t_i n_i - mid)^2 <= beta, the whole quadric
+    # scaled by b^2, by the lcm of the m_(i-1) m_i and by the denominators
+    # of Q and the bound.
     b = lcm(*(c.denominator for c in center))
-    t = a * b
-    lz = tuple(tuple(int(x * a) for x in row) for row in L)
     cz = tuple(int(c * b) for c in center)
-    dd = lcm(*(x.denominator for x in D))
-    w = tuple(int(x * dd) * bound.denominator for x in D)
+    t = tuple(b * x for x in m)
+    denoms = [a * x for a, x in zip((1, *m), m)]  # m_(i-1) m_i
+    common = lcm(*denoms)
+    w = tuple(common // x * bound.denominator for x in denoms)
     point = [0] * r
 
     def rec(i: int, beta: int):
         if i < 0:
             yield tuple(point)
             return
-        mid = a * cz[i] - sum((b * point[j] - cz[j]) * lz[j][i] for j in range(i + 1, r))
+        row = pivot_rows[i]
+        mid = m[i] * cz[i] - sum((b * point[j] - cz[j]) * row[j] for j in range(i + 1, r))
         s = isqrt(beta // w[i])
-        lo = -((s - mid) // t)
+        lo = -((s - mid) // t[i])
         if lower[i] is not None:
-            c, row = lower[i]
-            lo = max(lo, -((c + sum(row[j] * point[j] for j in range(i + 1, r))) // row[i]))
-        for n in range(lo, (mid + s) // t + 1):
-            z = t * n - mid
+            c, lrow = lower[i]
+            lo = max(lo, -((c + sum(lrow[j] * point[j] for j in range(i + 1, r))) // lrow[i]))
+        for n in range(lo, (mid + s) // t[i] + 1):
+            z = t[i] * n - mid
             point[i] = n
             yield from rec(i - 1, beta - w[i] * z * z)
 
-    yield from rec(r - 1, bound.numerator * t * t * dd)
+    yield from rec(r - 1, bound.numerator * qd * b * b * common)

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, ZeroRoot
-from .ratlin import ldl, to_matrix
+from .ratlin import eliminate
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -47,11 +47,11 @@ class Weight:
 
     Stored as integer numerators over their least common denominator, which
     is all the arithmetic reads; the Fraction coordinates are built on first
-    use of ``coords``.  The value never changes after construction; the
-    other slots only cache what it determines.
+    use of ``coords``.  The value never changes after construction;
+    ``_coords`` only caches what it determines.
     """
 
-    __slots__ = ("_nums", "_den", "_coords", "_row")
+    __slots__ = ("_nums", "_den", "_coords")
 
     def __init__(self, coords):
         coords = tuple(c if type(c) is Fraction else _coerce(c) for c in coords)
@@ -202,9 +202,7 @@ class BilinearForm:
     __slots__ = ("gram", "_int_gram", "_den")
 
     def __init__(self, rows):
-        gram = to_matrix(
-            tuple(tuple(_coerce(x) for x in row) for row in rows)
-        )
+        gram = tuple(tuple(_coerce(x) for x in row) for row in rows)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise DimensionMismatch("Gram matrix must be square")
@@ -239,16 +237,7 @@ class BilinearForm:
         """<a, b> times the positive a._den * b._den * self._den."""
         self._check(a)
         self._check(b)
-        # b's pairing row G b, cached on b for the last form it met: the
-        # second operand is nearly always a root, paired again and again.
-        try:
-            form, row = b._row
-        except AttributeError:
-            form = None
-        if form is not self:
-            row = self._int_row(b._nums)
-            b._row = (self, row)
-        return sum(map(mul, a._nums, row))
+        return sum(map(mul, a._nums, self._int_row(b._nums)))
 
     def pairing_rows(self, weights) -> tuple[tuple[int, ...], ...]:
         """The integer row G t of each weight t, G the Gram matrix scaled to
@@ -296,9 +285,13 @@ class BilinearForm:
         )
 
     def is_positive_definite(self) -> bool:
-        """Symmetric with every LDL pivot positive, which by Sylvester's
-        criterion is every leading principal minor positive."""
-        return self.is_symmetric() and ldl(self.gram) is not None
+        """Symmetric with every leading principal minor positive
+        (Sylvester's criterion).  Eliminating the integer Gram matrix reads
+        them off its pivot rows: each entry i is the minor m_i until a row
+        is swapped, and a row is swapped only after some m_i = 0."""
+        if not self.is_symmetric():
+            return False
+        return all(row[i] > 0 for i, row in enumerate(eliminate(self._int_gram)[2]))
 
     def scaled(self, factor) -> "BilinearForm":
         c = _coerce(factor)

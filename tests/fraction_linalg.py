@@ -1,0 +1,82 @@
+"""Exact linear algebra over Fraction: the reference against which the
+tests check ``tempered_atlas.ratlin.eliminate`` and the lattice
+coordinates built on it.
+
+Matrices are tuples of tuples of Fractions (int entries are accepted
+too); every routine is textbook elimination, kept apart from the package
+so that the oracles stay independent of the code they check.
+"""
+
+from fractions import Fraction
+
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def to_matrix(rows) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def det(m: Matrix) -> Fraction:
+    # Exact Gaussian elimination on int or Fraction entries; row swaps flip the sign.
+    n = len(m)
+    rows = [list(r) for r in m]
+    sign = 1
+    d = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        p = Fraction(rows[col][col])
+        d *= p
+        for r in range(col + 1, n):
+            factor = rows[r][col] / p
+            if factor:
+                for c in range(col, n):
+                    rows[r][c] -= factor * rows[col][c]
+    return sign * d
+
+
+def gauss_solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
+    """One exact solution of a x = b, or None when the system is
+    inconsistent.  Free variables (if any) are set to zero."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        p = rows[row][col]
+        rows[row] = [x / p for x in rows[row]]
+        for r in range(m):
+            if r != row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if rows[r][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][n]
+    return tuple(x)

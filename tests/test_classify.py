@@ -28,9 +28,9 @@ from tempered_atlas.groups import (
     validate,
 )
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.ratlin import gauss_solve, mat_mul, transpose
 from tempered_atlas.weights import BilinearForm, Weight, project_away
 from conftest import replace
+from fraction_linalg import gauss_solve, mat_mul, transpose
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -273,7 +273,9 @@ def test_enumerate_ball_matches_brute_force(name, data, scale, radius_sq):
         for row in u
     )
     d = replace(d, form=d.form.scaled(scale), integrality_basis=basis)
-    assert validate(d).ok
+    # bc1 is not reduced, which validate names; the walk itself still runs.
+    expected = ["compact_reduced"] if name == "bc1" else []
+    assert [rule for rule, _ in validate(d).violations] == expected
     got = tuple(e.kappa for e in enumerate_ball(d, radius_sq))
     assert got == brute_force_kappas(d, radius_sq)
 
@@ -366,7 +368,9 @@ def test_validated_product_classifies(name1, name2, scale1, scale2, data):
     )
     text = serialize_descriptor(replace(d, integrality_basis=basis))
     report = validate(parse_descriptor(text))
-    assert report.ok, report.violations
+    # A factor bc1 makes the compact root system non-reduced: refused, exit 2.
+    with_bc1 = "bc1" in (name1, name2)
+    assert {rule for rule, _ in report.violations} == ({"compact_reduced"} if with_bc1 else set())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "product.group")
         with open(path, "w", encoding="utf-8") as fh:
@@ -374,5 +378,8 @@ def test_validated_product_classifies(name1, name2, scale1, scale2, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["classify", path, "--radius", "2"])
+    if with_bc1:
+        assert code == 2 and "compact_reduced" in err.getvalue(), err.getvalue()
+        return
     assert code == 0, err.getvalue()
     assert out.getvalue().count("\n") > 1

@@ -16,6 +16,7 @@ from tempered_atlas.cli import main
 from tempered_atlas.errors import NotGenuine
 from tempered_atlas.groups import RealFormDescriptor, catalog, serialize_descriptor
 from tempered_atlas.weights import BilinearForm, Weight
+from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
 
 
@@ -320,6 +321,20 @@ def test_collinear_noncompact_weights_fail_validation(tmp_path, capsys):
     code, out, err = run_cli(capsys, "classify", str(path), "--radius", "3")
     assert (code, out) == (2, "")
     assert "noncompact_collinear" in err
+
+
+def test_non_reduced_compact_roots_fail_validation(tmp_path, capsys):
+    # bc1 lists the compact roots 1 and 2 on one line.  No compact group's
+    # root system does, and krep's formulas fail on it with exit 3.
+    path = tmp_path / "bc1.group"
+    path.write_text(serialize_descriptor(_bc1()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "violation compact_reduced: (1) and (2) lie on one line through 0, "
+                              "but a compact root system is reduced\n")
+    for argv in (("dim", "1"), ("weights", "1")):
+        code, out, err = run_cli(capsys, "krep", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert "compact_reduced" in err
 
 
 def test_collinear_weights_on_a_compact_root_line_are_valid(tmp_path, capsys):

@@ -19,9 +19,9 @@ from tempered_atlas.groups import (
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.ratlin import det, gauss_solve, transpose
 from tempered_atlas.weights import BilinearForm, Weight, project_away
 from conftest import replace
+from fraction_linalg import det, gauss_solve, transpose
 from test_classify import _product, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -76,7 +76,7 @@ def test_sign_matches_sign_of_fraction_pairing(case, c, negate):
     gram, a, b = case
     form = BilinearForm(gram)
     other = form.scaled(-c if negate else c)
-    # Each call below finds b's cached row left there by the other form.
+    # Alternating forms: no pairing may depend on the form paired before.
     for f in (form, other, form, other):
         expected = sign_of(fraction_inner(f.gram, a, b))
         assert f.sign(a, b) == expected == sign_of(f.inner(a, b))
@@ -299,7 +299,9 @@ def oracle(d, kappa):
 @given(oracle_cases())
 def test_integer_component_path_matches_weight_arithmetic(case):
     d, radius_sq = case
-    assert validate(d).ok, validate(d).violations
+    # bc1 is not reduced, which validate names; the component path still runs.
+    expected = {"compact_reduced"} if "bc1" in d.name else set()
+    assert {rule for rule, _ in validate(d).violations} == expected
     den = integer_frame(d).den
     assert all(den % (2 * w.int_coords()[1]) == 0 for w in d.noncompact_weights)
     assert all(den % b.int_coords()[1] == 0 for b in d.integrality_basis)

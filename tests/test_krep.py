@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempered_atlas.classify import enumerate_ball
-from tempered_atlas.errors import NotDominant, NotGenuine
+from tempered_atlas.errors import NotDominant, NotGenuine, StructuralInvariantError
 from tempered_atlas.groups import catalog, is_integral, loads_descriptor
 from tempered_atlas.krep import (
     dirac_multiplicity,
@@ -19,6 +19,7 @@ from tempered_atlas.krep import (
     weyl_dim,
 )
 from tempered_atlas.weights import Weight, reflect
+from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -99,6 +100,16 @@ def test_weyl_dim_matches_string_length(sp4r):
     for m in range(0, 6):
         for n in range(-3, m + 1):
             assert weyl_dim(sp4r, Weight((m, n))) == m - n + 1
+
+
+def test_weyl_dim_off_the_descriptor_denominator_and_on_bc1(sp4r):
+    # Central weights off D run over E = lcm(D, their denominator).
+    assert weyl_dim(sp4r, Weight((Fraction(1, 3), Fraction(1, 3)))) == 1
+    assert weyl_dim(sp4r, Weight((Fraction(4, 3), Fraction(1, 3)))) == 2
+    # bc1 skips validate, which refuses it as non-reduced; the formula
+    # then names its non-integer value.
+    with pytest.raises(StructuralInvariantError, match="the non-integer 25/9$"):
+        weyl_dim(_bc1(), Weight((1,)))
 
 
 def test_freudenthal_examples(sp4r, sl2r):

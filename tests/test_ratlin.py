@@ -1,52 +1,109 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tempered_atlas.ratlin import (
-    det,
-    ellipsoid_integer_points,
-    gauss_solve,
-    ldl,
-    mat_mul,
-    sqrt_upper,
-    to_matrix,
-    transpose,
-)
+from tempered_atlas.ratlin import eliminate, ellipsoid_integer_points, sqrt_upper
+from fraction_linalg import gauss_solve, mat_mul, to_matrix, transpose
 
 
 def test_det_examples():
-    assert det(to_matrix(((1, 2), (2, 1)))) == -3
-    assert det(to_matrix(((2, 1), (1, 2)))) == 3
-    assert det(to_matrix(((1, 2), (2, 4)))) == 0
+    assert eliminate(((1, 2), (2, 1)))[0] == -3
+    assert eliminate(((2, 1), (1, 2)))[0] == 3
+    assert eliminate(((1, 2), (2, 4)))[0] == 0
+    assert eliminate(()) == (1, [], [])
 
 
 def test_det_exact_on_int_entries():
     # The third row is -(first) - 2 (second); int division would leave a
     # float residue here.
     m = ((3, -2, 2), (2, 3, -2), (-7, -4, 2))
-    assert det(m) == 0
-    assert type(det(((2, 1), (1, 2)))) is Fraction
+    assert eliminate(m)[0] == 0
+    assert type(eliminate(((2, 1), (1, 2)))[0]) is int
 
 
 def test_gauss_solve_unique():
-    a = to_matrix(((2, 1), (1, 2)))
-    x = gauss_solve(a, (4, 5))
-    assert x == (1, 2)
+    # A x = b is the right column over det.
+    det, rows, _ = eliminate(((2, 1, 4), (1, 2, 5)))
+    assert tuple(Fraction(row[2], det) for row in rows) == (1, 2)
 
 
 def test_gauss_solve_inconsistent():
-    a = to_matrix(((1, 1), (2, 2)))
-    assert gauss_solve(a, (1, 3)) is None
+    assert eliminate(((1, 1, 1), (2, 2, 3)))[0] == 0
+
+
+def ldl_from_pivot_rows(pivot_rows):
+    """(L, D) with L[j][i] = P[i][j] / m_i and d_i = m_i / m_(i-1), from the
+    pivot rows P of an elimination with no swap."""
+    n = len(pivot_rows)
+    m = [Fraction(1)] + [Fraction(row[i]) for i, row in enumerate(pivot_rows)]
+    L = tuple(
+        tuple(pivot_rows[i][j] / m[i + 1] if i <= j else Fraction(0) for i in range(n))
+        for j in range(n)
+    )
+    return L, tuple(m[i + 1] / m[i] for i in range(n))
 
 
 def test_ldl_reconstructs():
-    a = to_matrix(((4, 2), (2, 3)))
-    L, D = ldl(a)
+    a = ((4, 2), (2, 3))
+    L, D = ldl_from_pivot_rows(eliminate(a)[2])
     diag = to_matrix(((D[0], 0), (0, D[1])))
-    assert mat_mul(mat_mul(L, diag), transpose(L)) == a
-    assert ldl(to_matrix(((1, 2), (2, 1)))) is None
+    assert mat_mul(mat_mul(L, diag), transpose(L)) == to_matrix(a)
+    assert [row[i] for i, row in enumerate(eliminate(((1, 2), (2, 1)))[2])] == [1, -3]
+
+
+def leibniz_det(m) -> int:
+    """The determinant as the signed sum over permutations."""
+    n, total = len(m), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-5, max_value=5)
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+
+
+@given(int_matrices())
+@example(((0, 1), (1, 0)))  # needs a row swap at the first column
+@example(((1, 2, 3), (2, 4, 1), (3, 1, 5)))  # a swap after one pivot
+@example(((3, -2, 2), (2, 3, -2), (-7, -4, 2)))
+def test_eliminate_against_leibniz_and_gauss_solve(m):
+    n = len(m)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    det, rows, _ = eliminate([[*row, *e] for row, e in zip(m, identity)])
+    assert det == leibniz_det(m)
+    if det == 0:
+        return
+    for j in range(n):
+        column = gauss_solve(m, identity[j])
+        assert tuple(Fraction(row[n + j], det) for row in rows) == column
+    assert all(row[:n] == [det * x for x in e] for row, e in zip(rows, identity))
+
+
+@given(int_matrices())
+def test_pivot_rows_rebuild_positive_definite_input(a):
+    # a a^T + I is positive definite: no swap, every m_i > 0, and L D L^T
+    # rebuilt from the pivot rows gives it back.
+    n = len(a)
+    m = tuple(
+        tuple(sum(a[i][k] * a[j][k] for k in range(n)) + (i == j) for j in range(n))
+        for i in range(n)
+    )
+    pivot_rows = eliminate(m)[2]
+    assert all(row[i] > 0 for i, row in enumerate(pivot_rows))
+    L, D = ldl_from_pivot_rows(pivot_rows)
+    diag = tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
+    assert mat_mul(mat_mul(L, diag), transpose(L)) == to_matrix(m)
 
 
 @given(st.fractions(min_value=0, max_value=50, max_denominator=9))

@@ -192,8 +192,8 @@ _VECTOR_KEYS = ("gram", "compact", "positive_compact", "noncompact", "basis")
 @st.composite
 def mutated_su31_text(draw):
     """SU31_TEXT after one to three edits of its vector lists: drop,
-    duplicate or negate a vector, or set one coordinate to a small
-    rational."""
+    duplicate or negate a vector, list +-2v for a vector v, or set one
+    coordinate to a small rational."""
     lines = SU31_TEXT.split("\n")
     keyed = [i for i, line in enumerate(lines) if line.partition(" = ")[0] in _VECTOR_KEYS]
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -203,13 +203,15 @@ def mutated_su31_text(draw):
         if not vectors:
             continue
         j = draw(st.integers(min_value=0, max_value=len(vectors) - 1))
-        kind = draw(st.sampled_from(("drop", "duplicate", "negate", "edit")))
+        kind = draw(st.sampled_from(("drop", "duplicate", "negate", "double", "edit")))
         if kind == "drop":
             del vectors[j]
         elif kind == "duplicate":
             vectors.insert(j, vectors[j])
         elif kind == "negate":
             vectors[j] = [str(-Fraction(x)) for x in vectors[j]]
+        elif kind == "double":
+            vectors += [[str(k * Fraction(x)) for x in vectors[j]] for k in (2, -2)]
         else:
             k = draw(st.integers(min_value=0, max_value=len(vectors[j]) - 1))
             x = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2))
@@ -239,5 +241,10 @@ def test_mutated_su31_text_is_refused_or_classified(text):
             fh.write(text)
         code, err = run_main("classify", path, "--radius", "3")
         assert code == 0, (text, err)
-        code, err = run_main("match", path, "--mu", "0,0,0", "--direction", "inverse")
-        assert code != 3, (text, err)
+        for argv in (
+            ("match", path, "--mu", "0,0,0", "--direction", "inverse"),
+            ("krep", path, "dim", "0,0,0"),
+            ("krep", path, "weights", "0,0,0"),
+        ):
+            code, err = run_main(*argv)
+            assert code != 3, (text, argv, err)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tempered_atlas.errors import DimensionMismatch, ZeroRoot
 from tempered_atlas.groups import RealFormDescriptor
-from tempered_atlas.ratlin import det
 from tempered_atlas.weights import (
     BilinearForm,
     Weight,
@@ -17,6 +16,7 @@ from tempered_atlas.weights import (
     reflect,
     reflection_escape,
 )
+from fraction_linalg import det
 
 I2 = BilinearForm.identity(2)
 
@@ -198,8 +198,10 @@ def symmetric_int_matrices(draw):
 @given(symmetric_int_matrices())
 @example(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
 @example(((1, 1, 1), (1, 2, 2), (1, 2, 2)))
+@example(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))  # two swaps, pivots 1
 def test_positive_definite_matches_leading_minors(rows):
-    # Sylvester's criterion, computed independently of the LDL pivots.
+    # Sylvester's criterion, with each minor from the Fraction reference
+    # elimination, independently of the integer pivot rows.
     form = BilinearForm(rows)
     minors = [det(tuple(row[: k + 1] for row in form.gram[: k + 1])) for k in range(len(rows))]
     assert form.is_positive_definite() == all(m > 0 for m in minors)
