@@ -5,15 +5,20 @@ named by catalog entry, by a descriptor file path, or by a bare name looked
 up under the directories in TEMPERED_ATLAS_PATH (suffix ``.group``).  All
 weights on the command line are comma-separated exact rationals; no floats.
 
+A canonical argv (exact names, each option at most once as ``--opt=value``
+or ``--opt value``, nothing else starting with '-') is read straight from
+the grammar table ``_COMMANDS``; argparse, built from it, reads any other.
+
 Exit codes: 0 success, 2 input or descriptor error, 3 internal invariant
 failure, 4 ambiguous matching input, 5 range error.  ``--version`` prints
 the package version and exits 0.
 """
 
-import argparse
 import functools
 import os
+import re
 import sys
+import types
 
 from . import __version__
 from .classify import enumerate_ball, enumerate_components
@@ -157,6 +162,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must be LO:HI, got {text!r}")
+    if not all(re.fullmatch(r"[+-]?[0-9]+", end) for end in (lo, hi)):
+        raise ValueError(f"range ends must be integers, got {text!r}")
     return int(lo), int(hi)
 
 
@@ -255,63 +262,106 @@ def cmd_krep(args, out) -> int:
     return EXIT_OK
 
 
+# A command is (help, handler, positionals, options, subcommands), with
+# subcommands (dest, commands) or None.  Options map each flag to (dest,
+# default, choices, help), and a default of None makes the flag required.
+_COMMANDS = {
+    "catalog": ("list built-in groups", cmd_catalog, (), {}, None),
+    "validate": ("validate a descriptor file", cmd_validate, ("path",), {}, None),
+    "classify": ("enumerate components in a ball", cmd_classify, ("group",), {
+        "--radius": ("radius", None, None, "positive rational, e.g. 5 or 7/2"),
+        "--format": ("format", "table", ("table", "csv", "json"), None),
+    }, None),
+    "match": ("match a weight to a component", cmd_match, ("group",), {
+        "--mu": ("mu", None, None, "comma-separated rationals"),
+        "--direction": ("direction", "forward", ("forward", "inverse"), None),
+    }, None),
+    "figure": ("minimal K-type grid over a box", cmd_figure, ("group",), {
+        "--m-range": ("m_range", None, None, "LO:HI inclusive"),
+        "--n-range": ("n_range", None, None, "LO:HI inclusive"),
+        "--format": ("format", "text", ("text", "csv"), None),
+    }, None),
+    "krep": ("compact-group representation calculator", cmd_krep, ("group",), {}, ("krep_cmd", {
+        "dim": (None, None, ("hw",), {}, None),
+        "weights": (None, None, ("hw",), {}, None),
+        "tensor": (None, None, ("hw1", "hw2"), {}, None),
+        "diracmult": (None, None, (), {"--tau": ("tau", None, None, None),
+                                       "--v": ("v", None, None, None)}, None),
+    })),
+}
+
+
+def read_canonical(argv=None):
+    """The namespace argparse gives a canonical argv (see the module
+    docstring), or None for any other argv; None is always safe."""
+    ns = {}
+    dest, commands = "command", _COMMANDS
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    while commands:
+        if not tokens or tokens[0] not in commands:
+            return None
+        _, func, positionals, options, sub = commands[tokens[0]]
+        ns[dest] = tokens.pop(0)
+        # A subcommand without a handler (None) keeps its command's.
+        ns.setdefault("func", func)
+        positionals = list(positionals)
+        # The first plain token after the positionals names the subcommand.
+        while tokens and (positionals or not sub or tokens[0].startswith("-")):
+            token = tokens.pop(0)
+            if token.startswith("-"):
+                flag, eq, value = token.partition("=")
+                if flag not in options or options[flag][0] in ns:
+                    return None
+                if not eq and (not tokens or tokens[0].startswith("-")):
+                    return None
+                ns[options[flag][0]] = value if eq else tokens.pop(0)
+            elif positionals:
+                ns[positionals.pop(0)] = token
+            else:
+                return None
+        if positionals:
+            return None
+        for opt_dest, default, choices, _ in options.values():
+            ns.setdefault(opt_dest, default)
+            if ns[opt_dest] is None or (choices and ns[opt_dest] not in choices):
+                return None
+        dest, commands = sub or (None, None)
+    return types.SimpleNamespace(**ns)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    main call in the process."""
+def build_parser():
+    """The argparse parser for the argvs read_canonical leaves alone, built
+    from _COMMANDS on first use and shared by every later main call."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tempered-atlas",
         description="Exact classification of essential tempered components.",
     )
     parser.add_argument("--version", action="version", version=f"tempered-atlas {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="list built-in groups")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("validate", help="validate a descriptor file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="enumerate components in a ball")
-    p.add_argument("group")
-    p.add_argument("--radius", required=True, help="positive rational, e.g. 5 or 7/2")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("match", help="match a weight to a component")
-    p.add_argument("group")
-    p.add_argument("--mu", required=True, help="comma-separated rationals")
-    p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("figure", help="minimal K-type grid over a box")
-    p.add_argument("group")
-    p.add_argument("--m-range", required=True, help="LO:HI inclusive")
-    p.add_argument("--n-range", required=True, help="LO:HI inclusive")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("krep", help="compact-group representation calculator")
-    p.add_argument("group")
-    ksub = p.add_subparsers(dest="krep_cmd", required=True)
-    kp = ksub.add_parser("dim")
-    kp.add_argument("hw")
-    kp = ksub.add_parser("weights")
-    kp.add_argument("hw")
-    kp = ksub.add_parser("tensor")
-    kp.add_argument("hw1")
-    kp.add_argument("hw2")
-    kp = ksub.add_parser("diracmult")
-    kp.add_argument("--tau", required=True)
-    kp.add_argument("--v", required=True)
-    p.set_defaults(func=cmd_krep)
-
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
+def _add_commands(parser, dest, commands) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, func, positionals, options, subcommands) in commands.items():
+        # A subcommand given help=None would still get a line in the help.
+        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, (opt_dest, default, choices, option_help) in options.items():
+            p.add_argument(flag, dest=opt_dest, required=default is None, default=default,
+                           choices=choices, help=option_help)
+        if subcommands:
+            _add_commands(p, *subcommands)
+        if func:
+            p.set_defaults(func=func)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = read_canonical(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except AmbiguousPositiveSystem as exc:

@@ -25,14 +25,19 @@ from .ratlin import eliminate
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'n'.  Decimal and float literals are rejected."""
+def _rational_terms(text: str) -> tuple[int, int]:
+    """The integers p, q of 'p/q' (q = 1 for 'n'), unreduced, q > 0."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    # The pattern has validated both parts; Fraction(text) would match again.
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    return int(num), int(den or 1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q' or 'n'.  Decimal and float literals are rejected."""
+    # The pattern has validated both parts; Fraction(text) would match again.
+    return Fraction(*_rational_terms(text))
 
 
 def _coerce(value) -> Fraction:
@@ -180,14 +185,18 @@ class Weight:
 
 
 def parse_weight(text: str) -> Weight:
-    """Parse a comma-separated list of rationals, parentheses optional."""
+    """Parse comma-separated rationals, parentheses optional; none may be empty."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    parts = [p for p in body.split(",") if p.strip() != ""]
-    if not parts:
+    parts = body.split(",")
+    if not any(p.strip() for p in parts):
         raise ValueError(f"empty weight literal: {text!r}")
-    return Weight(parse_rational(p) for p in parts)
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty coordinate in weight literal: {text!r}")
+    terms = [_rational_terms(p) for p in parts]
+    den = lcm(*(q for _, q in terms))
+    return Weight.from_ints(tuple(n * (den // q) for n, q in terms), den)
 
 
 class BilinearForm:

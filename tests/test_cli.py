@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tempered_atlas
 from tempered_atlas import cli
@@ -202,6 +205,32 @@ def test_figure_malformed_range_exits_2(capsys):
     code, out, err = run_cli(capsys, "figure", "sp4r", "--m-range=5", "--n-range=0:1")
     assert (code, out) == (2, "")
     assert err == "error: range must be LO:HI, got '5'\n"
+
+
+@pytest.mark.parametrize("argv, text", (
+    (("krep", "sp4r", "dim", "1,0,"), "1,0,"),
+    (("krep", "sp4r", "tensor", "1,0", ",1"), ",1"),
+    (("match", "sp4r", "--mu=2,,0"), "2,,0"),
+))
+def test_an_empty_coordinate_is_refused_not_dropped(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: empty coordinate in weight literal: {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "m_range", ("1_0:2_0", " 1:2", "1:2 ", "+:3", ":3", "1:2:3", "\u0661:2", "0x1:2")
+)
+def test_figure_range_ends_must_be_ascii_integers(capsys, m_range):
+    code, out, err = run_cli(capsys, "figure", "sp4r", f"--m-range={m_range}", "--n-range=0:1")
+    assert (code, out) == (2, "")
+    assert err == f"error: range ends must be integers, got {m_range!r}\n"
+
+
+def test_figure_range_ends_take_a_sign(capsys):
+    signed = run_cli(capsys, "figure", "sp4r", "--m-range=+0:+2", "--n-range=-1:+1")
+    assert signed == run_cli(capsys, "figure", "sp4r", "--m-range=0:2", "--n-range=-1:1")
+    assert signed[0] == 0
 
 
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
@@ -503,6 +532,9 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     )
     loaded, name, ok = json.loads(proc.stdout)
     assert not {"dataclasses", "inspect", "configparser"} & set(loaded)
+    # A canonical argv is read without argparse, which builds its parser
+    # and imports gettext only for help, abbreviations and usage errors.
+    assert not {"argparse", "gettext"} & set(loaded)
     # Only classify and figure write CSV or JSON, and import them there.
     assert not {"json", "csv"} & set(loaded)
     # bench/tracer.py's install() wraps krep's functions by looking the
@@ -555,3 +587,126 @@ def test_invalid_descriptor_fails_on_every_call(tmp_path, capsys):
     path.write_text(good, encoding="utf-8")
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert (code, out) == (0, "OK sp4r\n")
+
+
+def argparse_answer(argv):
+    """(namespace as a dict, None) or (None, exit code) of the argparse
+    parser alone on argv; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            return None, exc.code
+
+
+def test_help_abbreviations_repeats_and_usage_errors_fall_back_to_argparse(capsys):
+    for argv in (["--help"], ["krep", "sp4r", "diracmult", "-h"]):
+        assert cli.read_canonical(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tempered-atlas ")
+
+    # An abbreviation reads as the option it abbreviates.
+    assert cli.read_canonical(["classify", "sp4r", "--rad", "2"]) is None
+    expected = run_cli(capsys, "classify", "sp4r", "--radius", "2")
+    assert expected[0] == 0
+    assert run_cli(capsys, "classify", "sp4r", "--rad", "2") == expected
+
+    # A separate value starting with '-' is an option to argparse.
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "sp4r", "--mu", "-1,2"])
+    assert exc.value.code == 2
+    assert "--mu: expected one argument" in capsys.readouterr().err
+
+    # A repeated option: the last one wins.
+    argv = ["classify", "sp4r", "--radius", "5", "--format=json", "--radius=2"]
+    assert cli.read_canonical(argv) is None
+    expected = run_cli(capsys, "classify", "sp4r", "--radius=2", "--format=json")
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["tempered-atlas", "krep", "sp4r", "dim", "2,0"])
+    assert main() == 0
+    assert capsys.readouterr().out == "3\n"
+
+
+def test_every_golden_op_argv_is_read_without_argparse():
+    golden = Path(__file__).resolve().parents[1] / "bench" / "data" / "golden.json"
+    ops = json.loads(golden.read_text(encoding="utf-8"))["ops"]
+    assert len(ops) > 400
+    for key in ops:
+        # Keys are argvs joined by spaces, and no golden token holds one.
+        argv = key.split(" ")
+        ns = cli.read_canonical(argv)
+        assert ns is not None, key
+        assert vars(ns) == argparse_answer(argv)[0], key
+
+
+# Canonical argvs, one per command, and tokens that the mutations below put
+# into them: misspelt names, abbreviated and exact flags in both forms,
+# values starting with '-' or holding a space, bad choices, '--' and help.
+CANONICAL = (
+    ("catalog",),
+    ("validate", "g.group"),
+    ("classify", "sp4r", "--radius", "2", "--format", "csv"),
+    ("match", "sp4r", "--mu", "2,0", "--direction", "inverse"),
+    ("figure", "sp4r", "--m-range", "0:3", "--n-range=0:3", "--format", "text"),
+    ("krep", "sp4r", "dim", "1,0"),
+    ("krep", "su21", "weights", "1,1"),
+    ("krep", "sp4r", "tensor", "1,0", "1,0"),
+    ("krep", "sp4r", "diracmult", "--tau", "1/2,1/2", "--v=2,0"),
+)
+TOKENS = (
+    "catalog", "validate", "classify", "match", "figure", "krep", "dim", "weights", "tensor",
+    "diracmult", "clasify", "Match", "krepp", "dimm", "sp4r", "su21", "2", "1/2,0", "",
+    "-1,2", "-1", "1 2", "-3 4", "a=b", "csv", "json", "table", "text", "xml", "forward",
+    "inverse", "0:3", "-6:6", "--radius", "--rad", "--format", "--form", "--mu", "--m",
+    "--direction", "--dir", "--m-range", "--n-range", "--n", "--tau", "--t", "--v",
+    "--radius=", "--mu=-1,2", "--mu=1 2", "--format=xml", "--direction=inverse",
+    "--tau=1/2,1/2", "--v=-2,0", "--rad=2", "--m-range=-6:6", "--version", "--", "-",
+    "-h", "--help",
+)
+
+
+@st.composite
+def mutated_argvs(draw):
+    argv = list(draw(st.sampled_from(CANONICAL)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("replace", "insert", "delete", "repeat", "join")))
+        i = draw(st.integers(min_value=0, max_value=len(argv)))
+        if kind == "insert":
+            argv.insert(i, draw(st.sampled_from(TOKENS)))
+        elif i == len(argv):
+            continue
+        elif kind == "replace":
+            argv[i] = draw(st.sampled_from(TOKENS))
+        elif kind == "delete":
+            del argv[i]
+        elif kind == "repeat":
+            argv[i:i] = argv[i : i + 2]
+        elif i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_argvs())
+@example(["classify", "sp4r", "--format=json", "--radius", "2"])
+@example(["classify", "--radius", "2", "sp4r"])
+@example(["krep", "dim", "dim", "1,0"])
+@example(["match", "sp4r", "--mu", "1 2"])
+@example(["match", "sp4r", "--mu", "2,0", "--mu", "1,0"])
+@example(["figure", "sp4r", "--m-range=", "--n-range", ""])
+@example(["krep", "sp4r", "diracmult", "--tau", "1", "--v", "2", "--", "x"])
+@example(["krep", "sp4r", "diracmult", "--v=2", "--tau=1", "tensor"])
+@example(["krep", "sp4r", "dim", "-h"])
+def test_reader_agrees_with_argparse_wherever_it_reads(argv):
+    ns = cli.read_canonical(argv)
+    if argv in map(list, CANONICAL):
+        assert ns is not None
+    if ns is not None:
+        expected, code = argparse_answer(argv)
+        assert code is None, argv
+        assert vars(ns) == expected, argv

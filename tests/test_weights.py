@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,43 @@ def test_parse_weight():
     assert parse_weight("(2,0)") == Weight((2, 0))
     with pytest.raises(ValueError):
         parse_weight("0.5,1")
+
+
+@pytest.mark.parametrize("text", ("1,0,", "2,,0", ",1", "(1, ,2)"))
+def test_parse_weight_refuses_an_empty_coordinate(text):
+    # Dropping it would read a shorter weight than the text gives.
+    message = f"empty coordinate in weight literal: {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_weight(text)
+
+
+@pytest.mark.parametrize("text", ("", " ", "()", ","))
+def test_parse_weight_refuses_an_empty_weight(text):
+    with pytest.raises(ValueError, match="^empty weight literal: "):
+        parse_weight(text)
+
+
+literals = st.builds(
+    lambda sign, p, q, pad: pad + sign + str(p) + (f"/{q}" if q else "") + pad,
+    st.sampled_from(("", "+", "-")),
+    st.integers(min_value=0, max_value=120),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=36)),
+    st.sampled_from(("", " ")),
+)
+
+
+@given(st.lists(literals, min_size=1, max_size=4), st.booleans())
+@example(["4/6", "-2/3", "0/5"], False)
+@example(["0", "-0"], True)
+def test_parse_weight_equals_the_weight_of_its_parsed_rationals(parts, parens):
+    # parse_weight reads integers and takes one lcm; the reference builds
+    # one Fraction per coordinate.
+    text = ",".join(parts)
+    if parens:
+        text = f"({text})"
+    got = parse_weight(text)
+    assert got == Weight(parse_rational(p) for p in parts)
+    assert got.coords == tuple(parse_rational(p) for p in parts)
 
 
 def test_weight_rejects_floats():
