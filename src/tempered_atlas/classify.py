@@ -15,7 +15,8 @@ genuine kappa: in a basis of the shifted lattice adapted to the simple
 compact roots, dominance is one integer lower bound per pivot coordinate of
 the integer ellipsoid walk, and a walked kappa the construction refuses is
 an internal failure.  Each test on kappa and mu runs on numerators over D,
-as the walk hands kappa on.
+as the walk hands kappa on, and so does the face's Levi projection of mu to
+kappa_l; the datum keeps all three so, with kappa's Weight built once.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .groups import (
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points
-from .weights import Weight, half_sum, project_away
+from .weights import Weight, half_sum
 
 
 class EssentialVoganDatum(_Frozen):
@@ -36,22 +37,30 @@ class EssentialVoganDatum(_Frozen):
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed.  kappa and kappa_l are also carried on as their numerators
-    over D (``kappa_nums``, ``kappa_l_nums``, which equality, hashing and
-    repr do not read).
+    removed.  Each is held as its numerators over D (``kappa_nums``,
+    ``mu_nums``, ``kappa_l_nums``); mu and kappa_l become Weights only when
+    read.  Each argument is a Weight or its numerators over D.
     """
 
     __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
-    __slots__ = (*__match_args__, "kappa_nums", "kappa_l_nums")
+    __slots__ = ("parabolic", "kappa", "kappa_nums", "mu_nums", "kappa_l_nums")
 
-    def __init__(self, parabolic: ThetaParabolic, kappa: Weight, mu: Weight, kappa_l: Weight):
+    def __init__(self, parabolic: ThetaParabolic, kappa, mu, kappa_l):
+        frame = parabolic.frame
         set_slot = object.__setattr__
         set_slot(self, "parabolic", parabolic)
-        set_slot(self, "kappa", kappa)
-        set_slot(self, "mu", mu)
-        set_slot(self, "kappa_l", kappa_l)
-        set_slot(self, "kappa_nums", parabolic.frame.over_den(kappa))
-        set_slot(self, "kappa_l_nums", parabolic.frame.over_den(kappa_l))
+        set_slot(self, "kappa", frame.weight(kappa))
+        set_slot(self, "kappa_nums", frame.over_den(kappa))
+        set_slot(self, "mu_nums", frame.over_den(mu))
+        set_slot(self, "kappa_l_nums", frame.over_den(kappa_l))
+
+    @property
+    def mu(self) -> Weight:
+        return self.parabolic.frame.weight(self.mu_nums)
+
+    @property
+    def kappa_l(self) -> Weight:
+        return self.parabolic.frame.weight(self.kappa_l_nums)
 
     @property
     def descriptor(self) -> RealFormDescriptor:
@@ -88,9 +97,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     if k is None or not is_integral(d, mu):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
-    mu = frame.weight(mu)
-    kappa_l = project_away(mu, p.l_pairs, d.form)
-    return EssentialVoganDatum(parabolic=p, kappa=frame.weight(kappa), mu=mu, kappa_l=kappa_l)
+    return EssentialVoganDatum(p, kappa, mu, p.project_levi(mu))
 
 
 @per_descriptor

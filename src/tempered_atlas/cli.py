@@ -10,13 +10,12 @@ or ``--opt value``, nothing else starting with '-') is read straight from
 the grammar table ``_COMMANDS``; argparse, built from it, reads any other.
 
 Exit codes: 0 success, 2 input or descriptor error, 3 internal invariant
-failure, 4 ambiguous matching input, 5 range error.  ``--version`` prints
-the package version and exits 0.
+failure, 4 ambiguous matching input, 5 range error, 141 stdout closed by
+its reader.  ``--version`` prints the package version and exits 0.
 """
 
 import functools
 import os
-import re
 import sys
 import types
 
@@ -36,13 +35,14 @@ from .groups import catalog, catalog_names, lattice_coordinates, load_descriptor
 from .krep import dirac_multiplicity, freudenthal, tensor_decompose, weyl_dim
 from .matching import match_inverse, summarize, summarize_datum
 from .ratlin import sqrt_upper
-from .weights import parse_rational, parse_weight
+from .weights import INTEGER_RE, parse_rational, parse_weight
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_AMBIGUOUS = 4
 EXIT_RANGE = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 _SUMMARY_FIELDS = (
     "kappa",
@@ -162,7 +162,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must be LO:HI, got {text!r}")
-    if not all(re.fullmatch(r"[+-]?[0-9]+", end) for end in (lo, hi)):
+    if not all(INTEGER_RE.fullmatch(end) for end in (lo, hi)):
         raise ValueError(f"range ends must be integers, got {text!r}")
     return int(lo), int(hi)
 
@@ -373,13 +373,23 @@ def main(argv=None) -> int:
     except (StructuralInvariantError, InternalBijectionFailure, DominanceFailure) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:  # a reader that closed stdout, not bad input
+        raise
     except (TemperedAtlasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python ignores SIGPIPE: exit as a process it killed would, and
+        # point stdout at devnull so that the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .errors import (
     UnknownGroup,
 )
 from .ratlin import eliminate
-from .weights import BilinearForm, Weight, half_sum, parse_rational, reflection_escape
+from .weights import INTEGER_RE, BilinearForm, Weight, half_sum, parse_rational, reflection_escape
 
 
 def per_descriptor(fn):
@@ -189,13 +189,8 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     v: list[tuple[str, str]] = []
 
     if d.zero_weight_s_dim != d.rank_g - d.rank_tc:
-        v.append(
-            (
-                "rank_balance",
-                f"zero_weight_s_dim = {d.zero_weight_s_dim} but rank_g - rank_tc = "
-                f"{d.rank_g - d.rank_tc}",
-            )
-        )
+        v.append(("rank_balance", f"zero_weight_s_dim = {d.zero_weight_s_dim} but "
+                  f"rank_g - rank_tc = {d.rank_g - d.rank_tc}"))
     form_ok = False
     if d.form.rank != d.rank_tc:
         v.append(("form_shape", f"Gram is {d.form.rank}x{d.form.rank}, rank_tc = {d.rank_tc}"))
@@ -224,20 +219,12 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
     for label, weights in (("compact", d.compact_roots), ("noncompact", d.noncompact_weights)):
         seen = set(weights)
         if len(seen) != len(weights):
-            v.append(
-                (
-                    f"{label}_multiplicity",
-                    f"duplicate {label} entries; nonzero weights carry multiplicity 1",
-                )
-            )
+            v.append((f"{label}_multiplicity",
+                      f"duplicate {label} entries; nonzero weights carry multiplicity 1"))
         missing = sorted(w for w in seen if -w not in seen)
         if missing:
-            v.append(
-                (
-                    f"{label}_negation_closure",
-                    f"negatives absent for: {' '.join(str(w) for w in missing)}",
-                )
-            )
+            v.append((f"{label}_negation_closure",
+                      f"negatives absent for: {' '.join(str(w) for w in missing)}"))
         zeros = [w for w in weights if w.is_zero]
         if zeros:
             v.append((f"{label}_zero_entry", "zero vector listed as a nonzero weight"))
@@ -301,12 +288,7 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
         else:
             for a in sorted(compact_set):
                 if (a in pos_set) == (-a in pos_set):
-                    v.append(
-                        (
-                            "positive_system",
-                            f"exactly one of {a}, {-a} must be positive",
-                        )
-                    )
+                    v.append(("positive_system", f"exactly one of {a}, {-a} must be positive"))
                     break
             else:
                 # A positive system is the roots positive on one chamber, so
@@ -314,32 +296,20 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
                 # bounds kappa by the simple roots of such a system.
                 low = [a for a in pos if form_ok and d.form.sign(d.rho_compact(), a) <= 0]
                 if low:
-                    v.append(
-                        (
-                            "positive_system",
-                            f"positive_compact is not one chamber's positive roots: "
-                            f"their half-sum does not pair positively with {low[0]}",
-                        )
-                    )
+                    v.append(("positive_system",
+                              f"positive_compact is not one chamber's positive roots: "
+                              f"their half-sum does not pair positively with {low[0]}"))
 
     if len(d.integrality_basis) != d.rank_tc or not d.integrality_basis:
         v.append(("lattice_basis_shape", "basis must have rank_tc rows"))
     elif _inverse_basis(d) is None:
         v.append(("lattice_basis_invertible", "basis matrix is singular"))
     else:
-        outside = [
-            w
-            for w in sorted(set(d.compact_roots) | set(d.noncompact_weights))
-            if not is_integral(d, w)
-        ]
+        listed = sorted(set(d.compact_roots) | set(d.noncompact_weights))
+        outside = [w for w in listed if not is_integral(d, w)]
         if outside:
-            v.append(
-                (
-                    "root_lattice_membership",
-                    "weights outside the integral lattice: "
-                    + " ".join(str(w) for w in outside),
-                )
-            )
+            v.append(("root_lattice_membership", "weights outside the integral lattice: "
+                      + " ".join(str(w) for w in outside)))
 
     # Reflections in the listed weights must permute them: a weight set that
     # is not a root system can pass every rule above and still give a
@@ -579,7 +549,7 @@ def _parse_vector_list(text: str, what: str) -> tuple[Weight, ...]:
 
 def _parse_int(text: str, what: str) -> int:
     text = text.strip()
-    if not text.lstrip("+-").isdigit():
+    if not INTEGER_RE.fullmatch(text):
         raise DescriptorFormatError(f"{what}: not an integer: {text!r}")
     return int(text)
 

@@ -138,12 +138,8 @@ def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
                 f"{datum.kappa}"
             )
     return ComponentSummary(
-        kappa=datum.kappa,
-        n_pairs=datum.n_pairs,
-        r_order=r_group_order(datum),
-        fine_weights=fine_weights(datum),
-        minimal_k_types=k_types,
-        dirac_hw=dirac_highest_weight(datum),
+        datum.kappa, datum.parabolic.n_pairs, r_group_order(datum), fine_weights(datum),
+        k_types, dirac_highest_weight(datum),
     )
 
 

@@ -20,11 +20,14 @@ every kappa whose kappa + rho_K lies on the face; each face checks them
 once.  build_parabolic is the one map from a weight to its face: the
 inverse matching calls it too, and its noncompact positive system is the u
 of a face with no zero sign.  The signs, and the strict dominance of lam,
-are read from the descriptor's integer pairing table, and the face keeps
-its offsets as numerators over D too (``integer_frame``).
+are read from the descriptor's integer pairing table.  The face keeps its
+offsets as numerators over D too (``integer_frame``), and each Levi pair's
+numerators, row and norm, so that ``project_levi`` takes mu to kappa_l on
+integers; each pair's norm is read once, here.
 """
 
 import itertools
+from operator import mul
 
 from .errors import NotStrictlyDominant, StructuralInvariantError
 from .groups import RealFormDescriptor, integer_frame, per_descriptor
@@ -90,6 +93,27 @@ class ThetaParabolic:
         self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
         self.rho_l_nums = tuple(map(frame.over_den, self.rho_l))
         self.k_type_shift_nums = tuple(frame.over_den(r + self.two_rho_s_cap_u) for r in self.rho_l)
+        # Per Levi pair b over D: its numerators, its pairing row, and
+        # <b, b> at the scale of a numerator dotted with that row.
+        b_nums = tuple(map(frame.over_den, self.l_pairs))
+        scale = frame.den**2 * d.form._den
+        self.l_pair_terms = tuple(
+            (b, row, int(d.form.norm_sq(beta) * scale))
+            for beta, b, row in zip(self.l_pairs, b_nums, d.form.pairing_rows(b_nums))
+        )
+
+    def project_levi(self, mu_nums: tuple[int, ...]) -> tuple[int, ...]:
+        """kappa_l over D for mu = kappa - mu_shift, kappa on the face:
+        mu's numerators less their component along each Levi pair, a plain
+        sum of rank-one projections as the pairs are orthogonal.  Each
+        division is exact: the face's law makes every coefficient
+        <mu, b> / <b, b> equal to -1/2, and D holds twice each noncompact
+        denominator, so every numerator of b is even."""
+        out = mu_nums
+        for b, row, q in self.l_pair_terms:
+            c = sum(map(mul, mu_nums, row))
+            out = tuple([x - c * y // q for x, y in zip(out, b)])
+        return out
 
 
 @per_descriptor

@@ -22,7 +22,9 @@ from operator import mul
 from .errors import DimensionMismatch, ZeroRoot
 from .ratlin import eliminate
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: \d would match every Unicode decimal digit.
+INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(rf"^{INTEGER_RE.pattern}(?:/[1-9][0-9]*)?$")
 
 
 def _rational_terms(text: str) -> tuple[int, int]:
@@ -361,16 +363,3 @@ def reflection_escape(mirrors, closed, form: BilinearForm):
             ):
                 return b, a
     return None
-
-
-def project_away(w: Weight, roots, form: BilinearForm) -> Weight:
-    """Remove the components of w along mutually orthogonal roots.
-
-    The orthogonality makes the removal a plain sum of rank-one
-    projections.  It is the caller's to ensure, and not checked here: the
-    Levi pairs of a ThetaParabolic are checked orthogonal once per face.
-    """
-    out = w
-    for a in roots:
-        out = out - (form.inner(w, a) / form.norm_sq(a)) * a
-    return out

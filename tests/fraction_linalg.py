@@ -1,6 +1,6 @@
 """Exact linear algebra over Fraction: the reference against which the
-tests check ``tempered_atlas.ratlin.eliminate`` and the lattice
-coordinates built on it.
+tests check ``tempered_atlas.ratlin.eliminate``, the lattice coordinates
+built on it, and a face's integer Levi projection.
 
 Matrices are tuples of tuples of Fractions (int entries are accepted
 too); every routine is textbook elimination, kept apart from the package
@@ -8,6 +8,8 @@ so that the oracles stay independent of the code they check.
 """
 
 from fractions import Fraction
+
+from tempered_atlas.weights import Weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -80,3 +82,18 @@ def gauss_solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
     for r, col in enumerate(pivots):
         x[col] = rows[r][n]
     return tuple(x)
+
+
+def inner(gram: Matrix, a, b) -> Fraction:
+    """<a, b> = a G b^T on Fraction coordinates."""
+    return sum(x * g * y for x, row in zip(a, gram) for g, y in zip(row, b))
+
+
+def project_away(w: Weight, roots, form) -> Weight:
+    """w less its components along mutually orthogonal roots, each
+    coefficient <w, a> / <a, a> a Fraction of the form's Gram matrix."""
+    out = list(w)
+    for a in roots:
+        c = inner(form.gram, w, a) / inner(form.gram, a, a)
+        out = [x - c * y for x, y in zip(out, a)]
+    return Weight(out)

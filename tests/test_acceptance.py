@@ -26,8 +26,9 @@ from tempered_atlas.matching import (
     summarize_datum,
 )
 from tempered_atlas.ratlin import sqrt_upper
-from tempered_atlas.weights import Weight, half_sum, project_away
+from tempered_atlas.weights import Weight, half_sum
 from conftest import replace
+from fraction_linalg import project_away
 from test_classify import brute_force_kappas
 from test_su31_custom import SU31_TEXT
 

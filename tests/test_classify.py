@@ -5,9 +5,10 @@ import os
 import tempfile
 from fractions import Fraction
 from math import floor, isqrt, lcm
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempered_atlas import classify, cli
@@ -28,9 +29,9 @@ from tempered_atlas.groups import (
     validate,
 )
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.weights import BilinearForm, Weight, project_away
+from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
-from fraction_linalg import gauss_solve, mat_mul, transpose
+from fraction_linalg import gauss_solve, inner, mat_mul, project_away, transpose
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -383,3 +384,65 @@ def test_validated_product_classifies(name1, name2, scale1, scale2, data):
         return
     assert code == 0, err.getvalue()
     assert out.getvalue().count("\n") > 1
+
+
+# ---------------------------------------------------------------------------
+# the face's integer Levi projection against Fraction arithmetic
+
+
+def _fold_dominant(d, kappa):
+    """kappa reflected in each positive compact root it pairs negatively
+    with, in Fraction arithmetic, until it is dominant.  The compact Weyl
+    group keeps a genuine weight genuine."""
+    gram = d.form.gram
+    while True:
+        a = next((a for a in d.positive_compact if inner(gram, kappa, a) < 0), None)
+        if a is None:
+            return kappa
+        kappa = kappa - (2 * inner(gram, kappa, a) / inner(gram, a, a)) * a
+
+
+def _check_levi_projection(d, coeffs):
+    """The datum of the dominant genuine kappa folded from rho_n plus the
+    basis combination coeffs, its mu and kappa_l checked against the
+    Fraction oracle: kappa - mu_shift, then project_away."""
+    shift = H * sum(d.noncompact_positives(), Weight.zero(d.rank_tc))
+    kappa = _fold_dominant(d, sum(map(mul, coeffs, d.integrality_basis), shift))
+    datum = construct_from_kappa(d, kappa)
+    p = datum.parabolic
+    mu = kappa - p.mu_shift
+    assert datum.mu == mu
+    assert datum.kappa_l == project_away(mu, p.l_pairs, d.form)
+    return datum
+
+
+_VALID = ("sl2r", "sl2c", "su21", "sp4r", "su31")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VALID),
+    st.sampled_from(_VALID),
+    _scales,
+    _scales,
+    st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+)
+@example("sl2r", "sl2r", Fraction(1), Fraction(1), [-1] * 6)
+def test_levi_projection_matches_the_fraction_oracle(name1, name2, scale1, scale2, coeffs):
+    groups = _walk_groups()
+    d = _product(
+        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
+        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+    )
+    assert validate(d).ok
+    _check_levi_projection(d, coeffs)
+
+
+def test_levi_projection_on_faces_with_two_pairs():
+    sl2r = catalog("sl2r")
+    # kappa = 0 and kappa = (0, 1/2, 1/2): every factor's pair is a Levi pair.
+    for d, coeffs in (
+        (_product(sl2r, sl2r), (-1, -1)),
+        (_product(sl2r, catalog("sp4r")), (-1, -1, -1)),
+    ):
+        assert _check_levi_projection(d, coeffs).n_pairs == 2

@@ -508,6 +508,31 @@ def cold_run(*argv):
     return proc.returncode, proc.stdout
 
 
+def test_non_ascii_digits_are_bad_input(capsys):
+    code, out, err = run_cli(capsys, "krep", "sp4r", "dim", "\u0662,0")
+    assert (code, out) == (2, "") and "not an exact rational literal" in err
+    code, out, err = run_cli(capsys, "classify", "sl2r", "--radius", "\u0661")
+    assert (code, out) == (2, "") and "not an exact rational literal" in err
+
+
+def test_a_closed_stdout_pipe_exits_as_sigpipe_would():
+    # The reader closes its end before the CLI writes anything, so every
+    # write fails with EPIPE.  That is no bad input: entry() exits 141, as
+    # a process killed by SIGPIPE shows, and prints nothing on stderr.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tempered_atlas.__file__)))
+    argv = ["classify", "sp4r", "--radius", "20", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "tempered_atlas.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+    assert err == b""
+
+
 def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     # A fresh interpreter, so that only the CLI's own imports are loaded;
     # the snapshot is taken before the script imports json itself.

@@ -320,6 +320,11 @@ def test_form_of_the_wrong_rank_is_reported(sp4r):
 FORMAT_ERRORS = [
     ("empty vector in [roots] compact", ("\ncompact = 1,-1 ;", "\ncompact = 1,-1 ; ;")),
     ("rank_tc: not an integer: 'two'", ("rank_tc = 2", "rank_tc = two")),
+    # Each of these once got past str.isdigit: int() then raised a bare
+    # ValueError naming no field, or read the Arabic-Indic two as 2.
+    ("rank_tc: not an integer: '+-2'", ("rank_tc = 2", "rank_tc = +-2")),
+    ("rank_tc: not an integer: '\u00b2'", ("rank_tc = 2", "rank_tc = \u00b2")),
+    ("rank_tc: not an integer: '\u0662'", ("rank_tc = 2", "rank_tc = \u0662")),
     ("Source contains parsing errors", ("[form]", "[form")),
     ("[group] name is empty", ("name = sp4r", "name =")),
     ("[form] gram must be rank_tc x rank_tc", ("gram = 1,0 ; 0,1", "gram = 1,0")),

@@ -19,9 +19,9 @@ from tempered_atlas.groups import (
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
-from tempered_atlas.weights import BilinearForm, Weight, project_away
+from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
-from fraction_linalg import det, gauss_solve, transpose
+from fraction_linalg import det, gauss_solve, project_away, transpose
 from test_classify import _product, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)

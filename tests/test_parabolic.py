@@ -268,3 +268,16 @@ def test_faces_do_not_depend_on_the_noncompact_list_order(name):
     keys = parabolic._face_table(e).keys()
     assert {len(k) for k in keys} == {len(d.noncompact_positives())}
     assert keys == parabolic._face_table(d).keys()
+
+
+def test_inner_is_read_once_per_levi_pair_of_each_face(monkeypatch):
+    # A fresh copy, so that every face is built during this classification.
+    d = replace(catalog("sp4r"))
+    seen = []
+    inner = BilinearForm.inner
+    monkeypatch.setattr(BilinearForm, "inner", lambda form, a, b: seen.append(a) or inner(form, a, b))
+    summaries = list(map(summarize_datum, enumerate_ball(d, Fraction(20) ** 2)))
+    faces = parabolic._face_table(d).values()
+    # Each Levi pair's norm, read once by the face that owns it.
+    assert sorted(seen) == sorted(b for p in faces for b in p.l_pairs)
+    assert sum(s.n_pairs > 0 for s in summaries) > 10 * len(seen) > 0

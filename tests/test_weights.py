@@ -13,11 +13,10 @@ from tempered_atlas.weights import (
     half_sum,
     parse_rational,
     parse_weight,
-    project_away,
     reflect,
     reflection_escape,
 )
-from fraction_linalg import det
+from fraction_linalg import det, project_away
 
 I2 = BilinearForm.identity(2)
 
@@ -124,6 +123,17 @@ def test_parse_rational_builds_the_value_from_its_two_parts(text, value):
     assert type(got) is Fraction and got == value
 
 
+# Arabic-Indic two, superscript two, fullwidth one: int() reads the first
+# and the last, but a literal takes ASCII digits only.
+@pytest.mark.parametrize("text", ("\u0662", "\u00b2", "\uff11", "1/\u0663", "\u0661,0"))
+def test_parse_rational_and_weight_refuse_non_ascii_digits(text):
+    with pytest.raises(ValueError, match="not an exact rational literal"):
+        parse_weight(text)
+    if "," not in text:
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            parse_rational(text)
+
+
 def test_parse_weight():
     assert parse_weight("1/2,-1/2") == Weight((Fraction(1, 2), Fraction(-1, 2)))
     assert parse_weight("(2,0)") == Weight((2, 0))
@@ -176,8 +186,8 @@ def test_weight_rejects_floats():
 
 
 def test_project_away_removes_orthogonal_components():
-    # Orthogonality is the caller's to ensure (ThetaParabolic checks its
-    # Levi pairs once per face); project_away no longer re-checks it.
+    # The Fraction oracle for a face's Levi projection; orthogonality is
+    # the caller's to ensure, as ThetaParabolic checks its Levi pairs.
     out = project_away(Weight((3, 1)), [Weight((1, 1)), Weight((1, -1))], I2)
     assert out == Weight((0, 0))
     assert project_away(Weight((3, 1)), [Weight((0, 2))], I2) == Weight((3, 0))
