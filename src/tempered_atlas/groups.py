@@ -142,6 +142,9 @@ class RealFormDescriptor(_Frozen):
             zero_weight_s_dim=zero_weight_s_dim, integrality_basis=integrality_basis,
         )
 
+    # The fields never change and a copy is rebuilt by the constructor: hash once.
+    __hash__ = per_descriptor(_Frozen.__hash__)
+
     @per_descriptor
     def rho_compact(self) -> Weight:
         """Half-sum of the fixed positive compact roots."""

@@ -9,10 +9,11 @@ from one Brauer-Klimyk fold: each weight of the second factor (a weight of
 V, or of the spin module S) shifts hw + rho into the dominant chamber, and
 the parity of the walk is its sign.
 
-All three run on integers: a weight is its numerators over E = lcm(D, its
-denominator), and each positive compact root a its numerators and its row
-of the pairing table over D.  So x.row is E D <x, a> and y.G.y is E^2 |y|^2,
-each times the form's denominator, on one scale for every root.
+All three run on one walk and on integers: a weight is its numerators over
+E = lcm(D, the inputs' denominators), and each positive compact root a its
+numerators and its row of the pairing table over D.  So x.row is E D <x, a>
+and y.G.y is E^2 |y|^2 (G the form's own integer Gram matrix), each times
+the form's denominator.
 
 Weight multisets are plain dicts Weight -> positive integer.  A highest
 weight must be dominant and integral on each simple compact coroot.
@@ -20,14 +21,14 @@ weight must be dominant and integral on each simple compact coroot.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub
 
-from .classify import is_genuine
-from .errors import DimensionMismatch, NotDominant, NotGenuine, StructuralInvariantError
+from .classify import genuine_shift, is_genuine
+from .errors import NotDominant, NotGenuine, StructuralInvariantError
 from .groups import RealFormDescriptor, integer_frame, is_integral, per_descriptor
 from .groups import simple_compact_roots
-from .weights import Weight, half_sum
+from .weights import Weight
 
 _MAX_CHAMBER_STEPS = 100_000
 
@@ -38,14 +39,13 @@ def _dot(x, y) -> int:
 
 @per_descriptor
 def _roots(d: RealFormDescriptor):
-    """(simple, positive, rho_K, Gram rows) over D: each simple compact root
-    as (numerators, row, a.row), each positive one as (numerators, row)."""
-    frame, n = integer_frame(d), d.rank_tc
+    """(simple, positive, rho_K) over D: each simple compact root as
+    (numerators, row, a.row), each positive one as (numerators, row)."""
+    frame = integer_frame(d)
     nums = map(frame.over_den, d.positive_compact)
     positive = dict(zip(d.positive_compact, zip(nums, frame.rows)))
     simple = tuple((a, row, _dot(a, row)) for a, row in map(positive.get, simple_compact_roots(d)))
-    gram = d.form.pairing_rows([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
-    return simple, tuple(positive.values()), frame.over_den(d.rho_compact()), gram
+    return simple, tuple(positive.values()), frame.over_den(d.rho_compact())
 
 
 def _walk(simple, w):
@@ -73,19 +73,6 @@ def _walk(simple, w):
         "dominant chamber walk did not terminate; compact root data is "
         "not a root system"
     )
-
-
-def to_dominant_chamber(d: RealFormDescriptor, w: Weight):
-    """(dominant image, reflection parity, hit a chamber wall).  The walk
-    runs on w's numerators times the least f that makes each p / q an
-    integer; then so is every one along it."""
-    nums, den = w.int_coords()
-    if len(nums) != d.rank_tc:
-        raise DimensionMismatch(f"weight rank {len(nums)} vs descriptor rank {d.rank_tc}")
-    simple = _roots(d)[0]
-    f = lcm(*(q // gcd(2 * _dot(nums, row), q) for _, row, q in simple))
-    image, sign, singular = _walk(simple, tuple(map(f.__mul__, nums)))
-    return Weight.from_ints(image, den * f), sign, singular
 
 
 def _highest_weight(d: RealFormDescriptor, hw: Weight):
@@ -123,11 +110,11 @@ def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
 def _weight_table(d: RealFormDescriptor, hw: Weight):
     """(E, sorted (numerators over E, multiplicity) pairs) of V(hw)."""
     top, den = _highest_weight(d, hw)  # once per cached hw; a refusal is never cached
-    simple, positive, rho, gram = _roots(d)
+    simple, positive, rho = _roots(d)
     k = den // integer_frame(d).den
     rho, steps = tuple(map(k.__mul__, rho)), [tuple(map(k.__mul__, a)) for a, _, _ in simple]
     positive = [(tuple(map(k.__mul__, a)), row) for a, row in positive]
-    pairings, y = d.form.pairings, tuple(map(add, top, rho))
+    pairings, gram, y = d.form.pairings, d.form._int_gram, tuple(map(add, top, rho))
     mult, top_norm = {top: 1}, _dot(y, pairings(y, gram))
     # Walk hw - (nonnegative combinations of simple roots) level by level.
     # Every true weight below hw has a true-weight parent one simple root
@@ -181,7 +168,7 @@ def _klimyk_fold(d: RealFormDescriptor, top, den: int, items) -> dict:
     Each weight nu of M moves hw + rho into some chamber; wall hits cancel,
     interior points contribute the parity of the walk.
     """
-    simple, _, rho, _ = _roots(d)
+    simple, _, rho = _roots(d)
     rho = tuple(map((den // integer_frame(d).den).__mul__, rho))
     start, acc = tuple(map(add, top, rho)), {}
     for nu, m in items:
@@ -223,9 +210,9 @@ def _spin_items(d: RealFormDescriptor) -> tuple[tuple[tuple[int, ...], int], ...
     """spin_weights(d) as sorted (numerators over D, multiplicity) pairs,
     built once per descriptor and never handed out mutable: each noncompact
     positive in turn adds to every weight so far its shift by minus it."""
-    frame, pairs = integer_frame(d), d.noncompact_positives()
-    out = {frame.over_den(half_sum(pairs, rank=d.rank_tc)): 2 ** (d.zero_weight_s_dim // 2)}
-    for gamma in map(frame.over_den, pairs):
+    frame = integer_frame(d)
+    out = {frame.over_den(genuine_shift(d)): 2 ** (d.zero_weight_s_dim // 2)}
+    for gamma in map(frame.over_den, d.noncompact_positives()):
         for w, m in list(out.items()):
             w = tuple(map(sub, w, gamma))
             out[w] = out.get(w, 0) + m

@@ -28,6 +28,8 @@ from tempered_atlas.groups import (
     serialize_descriptor,
     validate,
 )
+from tempered_atlas.krep import dirac_multiplicity
+from tempered_atlas.matching import minimal_k_types
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
@@ -368,22 +370,62 @@ def test_validated_product_classifies(name1, name2, scale1, scale2, data):
         for row in u
     )
     text = serialize_descriptor(replace(d, integrality_basis=basis))
-    report = validate(parse_descriptor(text))
+    d = parse_descriptor(text)
+    report = validate(d)
     # A factor bc1 makes the compact root system non-reduced: refused, exit 2.
     with_bc1 = "bc1" in (name1, name2)
     assert {rule for rule, _ in report.violations} == ({"compact_reduced"} if with_bc1 else set())
+    # A ball small enough for a product with su31, whose rank is 3.
+    radius = Fraction(3, 2) if "su31" in (name1, name2) else Fraction(2)
+    components = [] if with_bc1 else enumerate_ball(d, radius)
+    pairs = [(datum.kappa, mu) for datum in components for mu in minimal_k_types(datum)]
+    n = d.rank_tc
+    zero, e1, half = ",".join("0" * n), ",".join("1" + "0" * (n - 1)), ",".join(["1/2"] * n)
+    fuzz = [["krep", cmd, w] for cmd in ("dim", "weights") for w in (zero, e1, half)]
+    fuzz.append(["krep", "tensor", e1, zero])
+    # Two (kappa, mu) pairs, and one swapped: mu is no genuine weight.
+    for tau, v in pairs[:2] + [(v, tau) for tau, v in pairs[:1]]:
+        tau, v = (",".join(map(str, w)) for w in (tau, v))
+        fuzz.append(["krep", "diracmult", f"--tau={tau}", f"--v={v}"])
+    if n == 2:
+        fuzz.append(["figure", "--m-range=-3:3", "--n-range=-3:3"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "product.group")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["classify", path, "--radius", "2"])
+
+        def run(command, *args):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, path, *args])
+            return code, out.getvalue(), err.getvalue()
+
+        code, out, err = run("classify", "--radius", "2")
+        # krep and figure on a product: a refusal is bad input, never a bug.
+        for command, *args in fuzz:
+            fuzz_code, _, fuzz_err = run(command, *args)
+            assert fuzz_code in (0, 2), (command, args, fuzz_err)
     if with_bc1:
-        assert code == 2 and "compact_reduced" in err.getvalue(), err.getvalue()
+        assert code == 2 and "compact_reduced" in err, err
         return
-    assert code == 0, err.getvalue()
-    assert out.getvalue().count("\n") > 1
+    assert code == 0, err
+    assert out.count("\n") > 1
+    # Connes-Kasparov over Dirac induction: kappa occurs in V(mu) (x) S for
+    # each minimal K-type mu, with the uniform factor the spin module's
+    # zero-weight part puts on every spin weight (2 on sl2c x sl2c).
+    factor = 2 ** (d.zero_weight_s_dim // 2)
+    for kappa, mu in pairs:
+        assert dirac_multiplicity(d, kappa, mu) == factor, (kappa, mu)
+
+
+def test_dirac_multiplicity_on_sl2c_x_sl2c_is_the_zero_weight_factor():
+    # m0 = 2, so every spin weight carries 2 and kappa occurs twice.
+    sl2c = catalog("sl2c")
+    d = _product(sl2c, sl2c)
+    assert d.zero_weight_s_dim == 2
+    datum = construct_from_kappa(d, Weight((0, 0)))
+    assert minimal_k_types(datum) == (Weight((1, 1)),)
+    assert dirac_multiplicity(d, datum.kappa, Weight((1, 1))) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempered_atlas import krep
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine, StructuralInvariantError
 from tempered_atlas.groups import catalog, is_integral, loads_descriptor
@@ -15,7 +18,6 @@ from tempered_atlas.krep import (
     simple_compact_roots,
     spin_weights,
     tensor_decompose,
-    to_dominant_chamber,
     weyl_dim,
 )
 from tempered_atlas.weights import Weight, reflect
@@ -284,6 +286,17 @@ def reference_walk(d, w):
         sign = -sign
 
 
+def walk(d, w):
+    """krep's integer walk on w's numerators times the least f that makes
+    each reflection coefficient p / q an integer; then so is every one
+    along it.  The image comes back as a Weight over den * f."""
+    nums, den = w.int_coords()
+    simple = krep._roots(d)[0]
+    f = lcm(*(q // gcd(2 * sum(map(mul, nums, row)), q) for _, row, q in simple))
+    image, sign, singular = krep._walk(simple, tuple(f * x for x in nums))
+    return Weight.from_ints(image, den * f), sign, singular
+
+
 _WALK_GROUPS = {
     "sp4r": catalog("sp4r"),
     "su21": catalog("su21"),
@@ -304,11 +317,11 @@ def test_to_dominant_chamber_matches_a_reference_walk(name, den, nums):
     # with coroot pairings that are no integers.
     d = _WALK_GROUPS[name]
     w = Weight(Fraction(n, den) for n in nums[: d.rank_tc])
-    assert to_dominant_chamber(d, w) == reference_walk(d, w)
+    assert walk(d, w) == reference_walk(d, w)
 
 
 def test_dominant_representative(sp4r):
-    assert to_dominant_chamber(sp4r, Weight((0, 3)))[0] == Weight((3, 0))
+    assert walk(sp4r, Weight((0, 3))) == (Weight((3, 0)), -1, False)
     assert simple_compact_roots(sp4r) == (Weight((1, -1)),)
 
 
