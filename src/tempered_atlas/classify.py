@@ -24,8 +24,7 @@ from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (
-    RealFormDescriptor, _Frozen, integer_frame, is_integral, lattice_coordinates,
-    per_descriptor, simple_compact_roots,
+    RealFormDescriptor, _Frozen, integer_frame, is_integral, lattice_coordinates, per_descriptor,
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points
@@ -127,11 +126,11 @@ def _chamber_walk(d: RealFormDescriptor):
     unimodular integer transform that brings the pairing matrix
     <b_j, alpha_i^vee> against the simple compact roots to echelon form:
     root i pivots in row r - 1 - i, with zeros in the rows before it.  Its
-    columns are read from the descriptor's pairing table over D, each a
-    positive multiple of the coroot pairings, which gives the same echelon
-    basis and the same lower bounds.  The walk fixes coordinates from the
-    last, so dominance on alpha_i is one integer lower bound on coordinate
-    r - 1 - i given those already fixed.
+    columns are read from the simple roots' rows of the descriptor's root
+    table over D, each a positive multiple of the coroot pairings, which
+    gives the same echelon basis and the same lower bounds.  The walk fixes
+    coordinates from the last, so dominance on alpha_i is one integer lower
+    bound on coordinate r - 1 - i given those already fixed.
     A row operation on the basis acts on lattice coordinates by the inverse
     column operation, so the centre moves with it.
     """
@@ -142,18 +141,14 @@ def _chamber_walk(d: RealFormDescriptor):
     center, center_den = list(coords[0]), coords[1]
     frame = integer_frame(d)
 
-    # One integer column per simple root: its pairing-table entries for
-    # shift and then for each basis row, over D.
-    simples = simple_compact_roots(d)
-    pairings = [frame.pairings(frame.over_den(w)) for w in (shift, *d.integrality_basis)]
-    columns = [[v[d.positive_compact.index(alpha)] for v in pairings] for alpha in simples]
+    # One integer column per simple root: shift and then each basis row,
+    # over D, dotted with the root's row.
+    nums = [frame.over_den(w) for w in (shift, *d.integrality_basis)]
+    columns = [[sum(map(mul, x, row)) for x in nums] for _, row, _ in frame.simple]
     # Each row: its pairings with the simples, then its basis numerators.
-    rows = [
-        [*(col[j + 1] for col in columns), *frame.over_den(b)]
-        for j, b in enumerate(d.integrality_basis)
-    ]
+    rows = [[*(col[j] for col in columns), *b] for j, b in enumerate(nums) if j]
     r = len(rows)
-    for i in range(len(simples)):
+    for i in range(len(columns)):
         # Euclid on column i over rows 0..t, ending with its gcd in row t.
         t = r - 1 - i
         while True:
@@ -179,13 +174,12 @@ def _chamber_walk(d: RealFormDescriptor):
     for i, col in enumerate(columns):
         lower[r - 1 - i] = (col[0], tuple(row[i] for row in rows))
 
-    s = len(simples)
-    basis_nums = tuple(tuple(row[s:]) for row in rows)
+    basis_nums = tuple(tuple(row[len(columns) :]) for row in rows)
     # Numerators over D pair to <x, y> times D^2 and the form's denominator.
     gram_rows = d.form.pairing_rows(basis_nums)
     quad = tuple(tuple(sum(map(mul, x, row)) for row in gram_rows) for x in basis_nums)
     center = tuple(Fraction(c, center_den) for c in center)
-    return center, quad, frame.den**2 * d.form._den, tuple(lower), frame.over_den(shift), basis_nums
+    return center, quad, frame.scale, tuple(lower), nums[0], basis_nums
 
 
 def enumerate_ball(

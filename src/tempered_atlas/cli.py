@@ -2,8 +2,9 @@
 
 Subcommands: catalog, validate, classify, match, figure, krep.  Groups are
 named by catalog entry, by a descriptor file path, or by a bare name looked
-up under the directories in TEMPERED_ATLAS_PATH (suffix ``.group``).  All
-weights on the command line are comma-separated exact rationals; no floats.
+up as a regular file under the directories in TEMPERED_ATLAS_PATH (suffix
+``.group`` optional).  All weights on the command line are comma-separated
+exact rationals; no floats.
 
 A canonical argv (exact names, each option at most once as ``--opt=value``
 or ``--opt value``, nothing else starting with '-') is read straight from
@@ -60,7 +61,7 @@ def resolve_descriptor(name: str):
         return load_descriptor(name)
     for base in filter(None, os.environ.get("TEMPERED_ATLAS_PATH", "").split(os.pathsep)):
         for candidate in (os.path.join(base, name), os.path.join(base, name + ".group")):
-            if os.path.exists(candidate):
+            if os.path.isfile(candidate):
                 return load_descriptor(candidate)
     raise UnknownGroup(f"no catalog entry or descriptor file named {name!r}")
 

@@ -162,7 +162,6 @@ class RealFormDescriptor(_Frozen):
         return min(self.form.pairings(w, frame.rows[: frame.n_compact]), default=0) >= 0
 
 
-@per_descriptor
 def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
     """Positive compact roots that are not sums of two positive ones."""
     pos = set(d.positive_compact)
@@ -357,17 +356,19 @@ def _inverse_basis(d: RealFormDescriptor):
 
 class IntegerFrame:
     """A descriptor's denominator D (``den``), over which each genuine or
-    integral weight, rho_K and noncompact half-sum has integer numerators,
-    and its one pairing table: ``rows`` holds the integer row
-    (``BilinearForm.pairing_rows``) of each of the ``n_compact`` positive
-    compact roots, then of each of ``noncompact_positives``: one per +-pair,
-    as a weight pairs with -g as minus with g.  Each row is built from its
-    root's numerators over D, so all share one scale: x over E dotted with
-    t's row is <x, t> E D times the form's denominator.  ``pairings`` reads
-    a weight against every row.  Pairings over D add: kappa + rho_K's are
-    kappa's plus ``rho_pairings``."""
+    integral weight, rho_K (``rho``) and noncompact half-sum has integer
+    numerators, and its one integer root table: ``roots`` holds (numerators
+    over D, pairing row, norm) of the ``n_compact`` positive compact roots,
+    then of ``noncompact_positives``, one per +-pair as a weight pairs with
+    -g as minus with g; ``rows`` the rows, ``simple`` the entries of
+    ``simple_compact_roots``.  x over E dotted with t's row is <x, t> E D
+    times the form's denominator c, so t's norm, read once per descriptor,
+    is |t|^2 ``scale`` = |t|^2 D^2 c, and y.gram.y is |y|^2 E^2 c.
+    ``pairings`` reads a weight against every row; over D they add, so
+    kappa + rho_K's are kappa's plus ``rho_pairings``."""
 
-    __slots__ = ("rank", "den", "n_compact", "rows", "pairings", "rho_pairings", "two_rho_pairings")
+    __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
+                 "pairings", "rho_pairings", "two_rho_pairings")
 
     def __init__(self, d: RealFormDescriptor):
         self.rank = d.rank_tc
@@ -375,10 +376,17 @@ class IntegerFrame:
         self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
                        *(b.int_coords()[1] for b in d.integrality_basis))
         self.n_compact = len(d.positive_compact)
+        self.scale = self.den**2 * d.form._den
+        self.gram = d.form._int_gram
         roots = (*d.positive_compact, *d.noncompact_positives())
-        self.rows = d.form.pairing_rows(map(self.over_den, roots))
+        nums = tuple(map(self.over_den, roots))
+        self.rows = d.form.pairing_rows(nums)
+        norms = [int(d.form.norm_sq(t) * self.scale) for t in roots]
+        self.roots = tuple(zip(nums, self.rows, norms))
+        self.simple = tuple(self.roots[roots.index(a)] for a in simple_compact_roots(d))
+        self.rho = self.over_den(d.rho_compact())
         self.pairings = functools.partial(d.form.pairings, rows=self.rows)
-        self.rho_pairings = self.pairings(self.over_den(d.rho_compact()))
+        self.rho_pairings = self.pairings(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
 
     def over_den(self, w) -> tuple[int, ...] | None:

@@ -11,9 +11,9 @@ the parity of the walk is its sign.
 
 All three run on one walk and on integers: a weight is its numerators over
 E = lcm(D, the inputs' denominators), and each positive compact root a its
-numerators and its row of the pairing table over D.  So x.row is E D <x, a>
-and y.G.y is E^2 |y|^2 (G the form's own integer Gram matrix), each times
-the form's denominator.
+entry of the descriptor's root table over D (``IntegerFrame``).  So x.row
+is E D <x, a> and y.G.y is E^2 |y|^2 (G the frame's integer Gram matrix),
+each times the form's denominator.
 
 Weight multisets are plain dicts Weight -> positive integer.  A highest
 weight must be dominant and integral on each simple compact coroot.
@@ -27,7 +27,6 @@ from operator import add, mul, sub
 from .classify import genuine_shift, is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
 from .groups import RealFormDescriptor, integer_frame, is_integral, per_descriptor
-from .groups import simple_compact_roots
 from .weights import Weight
 
 _MAX_CHAMBER_STEPS = 100_000
@@ -35,17 +34,6 @@ _MAX_CHAMBER_STEPS = 100_000
 
 def _dot(x, y) -> int:
     return sum(map(mul, x, y))
-
-
-@per_descriptor
-def _roots(d: RealFormDescriptor):
-    """(simple, positive, rho_K) over D: each simple compact root as
-    (numerators, row, a.row), each positive one as (numerators, row)."""
-    frame = integer_frame(d)
-    nums = map(frame.over_den, d.positive_compact)
-    positive = dict(zip(d.positive_compact, zip(nums, frame.rows)))
-    simple = tuple((a, row, _dot(a, row)) for a, row in map(positive.get, simple_compact_roots(d)))
-    return simple, tuple(positive.values()), frame.over_den(d.rho_compact())
 
 
 def _walk(simple, w):
@@ -83,7 +71,7 @@ def _highest_weight(d: RealFormDescriptor, hw: Weight):
     nums, den = hw.int_coords()
     e = lcm(D := integer_frame(d).den, den)
     top = tuple(map((e // den).__mul__, nums))
-    for a, row, q in _roots(d)[0]:
+    for a, row, q in integer_frame(d).simple:
         # The coroot pairing is p / (q E / D).
         if (p := 2 * _dot(top, row)) % (e // D * q):
             c, a = Fraction(p, e // D * q), Weight.from_ints(a, D)
@@ -94,9 +82,10 @@ def _highest_weight(d: RealFormDescriptor, hw: Weight):
 def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
     """Product over positive compact roots of <hw + rho, a> / <rho, a>."""
     top, e = _highest_weight(d, hw)
-    rho = tuple(map((e // integer_frame(d).den).__mul__, _roots(d)[2]))
+    frame = integer_frame(d)
+    rho = tuple(map((e // frame.den).__mul__, frame.rho))
     num = den = 1
-    for _, row in _roots(d)[1]:  # both pairings over E, on one scale
+    for _, row, _ in frame.roots[: frame.n_compact]:  # both pairings over E, on one scale
         num, den = num * _dot(map(add, top, rho), row), den * _dot(rho, row)
     if num % den or num // den <= 0:
         value = Fraction(num, den)
@@ -110,11 +99,11 @@ def weyl_dim(d: RealFormDescriptor, hw: Weight) -> int:
 def _weight_table(d: RealFormDescriptor, hw: Weight):
     """(E, sorted (numerators over E, multiplicity) pairs) of V(hw)."""
     top, den = _highest_weight(d, hw)  # once per cached hw; a refusal is never cached
-    simple, positive, rho = _roots(d)
-    k = den // integer_frame(d).den
-    rho, steps = tuple(map(k.__mul__, rho)), [tuple(map(k.__mul__, a)) for a, _, _ in simple]
-    positive = [(tuple(map(k.__mul__, a)), row) for a, row in positive]
-    pairings, gram, y = d.form.pairings, d.form._int_gram, tuple(map(add, top, rho))
+    frame = integer_frame(d)
+    simple, k = frame.simple, den // frame.den
+    rho, steps = tuple(map(k.__mul__, frame.rho)), [tuple(map(k.__mul__, a)) for a, _, _ in simple]
+    positive = [(tuple(map(k.__mul__, a)), row) for a, row, _ in frame.roots[: frame.n_compact]]
+    pairings, gram, y = d.form.pairings, frame.gram, tuple(map(add, top, rho))
     mult, top_norm = {top: 1}, _dot(y, pairings(y, gram))
     # Walk hw - (nonnegative combinations of simple roots) level by level.
     # Every true weight below hw has a true-weight parent one simple root
@@ -168,11 +157,11 @@ def _klimyk_fold(d: RealFormDescriptor, top, den: int, items) -> dict:
     Each weight nu of M moves hw + rho into some chamber; wall hits cancel,
     interior points contribute the parity of the walk.
     """
-    simple, _, rho = _roots(d)
-    rho = tuple(map((den // integer_frame(d).den).__mul__, rho))
+    frame = integer_frame(d)
+    rho = tuple(map((den // frame.den).__mul__, frame.rho))
     start, acc = tuple(map(add, top, rho)), {}
     for nu, m in items:
-        moved, sign, singular = _walk(simple, tuple(map(add, start, nu)))
+        moved, sign, singular = _walk(frame.simple, tuple(map(add, start, nu)))
         if not singular:
             target = tuple(map(sub, moved, rho))
             acc[target] = acc.get(target, 0) + sign * m
@@ -212,7 +201,7 @@ def _spin_items(d: RealFormDescriptor) -> tuple[tuple[tuple[int, ...], int], ...
     positive in turn adds to every weight so far its shift by minus it."""
     frame = integer_frame(d)
     out = {frame.over_den(genuine_shift(d)): 2 ** (d.zero_weight_s_dim // 2)}
-    for gamma in map(frame.over_den, d.noncompact_positives()):
+    for gamma, _, _ in frame.roots[frame.n_compact :]:
         for w, m in list(out.items()):
             w = tuple(map(sub, w, gamma))
             out[w] = out.get(w, 0) + m

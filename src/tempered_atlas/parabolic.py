@@ -22,14 +22,16 @@ inverse matching calls it too, and its noncompact positive system is the u
 of a face with no zero sign.  The signs, and the strict dominance of lam,
 are read from the descriptor's integer pairing table.  The face keeps its
 offsets as numerators over D too (``integer_frame``), and each Levi pair's
-numerators, row and norm, so that ``project_levi`` takes mu to kappa_l on
-integers; each pair's norm is read once, here.
+entry of the descriptor's root table (numerators, row and norm), so that
+the Levi law is one integer test per pair and ``project_levi`` takes mu to
+kappa_l on integers.
 """
 
 import itertools
-from operator import mul
+from fractions import Fraction
+from operator import add, mul
 
-from .errors import NotStrictlyDominant, StructuralInvariantError
+from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from .groups import RealFormDescriptor, integer_frame, per_descriptor
 from .weights import Weight, half_sum
 
@@ -76,15 +78,6 @@ class ThetaParabolic:
         )
         # kappa - mu for the all-plus sign choice.
         self.mu_shift = self.rho_s_cap_u + self.rho_l[0]
-        # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
-        # face, so each such mu has <mu, b^vee> = -<rho_K + mu_shift, b^vee>.
-        for beta in self.l_pairs:
-            c = d.form.coroot_pairing(d.rho_compact() + self.mu_shift, beta)
-            if c != 1:
-                raise StructuralInvariantError(
-                    f"mu must restrict to minus one half of each Levi pair; "
-                    f"coroot pairing against {beta} is {-c}"
-                )
 
         # Over D, with each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type.
         self.frame = frame = integer_frame(d)
@@ -93,14 +86,19 @@ class ThetaParabolic:
         self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
         self.rho_l_nums = tuple(map(frame.over_den, self.rho_l))
         self.k_type_shift_nums = tuple(frame.over_den(r + self.two_rho_s_cap_u) for r in self.rho_l)
-        # Per Levi pair b over D: its numerators, its pairing row, and
-        # <b, b> at the scale of a numerator dotted with that row.
-        b_nums = tuple(map(frame.over_den, self.l_pairs))
-        scale = frame.den**2 * d.form._den
-        self.l_pair_terms = tuple(
-            (b, row, int(d.form.norm_sq(beta) * scale))
-            for beta, b, row in zip(self.l_pairs, b_nums, d.form.pairing_rows(b_nums))
-        )
+        # Each Levi pair's entry of the root table: numerators, row and norm.
+        self.l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
+        # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
+        # face, so each such mu has <mu, b^vee> = -<rho_K + mu_shift, b^vee>.
+        shifted = tuple(map(add, frame.rho, self.mu_shift_nums))
+        for beta, (_, row, q) in zip(self.l_pairs, self.l_pair_terms):
+            if not q:
+                raise ZeroRoot(f"zero-length root {beta}")
+            if (p := 2 * sum(map(mul, shifted, row))) != q:
+                raise StructuralInvariantError(
+                    f"mu must restrict to minus one half of each Levi pair; "
+                    f"coroot pairing against {beta} is {Fraction(-p, q)}"
+                )
 
     def project_levi(self, mu_nums: tuple[int, ...]) -> tuple[int, ...]:
         """kappa_l over D for mu = kappa - mu_shift, kappa on the face:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import classify, cli
+from tempered_atlas import classify, cli, krep
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -23,12 +23,13 @@ from tempered_atlas.errors import InternalBijectionFailure, NotDominant, NotGenu
 from tempered_atlas.groups import (
     RealFormDescriptor,
     catalog,
+    integer_frame,
     loads_descriptor,
     parse_descriptor,
     serialize_descriptor,
     validate,
 )
-from tempered_atlas.krep import dirac_multiplicity
+from tempered_atlas.krep import dirac_multiplicity, weyl_dim
 from tempered_atlas.matching import minimal_k_types
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
@@ -416,6 +417,18 @@ def test_validated_product_classifies(name1, name2, scale1, scale2, data):
     factor = 2 ** (d.zero_weight_s_dim // 2)
     for kappa, mu in pairs:
         assert dirac_multiplicity(d, kappa, mu) == factor, (kappa, mu)
+    # The converse: V(mu) (x) S decomposes with coefficients >= 0 whose
+    # dimensions add up to dim V(mu) |S|, and kappa is its unique type of
+    # least |tau + rho_K|^2.
+    frame, spin, rho = integer_frame(d), krep._spin_items(d), d.rho_compact()
+    for kappa, mu in pairs:
+        fold = krep._klimyk_fold(d, frame.over_den(mu), frame.den, spin)
+        hits = {frame.weight(tau): c for tau, c in fold.items() if c}
+        assert all(c > 0 for c in hits.values()), (kappa, mu, hits)
+        total = sum(c * weyl_dim(d, tau) for tau, c in hits.items())
+        assert total == weyl_dim(d, mu) * sum(m for _, m in spin)
+        least = min(d.form.norm_sq(tau + rho) for tau in hits)
+        assert [tau for tau in hits if d.form.norm_sq(tau + rho) == least] == [kappa]
 
 
 def test_dirac_multiplicity_on_sl2c_x_sl2c_is_the_zero_weight_factor():

@@ -44,11 +44,14 @@ def test_version_prints_the_package_version(capsys):
 
 
 def test_package_version_matches_pyproject():
-    # A regex, not tomllib: the supported Pythons include 3.10.
+    # One version string: pyproject reads it from the package, so the two
+    # cannot drift.  A regex, not tomllib: the supported Pythons include 3.10.
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
-    assert match is not None
-    assert match.group(1) == tempered_atlas.__version__
+    assert re.search(r'^version = "', text, re.MULTILINE) is None
+    assert re.search(r'^dynamic = \["version"\]$', text, re.MULTILINE)
+    dynamic = text.partition("\n[tool.setuptools.dynamic]\n")[2].partition("\n[")[0]
+    assert re.search(r'^version = \{attr = "tempered_atlas.__version__"\}$', dynamic, re.MULTILINE)
+    assert re.fullmatch(r"[0-9]+\.[0-9]+\.[0-9]+", tempered_atlas.__version__)
 
 
 def test_classify_csv_sl2r(capsys):
@@ -484,6 +487,23 @@ def test_descriptor_search_path(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "classify", "myform", "--radius", "1", "--format", "csv")
     assert code == 0
     assert "(0),1,2" in out
+
+
+def test_search_path_takes_only_files(tmp_path, capsys, monkeypatch):
+    # A directory named like the group does not shadow its .group file.
+    (tmp_path / "myform").mkdir()
+    (tmp_path / "myform.group").write_text(
+        serialize_descriptor(catalog("sl2r")), encoding="utf-8"
+    )
+    monkeypatch.setenv("TEMPERED_ATLAS_PATH", str(tmp_path))
+    code, out, err = run_cli(capsys, "classify", "myform", "--radius", "1", "--format", "csv")
+    assert code == 0, err
+    assert "(0),1,2" in out
+    # A directory alone is no descriptor: the name is unknown.
+    (tmp_path / "myform.group").unlink()
+    code, out, err = run_cli(capsys, "classify", "myform", "--radius", "1")
+    assert code == 2 and out == ""
+    assert "no catalog entry or descriptor file named 'myform'" in err
 
 
 def test_group_by_direct_path(tmp_path, capsys):

@@ -4,6 +4,11 @@ Every module under src/tempered_atlas is parsed and searched for a float
 literal, a math import other than the integer functions gcd, lcm and isqrt,
 and any use of the name ``float``.  The one allowed use is the isinstance
 test in ``weights._coerce`` that rejects float input.
+
+A second rule keeps the integer scales in one place: only ``weights.py``,
+which defines them, and ``groups.py``, whose ``IntegerFrame`` hands them on
+per descriptor, read the private ``_den`` or ``_int_gram`` of a weight or
+form.
 """
 
 import ast
@@ -14,6 +19,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "tempered_atlas"
 MODULES = sorted(SRC.glob("*.py"))
 INTEGER_MATH = {"gcd", "lcm", "isqrt"}
+PRIVATE_SCALES = {"_den", "_int_gram"}
+SCALE_OWNERS = {"weights.py", "groups.py"}
 
 
 def float_uses(tree: ast.Module, module: str) -> list[str]:
@@ -42,6 +49,18 @@ def float_uses(tree: ast.Module, module: str) -> list[str]:
         elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
             found.append(f"{node.lineno}: name float")
     return found
+
+
+def private_scale_reads(tree: ast.Module, module: str) -> list[str]:
+    """One line per attribute ``x._den`` or ``x._int_gram`` outside the two
+    modules that own the integer scales, as 'line: .name'."""
+    if module in SCALE_OWNERS:
+        return []
+    return [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SCALES
+    ]
 
 
 def test_the_package_has_modules():
@@ -74,3 +93,29 @@ def test_lint_allows_only_the_coerce_rejection():
     source = "def _coerce(v):\n    if isinstance(v, float):\n        raise TypeError\n"
     assert float_uses(ast.parse(source), "weights.py") == []
     assert float_uses(ast.parse(source), "groups.py") == ["2: name float"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_no_private_scale(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert private_scale_reads(tree, path.name) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    (
+        ("q = d.form._den", ["1: ._den"]),
+        ("g = form._int_gram[0]", ["1: ._int_gram"]),
+        ("n = w._nums\nm = w._den", ["2: ._den"]),
+        ("den = frame.den\nscale = frame.scale", []),
+    ),
+)
+def test_scale_lint_flags_each_kind(source, expected):
+    assert private_scale_reads(ast.parse(source), "other.py") == expected
+
+
+def test_scale_lint_allows_only_the_owners():
+    source = "x = form._den * form._int_gram[0][0]"
+    for owner in SCALE_OWNERS:
+        assert private_scale_reads(ast.parse(source), owner) == []
+    assert private_scale_reads(ast.parse(source), "krep.py") == ["1: ._den", "1: ._int_gram"]

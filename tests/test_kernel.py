@@ -11,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import catalog
+from tempered_atlas import catalog, parabolic
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, genuine_shift
 from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
 from tempered_atlas.groups import (
-    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, validate
+    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, simple_compact_roots,
+    validate,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
-from fraction_linalg import det, gauss_solve, project_away, transpose
-from test_classify import _product, _walk_groups, unimodular
+from fraction_linalg import det, gauss_solve, inner, project_away, transpose
+from test_classify import _VALID, _product, _scales, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
@@ -214,6 +215,51 @@ def test_pairing_table_matches_per_weight_pairings(case):
     basis = tuple(tuple(b.coords) for b in d.integrality_basis)
     coords = gauss_solve(transpose(basis), w.coords)
     assert is_integral(d, w) == all(c.denominator == 1 for c in coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VALID),
+    st.sampled_from(_VALID),
+    _scales,
+    _scales,
+    st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+)
+def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x):
+    groups = _walk_groups()
+    d = _product(
+        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
+        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+    )
+    assert validate(d).ok
+    frame, gram = integer_frame(d), d.form.gram
+    D, x = frame.den, tuple(x[: d.rank_tc])
+    x_over_d = [Fraction(n, D) for n in x]
+    scale = D * D * lcm(*(g.denominator for row in gram for g in row))
+    assert frame.scale == scale
+    # Each entry: the root's numerators over D, its row, and its norm.
+    roots = (*d.positive_compact, *d.noncompact_positives())
+    assert len(frame.roots) == len(roots) and frame.n_compact == len(d.positive_compact)
+    for t, (nums, row, norm) in zip(roots, frame.roots):
+        assert tuple(Fraction(n, D) for n in nums) == t.coords
+        assert sum(a * b for a, b in zip(x, row)) == inner(gram, x_over_d, t) * scale
+        assert norm == inner(gram, t, t) * scale
+    assert frame.rows == tuple(row for _, row, _ in frame.roots)
+    # simple lists the simple compact roots' entries, in sorted order: the
+    # positive compact roots that are no sum of two positive ones.
+    pos = set(d.positive_compact)
+    simple = sorted(a for a in pos if not any(a - b in pos for b in pos))
+    assert simple_compact_roots(d) == tuple(simple)
+    entry = dict(zip(roots, frame.roots))
+    assert frame.simple == tuple(entry[a] for a in simple)
+    rho = [sum(c) / 2 for c in zip(*(a.coords for a in d.positive_compact))] or [0] * d.rank_tc
+    assert tuple(Fraction(n, D) for n in frame.rho) == tuple(rho)
+    # Each face met in a small ball keeps its Levi pairs' entries.
+    enumerate_ball(d, 3 * max(scale1, scale2))
+    faces = parabolic._face_table(d).values()
+    assert faces
+    for p in faces:
+        assert p.l_pair_terms == tuple(entry[b] for b in p.l_pairs)
 
 
 @pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r"))

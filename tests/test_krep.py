@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from tempered_atlas import krep
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine, StructuralInvariantError
-from tempered_atlas.groups import catalog, is_integral, loads_descriptor
+from tempered_atlas.groups import (
+    catalog, integer_frame, is_integral, loads_descriptor, simple_compact_roots,
+)
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
-    simple_compact_roots,
     spin_weights,
     tensor_decompose,
     weyl_dim,
@@ -291,7 +292,7 @@ def walk(d, w):
     each reflection coefficient p / q an integer; then so is every one
     along it.  The image comes back as a Weight over den * f."""
     nums, den = w.int_coords()
-    simple = krep._roots(d)[0]
+    simple = integer_frame(d).simple
     f = lcm(*(q // gcd(2 * sum(map(mul, nums, row)), q) for _, row, q in simple))
     image, sign, singular = krep._walk(simple, tuple(f * x for x in nums))
     return Weight.from_ints(image, den * f), sign, singular

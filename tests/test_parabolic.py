@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError
+from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from tempered_atlas import catalog, parabolic
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.groups import lex_positive, loads_descriptor
@@ -187,6 +187,15 @@ def test_failing_face_fails_on_every_call(sl2r):
         build_parabolic(d, Weight((0,)))
 
 
+def test_zero_length_levi_pair_is_named_on_an_unvalidated_form(sl2r):
+    # validate refuses a degenerate form; a descriptor built without it
+    # still gets a named error from the face, not a division by zero.
+    d = replace(sl2r, form=BilinearForm(((0,),)))
+    for _ in range(2):
+        with pytest.raises(ZeroRoot, match=r"zero-length root \(2\)"):
+            build_parabolic(d, Weight((0,)))
+
+
 def test_gram_rescaled_descriptor_shares_no_face_table(su21):
     scaled = replace(su21, form=su21.form.scaled(Fraction(2, 3)))
     for lam in (Weight((1, 0)), Weight((3, 1))):
@@ -229,21 +238,21 @@ def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     d = replace(sp4r)
     enumerate_ball(d, 1)  # builds the walk's own per-descriptor tables
     parabolic._face_table(d).clear()
-    calls = []
-    pairing = BilinearForm.coroot_pairing
+    built = []
+    init = parabolic.ThetaParabolic.__init__
 
-    def counted(form, w, root):
-        calls.append(root)
-        return pairing(form, w, root)
+    def counted(face, d, signs):
+        built.append(signs)
+        init(face, d, signs)
 
-    monkeypatch.setattr(BilinearForm, "coroot_pairing", counted)
+    # The law is checked in the constructor, one integer test per Levi pair.
+    monkeypatch.setattr(parabolic.ThetaParabolic, "__init__", counted)
     entries = enumerate_ball(d, 100)
-    faces = parabolic._face_table(d).values()
-    assert sum(e.n_pairs for e in entries) > len(calls) > 0
-    assert sorted(calls) == sorted(b for p in faces for b in p.l_pairs)
-    calls.clear()
+    assert sum(e.n_pairs for e in entries) > sum(s.count(0) for s in built) > 0
+    assert sorted(built) == sorted(parabolic._face_table(d))
+    built.clear()
     assert enumerate_ball(d, 100) == entries
-    assert calls == []
+    assert built == []
 
 
 def face_buckets(p):
@@ -270,14 +279,18 @@ def test_faces_do_not_depend_on_the_noncompact_list_order(name):
     assert keys == parabolic._face_table(d).keys()
 
 
-def test_inner_is_read_once_per_levi_pair_of_each_face(monkeypatch):
-    # A fresh copy, so that every face is built during this classification.
+def test_inner_is_read_once_per_table_root_of_each_descriptor(monkeypatch):
+    # A fresh copy, so that its root table is built during this classification.
     d = replace(catalog("sp4r"))
     seen = []
     inner = BilinearForm.inner
     monkeypatch.setattr(BilinearForm, "inner", lambda form, a, b: seen.append(a) or inner(form, a, b))
     summaries = list(map(summarize_datum, enumerate_ball(d, Fraction(20) ** 2)))
-    faces = parabolic._face_table(d).values()
-    # Each Levi pair's norm, read once by the face that owns it.
-    assert sorted(seen) == sorted(b for p in faces for b in p.l_pairs)
+    # Each root's norm, read once by the descriptor's IntegerFrame; every
+    # face and every component reads it from there.
+    assert sorted(seen) == sorted((*d.positive_compact, *d.noncompact_positives()))
     assert sum(s.n_pairs > 0 for s in summaries) > 10 * len(seen) > 0
+    seen.clear()
+    parabolic._face_table(d).clear()
+    assert list(map(summarize_datum, enumerate_ball(d, Fraction(20) ** 2))) == summaries
+    assert seen == []
