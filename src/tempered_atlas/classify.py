@@ -1,34 +1,34 @@
 """Classification of essential components by dominant weights.
 
 Starting from a dominant weight kappa, the parabolic is built at
-kappa + rho_K, the shifted weight mu = kappa - rho(s cap u) - rho_l(+1..+1)
-is tested for lattice integrality, and a datum (parabolic, kappa, mu,
-kappa_l) comes back when it passes.  mu has coroot pairing -1 against each
-Levi pair, a law of the face that its ThetaParabolic checks once for every
-kappa on it, so the sign character is -1 on every pair and every datum is
-essential by construction; nothing is stored for it.  Genuineness of kappa
-is the same integrality condition phrased against the half-sum of a
-noncompact positive system, so the construction is the one owner of both
-checks on kappa: it raises NotDominant or NotGenuine, and every genuine
-dominant kappa yields a datum.  Ball enumeration walks only the dominant
-genuine kappa: in a basis of the shifted lattice adapted to the simple
-compact roots, dominance is one integer lower bound per pivot coordinate of
-the integer ellipsoid walk, and a walked kappa the construction refuses is
-an internal failure.  Each test on kappa and mu runs on numerators over D,
-as the walk hands kappa on, and so does the face's Levi projection of mu to
-kappa_l; the datum keeps all three so, with kappa's Weight built once.
+kappa + rho_K, and a datum (parabolic, kappa, mu, kappa_l) comes back with
+the shifted weight mu = kappa - rho(s cap u) - rho_l(+1..+1).  Two laws of
+the face, each checked once by its ThetaParabolic, hold for every kappa on
+it: mu pairs to -1 with each Levi coroot, so every datum is essential by
+construction and nothing is stored for it; and mu is integral exactly when
+kappa is genuine.  So the construction tests a public kappa for dominance
+(NotDominant) and genuineness (NotGenuine, the lattice test on mu), and
+every genuine dominant kappa yields a datum.  Ball enumeration walks only
+the dominant genuine kappa: in a basis of the shifted lattice adapted to
+the simple compact roots, dominance is one integer lower bound per pivot
+coordinate of the integer ellipsoid walk, and a walked kappa the
+construction finds non-dominant is an internal failure.  Each test on
+kappa runs on numerators over D, as the walk hands kappa on, and so does
+the face's Levi projection of mu to kappa_l; the datum keeps all three so,
+with kappa's Weight built once.
 """
 
 from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
-from .groups import (
-    RealFormDescriptor, _Frozen, integer_frame, is_integral, lattice_coordinates, per_descriptor,
+from .groups import (  # genuine_shift and is_genuine are re-exported here
+    RealFormDescriptor, _Frozen, genuine_shift, integer_frame, is_genuine, is_integral,
+    lattice_coordinates, per_descriptor,
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points
-from .weights import Weight, half_sum
+from .weights import Weight
 
 
 class EssentialVoganDatum(_Frozen):
@@ -84,7 +84,8 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     """The datum generated by kappa.  Raises NotDominant unless kappa is
     dominant, and NotGenuine unless it is genuine, which is exactly when
     the shifted weight mu is integral.  kappa is a Weight or, from the
-    walk, its numerators over D, over which every genuine weight lies."""
+    walk, a genuine weight's numerators over D, whose mu the face's law
+    makes integral, so only a Weight is tested."""
     frame = integer_frame(d)
     k = frame.over_den(kappa)
     values = frame.pairings(kappa if k is None else k)
@@ -93,27 +94,10 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     if k is not None:
         p = build_parabolic(d, list(map(add, values, frame.rho_pairings)))
         mu = tuple(map(sub, k, p.mu_shift_nums))
-    if k is None or not is_integral(d, mu):
+    if k is None or (type(kappa) is not tuple and not is_integral(d, mu)):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
     return EssentialVoganDatum(p, kappa, mu, p.project_levi(mu))
-
-
-@per_descriptor
-def genuine_shift(d: RealFormDescriptor) -> Weight:
-    """Half-sum of the lexicographic noncompact positives; the genuine
-    weights form its coset modulo the integral lattice."""
-    return half_sum(d.noncompact_positives(), rank=d.rank_tc)
-
-
-def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
-    """Whether kappa - rho(noncompact positives) is integral.
-
-    Any one-per-pair choice of noncompact positives gives the same answer:
-    two choices differ by a sum of noncompact weights, which lie in the
-    lattice.
-    """
-    return is_integral(d, kappa - genuine_shift(d))
 
 
 @per_descriptor
@@ -193,8 +177,8 @@ def enumerate_ball(
     definite quadratic in the integer coordinates and dominance is a lower
     bound per pivot coordinate, so the integer ellipsoid walk visits the
     dominant genuine kappa in the ball and nothing else.  A walked kappa
-    that construct_from_kappa refuses is a hard correctness failure, not a
-    skip.
+    that construct_from_kappa finds non-dominant is a hard correctness
+    failure, not a skip.
     """
     center, quad, scale, lower, shift_nums, basis_nums = _chamber_walk(d)
     columns = tuple(zip(*basis_nums))
@@ -203,10 +187,9 @@ def enumerate_ball(
         k = tuple([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
         try:
             found.append((k, construct_from_kappa(d, k)))
-        except (NotDominant, NotGenuine) as exc:
-            kind = "non-dominant" if isinstance(exc, NotDominant) else "non-genuine"
+        except NotDominant as exc:
             raise InternalBijectionFailure(
-                f"the dominant-chamber walk reached the {kind} weight {integer_frame(d).weight(k)}"
+                f"the dominant-chamber walk reached the non-dominant {integer_frame(d).weight(k)}"
             ) from exc
 
     # Over one positive D, numerator order is kappa order.

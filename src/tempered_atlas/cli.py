@@ -19,6 +19,7 @@ import functools
 import os
 import sys
 import types
+from fractions import Fraction
 
 from . import __version__
 from .classify import enumerate_ball, enumerate_components
@@ -32,7 +33,7 @@ from .errors import (
     TemperedAtlasError,
     UnknownGroup,
 )
-from .groups import catalog, catalog_names, lattice_coordinates, load_descriptor
+from .groups import catalog, catalog_names, integer_frame, lattice_coordinates, load_descriptor
 from .krep import dirac_multiplicity, freudenthal, tensor_decompose, weyl_dim
 from .matching import match_inverse, summarize, summarize_datum
 from .ratlin import sqrt_upper
@@ -182,8 +183,9 @@ def _figure_cells(d, m_range, n_range):
         for m in (m_lo, m_hi)
         for n in (n_lo, n_hi)
     )
+    frame = integer_frame(d)
     pair_bound = sum(
-        (sqrt_upper(d.form.norm_sq(g)) for g in d.noncompact_positives()),
+        (sqrt_upper(Fraction(q, frame.scale)) for _, _, q in frame.roots[frame.n_compact :]),
         start=0,
     )
     radius = corner_bound + pair_bound / 2

@@ -435,6 +435,20 @@ def is_integral(d: RealFormDescriptor, w) -> bool:
     return coords is not None and coords[1] == 1
 
 
+@per_descriptor
+def genuine_shift(d: RealFormDescriptor) -> Weight:
+    """Half-sum of the lexicographic noncompact positives; the genuine
+    weights form its coset modulo the integral lattice."""
+    return half_sum(d.noncompact_positives(), rank=d.rank_tc)
+
+
+def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
+    """Whether kappa - rho(noncompact positives) is integral.  Any
+    one-per-pair choice of noncompact positives gives the same answer: two
+    choices differ by a sum of noncompact weights, which lie in the lattice."""
+    return is_integral(d, kappa - genuine_shift(d))
+
+
 def _pm(*weights) -> tuple[Weight, ...]:
     out = []
     for w in weights:

@@ -24,9 +24,10 @@ from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .classify import genuine_shift, is_genuine
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import RealFormDescriptor, integer_frame, is_integral, per_descriptor
+from .groups import (
+    RealFormDescriptor, genuine_shift, integer_frame, is_genuine, is_integral, per_descriptor,
+)
 from .weights import Weight
 
 _MAX_CHAMBER_STEPS = 100_000

@@ -55,9 +55,9 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
 
     Each of the 2^N results is integral, with nothing left to check:
     <mu, beta_j^vee> = -1 makes kappa_l = mu + (1/2) sum beta_j, so the sign
-    choice s gives mu plus the beta_j with s_j = +1.  construct_from_kappa
-    has checked mu integral, the face each coroot pairing, and validate
-    puts every beta_j in the lattice."""
+    choice s gives mu plus the beta_j with s_j = +1.  The face has checked
+    each coroot pairing and that mu is integral for every genuine kappa on
+    it, and validate puts every beta_j in the lattice."""
     frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
     return tuple(frame.weight(tuple(map(add, kappa_l, r))) for r in datum.parabolic.rho_l_nums)
 
@@ -96,10 +96,11 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     of an essential component and is an error, never a tie-break.  With none,
     its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
     and dominant, which is checked first so that the error names the input,
-    and so must the recovered weight.  Numerators over D give numerators.
+    and so must the recovered weight.  Numerators over D give numerators
+    and are a minimal K-type's, integral by the face's law, so untested.
     """
     frame = integer_frame(d)
-    if not is_integral(d, mu_g):
+    if type(mu_g) is not tuple and not is_integral(d, mu_g):
         raise NotIntegral(f"{frame.weight(mu_g)} is not analytically integral")
     m = frame.over_den(mu_g)  # integral, so over D
     values = frame.pairings(m)

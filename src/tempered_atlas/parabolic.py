@@ -15,24 +15,26 @@ zero makes g a Levi pair.  A descriptor has finitely many faces, and the
 face is the parabolic: one ThetaParabolic per sign vector, with its sorted
 buckets checked and its half-sums stored as plain values once, is shared
 by every lam on it.  So are the laws on those constants: the Levi pairs
-are orthogonal, and mu = kappa - mu_shift pairs to -1 with each coroot for
-every kappa whose kappa + rho_K lies on the face; each face checks them
-once.  build_parabolic is the one map from a weight to its face: the
-inverse matching calls it too, and its noncompact positive system is the u
-of a face with no zero sign.  The signs, and the strict dominance of lam,
-are read from the descriptor's integer pairing table.  The face keeps its
-offsets as numerators over D too (``integer_frame``), and each Levi pair's
-entry of the descriptor's root table (numerators, row and norm), so that
-the Levi law is one integer test per pair and ``project_levi`` takes mu to
-kappa_l on integers.
+are orthogonal; mu = kappa - mu_shift pairs to -1 with each coroot for
+every kappa whose kappa + rho_K lies on the face; and mu_shift -
+genuine_shift (minus the noncompact positives the face flips) is integral,
+so mu and every minimal K-type are integral for each genuine kappa on the
+face.  Each face checks them once.  build_parabolic is the one map from a
+weight to its face: the inverse matching calls it too, and its noncompact
+positive system is the u of a face with no zero sign.  The signs, and the
+strict dominance of lam, are read from the descriptor's integer pairing
+table.  The face keeps its offsets as numerators over D too
+(``integer_frame``), and each Levi pair's entry of the descriptor's root
+table (numerators, row and norm), so that the Levi law is one integer test
+per pair and ``project_levi`` takes mu to kappa_l on integers.
 """
 
 import itertools
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
-from .groups import RealFormDescriptor, integer_frame, per_descriptor
+from .groups import RealFormDescriptor, genuine_shift, integer_frame, is_integral, per_descriptor
 from .weights import Weight, half_sum
 
 
@@ -82,6 +84,13 @@ class ThetaParabolic:
         # Over D, with each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type.
         self.frame = frame = integer_frame(d)
         self.mu_shift_nums = frame.over_den(self.mu_shift)
+        # mu_shift - genuine_shift is minus the positives the face flips.
+        genuine = frame.over_den(genuine_shift(d))
+        if not is_integral(d, tuple(map(sub, self.mu_shift_nums, genuine))):
+            raise StructuralInvariantError(
+                f"{d.name}: mu must be integral on the face with signs {signs}; "
+                "a noncompact positive it flips is outside the integral lattice"
+            )
         self.rho_s_cap_u_nums = frame.over_den(self.rho_s_cap_u)
         self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
         self.rho_l_nums = tuple(map(frame.over_den, self.rho_l))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import classify, cli, krep
+from tempered_atlas import classify, cli, krep, parabolic
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -24,6 +24,7 @@ from tempered_atlas.groups import (
     RealFormDescriptor,
     catalog,
     integer_frame,
+    is_integral,
     loads_descriptor,
     parse_descriptor,
     serialize_descriptor,
@@ -501,3 +502,29 @@ def test_levi_projection_on_faces_with_two_pairs():
         (_product(sl2r, catalog("sp4r")), (-1, -1, -1)),
     ):
         assert _check_levi_projection(d, coeffs).n_pairs == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_VALID), st.sampled_from(_VALID), _scales, _scales)
+@example("sl2r", "sp4r", Fraction(1), Fraction(1, 3))
+def test_face_integrality_law_agrees_with_the_per_component_test(name1, name2, scale1, scale2):
+    groups = _walk_groups()
+    d = _product(
+        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
+        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+    )
+    assert validate(d).ok
+    radius = Fraction(3, 2) if "su31" in (name1, name2) else Fraction(5, 2)
+    entries = enumerate_ball(d, radius * radius)
+    shift, positives = genuine_shift(d), d.noncompact_positives()
+    faces = parabolic._face_table(d)
+    assert entries and faces
+    for signs, p in faces.items():
+        # mu_shift - genuine_shift is minus the positives the face flips.
+        flipped = [g for g, s in zip(positives, signs) if s < 0]
+        assert p.mu_shift - shift == -sum(flipped, Weight.zero(d.rank_tc))
+    for datum in entries:
+        # The law the face checked once is the test each mu used to pay.
+        law = is_integral(d, datum.parabolic.mu_shift - shift)
+        assert is_integral(d, datum.mu) == law == is_genuine(d, datum.kappa) is True
+        assert all(is_integral(d, w) for w in minimal_k_types(datum))

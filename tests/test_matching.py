@@ -84,7 +84,7 @@ def test_match_inverse_zero_pairing_is_ambiguous(sp4r):
 
 def test_match_inverse_requires_integrality(sp4r):
     # (1/2,1/2) is dominant, so integrality is what must reject it.
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NotIntegral, match=r"^\(1/2,1/2\) is not analytically integral$"):
         match_inverse(sp4r, Weight((H, H)))
 
 

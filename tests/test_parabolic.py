@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
-from tempered_atlas import catalog, parabolic
+from tempered_atlas import catalog, classify, groups, matching, parabolic
 from tempered_atlas.classify import enumerate_ball
-from tempered_atlas.groups import lex_positive, loads_descriptor
+from tempered_atlas.groups import RealFormDescriptor, lex_positive, loads_descriptor, validate
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
@@ -253,6 +253,47 @@ def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     built.clear()
     assert enumerate_ball(d, 100) == entries
     assert built == []
+
+
+def test_integrality_law_is_checked_once_per_face(sp4r, monkeypatch):
+    d = replace(sp4r)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return groups.is_integral(*args)
+
+    for module in (classify, matching, parabolic):
+        monkeypatch.setattr(module, "is_integral", counted)
+    entries = enumerate_ball(d, 400)
+    summaries = list(map(summarize_datum, entries))
+    # The walk's faces and the round trip's faces with no Levi pair: one
+    # lattice test each, none per component or per minimal K-type.
+    faces = parabolic._face_table(d)
+    assert len(calls) == len(faces) < len(entries) == len(summaries) == 646
+    assert any(s.count(0) for s in faces) and any(0 not in s for s in faces)
+
+
+def test_integrality_law_names_the_group_and_the_face():
+    # +-1 lies outside the lattice 2Z, which validate would refuse; the
+    # face with sign - flips it into mu_shift - genuine_shift = -1.
+    d = RealFormDescriptor(
+        name="offlattice", rank_tc=1, rank_g=1, form=BilinearForm.identity(1),
+        compact_roots=(), positive_compact=(),
+        noncompact_weights=(Weight((1,)), Weight((-1,))),
+        zero_weight_s_dim=0, integrality_basis=(Weight((2,)),),
+    )
+    assert "root_lattice_membership" in {rule for rule, _ in validate(d).violations}
+    # The face with sign + flips nothing and passes.
+    assert build_parabolic(d, Weight((1,))).u_noncompact == (Weight((1,)),)
+    message = r"offlattice: mu must be integral on the face with signs \(-1,\)"
+    for _ in range(2):
+        with pytest.raises(StructuralInvariantError, match=message):
+            build_parabolic(d, Weight((-1,)))
+    assert (-1,) not in parabolic._face_table(d)
+    # The walk reaches kappa = -3/2 on that face: the same error.
+    with pytest.raises(StructuralInvariantError, match=message):
+        enumerate_ball(d, 4)
 
 
 def face_buckets(p):
