@@ -84,8 +84,9 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     """The datum generated by kappa.  Raises NotDominant unless kappa is
     dominant, and NotGenuine unless it is genuine, which is exactly when
     the shifted weight mu is integral.  kappa is a Weight or, from the
-    walk, a genuine weight's numerators over D, whose mu the face's law
-    makes integral, so only a Weight is tested."""
+    walk, a genuine weight's numerators over integer_frame(d).den, whose mu
+    the face's law makes integral, so only a Weight is tested: a tuple is
+    trusted, and (sp4r, (2, 0)) gives the non-genuine (1,0), mu (-1/2,1/2)."""
     frame = integer_frame(d)
     k = frame.over_den(kappa)
     values = frame.pairings(kappa if k is None else k)

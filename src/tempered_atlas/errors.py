@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract: input/descriptor problems
 (exit 2), internal invariant violations (exit 3), ambiguous matching input
-(exit 4), range errors (exit 5).
+(exit 4), range errors (exit 5).  A refusal of a weight the package built
+itself, such as a minimal K-type, is a StructuralInvariantError.
 """
 
 
@@ -56,11 +57,6 @@ class NotGenuine(TemperedAtlasError):
 class AmbiguousPositiveSystem(TemperedAtlasError):
     """mu + 2*rho_K pairs to zero with a noncompact weight: the input is not
     a minimal K-type of an essential component."""
-
-
-class DominanceFailure(TemperedAtlasError):
-    """A computed minimal K-type failed dominance; indicates a bug, surfaced
-    loudly rather than repaired."""
 
 
 class InternalBijectionFailure(TemperedAtlasError):

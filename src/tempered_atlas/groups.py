@@ -390,12 +390,11 @@ class IntegerFrame:
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
 
     def over_den(self, w) -> tuple[int, ...] | None:
-        """w's numerators over D, or None when they are not integers."""
-        if type(w) is tuple:
-            return w
-        nums, den = w.int_coords()
+        """w's numerators over D, or None when they are not integers; a
+        tuple is its numerators over D already."""
+        nums, den = (w, self.den) if type(w) is tuple else w.int_coords()
         if len(nums) != self.rank:
-            raise DimensionMismatch(f"weight rank {len(nums)} vs descriptor rank {self.rank}")
+            raise DimensionMismatch(f"{self.weight(w)} has rank {len(nums)}, not {self.rank}")
         if den == self.den:
             return nums
         q, r = divmod(self.den, den)
@@ -413,8 +412,8 @@ def lattice_coordinates(d: RealFormDescriptor, w):
     """(nums, den) with nums[i] / den the exact coefficient of w (or of the
     numerators over D) on the i-th basis weight and den > 0 their least
     common denominator, as in ``Weight.int_coords``; None when singular."""
-    if type(w) is not tuple and len(w) != d.rank_tc:
-        raise DimensionMismatch(f"weight rank {len(w)} vs descriptor rank {d.rank_tc}")
+    if len(w) != d.rank_tc:
+        raise DimensionMismatch(f"{integer_frame(d).weight(w)} has rank {len(w)}, not {d.rank_tc}")
     nums, w_den = (w, integer_frame(d).den) if type(w) is tuple else w.int_coords()
     table = _inverse_basis(d)
     if table is None:

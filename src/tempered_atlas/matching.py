@@ -7,21 +7,16 @@ R-group order 2^N, each offset a plain value of the face.  The inverse
 direction recovers kappa from a minimal K-type as mu - rho_G + rho_K for the
 unique positive system making mu + 2 rho_K strictly dominant; rho_G - rho_K
 is the rho(s cap u) of build_parabolic(mu + 2 rho_K), a face with no Levi
-pair.  summarize leaves every check on kappa to construct_from_kappa.  Every
-dominance test here reads the descriptor's integer pairing table, and each
-weight is kappa_l plus a face offset, as numerators over D.
+pair.  summarize leaves every check on kappa to construct_from_kappa, and
+a minimal K-type's one dominance test is match_inverse's, in its round trip.
+Every dominance test here reads the descriptor's integer pairing table, and
+each weight is kappa_l plus a face offset, as numerators over D.
 """
 
 from operator import add, sub
 
 from .classify import EssentialVoganDatum, construct_from_kappa
-from .errors import (
-    AmbiguousPositiveSystem,
-    DominanceFailure,
-    NotDominant,
-    NotIntegral,
-    StructuralInvariantError,
-)
+from .errors import AmbiguousPositiveSystem, NotDominant, NotIntegral, StructuralInvariantError
 from .groups import RealFormDescriptor, _Frozen, integer_frame, is_integral
 from .parabolic import build_parabolic
 from .weights import Weight
@@ -64,15 +59,28 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
 
 def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     """Fine weights shifted by 2 rho(s cap u): the minimal K-type highest
-    weights, each kappa_l plus an offset of the face, checked dominant; the
-    face's orthogonal Levi pairs make them pairwise distinct."""
+    weights, each kappa_l plus an offset of the face; the face's orthogonal
+    Levi pairs make them pairwise distinct.  Each goes, as numerators over
+    D, through match_inverse, its one dominance test, back to kappa; a
+    refusal there is a StructuralInvariantError, as no input is at fault."""
     d = datum.descriptor
-    frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
-    out = [tuple(map(add, kappa_l, s)) for s in datum.parabolic.k_type_shift_nums]
-    for w in out:
-        if not d.is_dominant_weight(w):
-            raise DominanceFailure(f"computed minimal K-type {frame.weight(w)} is not dominant")
-    return tuple(map(frame.weight, out))
+    frame, kappa_l, kappa = datum.parabolic.frame, datum.kappa_l_nums, datum.kappa_nums
+    out = []
+    for s in datum.parabolic.k_type_shift_nums:
+        w = tuple(map(add, kappa_l, s))
+        try:
+            back = match_inverse(d, w)
+        except (NotDominant, AmbiguousPositiveSystem) as exc:
+            raise StructuralInvariantError(
+                f"computed minimal K-type {frame.weight(w)} of {datum.kappa}: {exc}"
+            ) from exc
+        if back != kappa:
+            raise StructuralInvariantError(
+                f"minimal K-type {frame.weight(w)} matches back to {frame.weight(back)}, "
+                f"expected {datum.kappa}"
+            )
+        out.append(frame.weight(w))
+    return tuple(out)
 
 
 def dirac_highest_weight(datum: EssentialVoganDatum) -> Weight:
@@ -96,8 +104,9 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     of an essential component and is an error, never a tie-break.  With none,
     its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
     and dominant, which is checked first so that the error names the input,
-    and so must the recovered weight.  Numerators over D give numerators
-    and are a minimal K-type's, integral by the face's law, so untested.
+    and so must the recovered weight.  A tuple mu_g is trusted as a minimal
+    K-type's numerators over integer_frame(d).den, integral by the face's
+    law, so untested, and gives numerators back.
     """
     frame = integer_frame(d)
     if type(mu_g) is not tuple and not is_integral(d, mu_g):
@@ -124,23 +133,12 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
 
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:
     """Assemble one component's invariants, verifying both round trips:
-    the Dirac highest weight equals kappa, and every minimal K-type maps
-    back to kappa through the inverse matching.  Each K-type goes to
-    match_inverse as its numerators over D, kappa_l's plus the face's
-    offset, and comes back as numerators compared with kappa's."""
-    d = datum.descriptor
-    frame, kappa_l, kappa = datum.parabolic.frame, datum.kappa_l_nums, datum.kappa_nums
-    k_types = minimal_k_types(datum)
-    for w, shift in zip(k_types, datum.parabolic.k_type_shift_nums):
-        back = match_inverse(d, tuple(map(add, kappa_l, shift)))
-        if back != kappa:
-            raise StructuralInvariantError(
-                f"minimal K-type {w} matches back to {frame.weight(back)}, expected "
-                f"{datum.kappa}"
-            )
+    the Dirac highest weight equals kappa (dirac_highest_weight), and every
+    minimal K-type maps back to kappa through the inverse matching
+    (minimal_k_types)."""
     return ComponentSummary(
         datum.kappa, datum.parabolic.n_pairs, r_group_order(datum), fine_weights(datum),
-        k_types, dirac_highest_weight(datum),
+        minimal_k_types(datum), dirac_highest_weight(datum),
     )
 
 

@@ -238,7 +238,7 @@ class BilinearForm:
 
     def _check(self, w: Weight):
         if len(w._nums) != len(self._int_gram):
-            raise DimensionMismatch(f"weight rank {len(w)} vs form rank {self.rank}")
+            raise DimensionMismatch(f"{w} has rank {len(w)}, not {self.rank}")
 
     def _int_row(self, nums: tuple[int, ...]) -> tuple[int, ...]:
         """G t over the integer Gram matrix, for t's numerators nums."""

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempered_atlas
-from tempered_atlas import cli
+from tempered_atlas import cli, matching
 from tempered_atlas.cli import main
-from tempered_atlas.errors import NotGenuine
-from tempered_atlas.groups import RealFormDescriptor, catalog, serialize_descriptor
+from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
+from tempered_atlas.groups import RealFormDescriptor, catalog, integer_frame, serialize_descriptor
 from tempered_atlas.weights import BilinearForm, Weight
 from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
@@ -259,6 +259,46 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
         "internal invariant failure: mu must restrict to minus one half of each "
         "Levi pair; coroot pairing against (2,0) is 0\n"
     )
+
+
+@pytest.mark.parametrize("error", (NotDominant, AmbiguousPositiveSystem))
+def test_a_refused_computed_k_type_exits_3(capsys, monkeypatch, error):
+    # A minimal K-type the code built is no input of the user's: a refusal
+    # by the inverse matching is an internal failure, not exit 2 or 4.
+    refused = []
+    original = matching.match_inverse
+
+    def refusing(d, mu_g):
+        if type(mu_g) is tuple:
+            refused.append(integer_frame(d).weight(mu_g))
+            raise error("refused")
+        return original(d, mu_g)
+
+    monkeypatch.setattr(matching, "match_inverse", refusing)
+    code, out, err = run_cli(capsys, "classify", "sp4r", "--radius", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant failure: ")
+    assert f"minimal K-type {refused[0]} of " in err
+
+
+@pytest.mark.parametrize(
+    "argv, weight",
+    (
+        (("krep", "sp4r", "dim", "1"), "(1)"),
+        (("krep", "sp4r", "weights", "1,0,0"), "(1,0,0)"),
+        (("krep", "sp4r", "tensor", "1,0", "1"), "(1)"),
+        (("krep", "sp4r", "tensor", "3", "1,0"), "(3)"),
+        (("krep", "sp4r", "diracmult", "--tau", "1/2", "--v", "2,0"), "(1/2)"),
+        (("krep", "sp4r", "diracmult", "--tau", "1/2,1/2", "--v", "2"), "(2)"),
+        (("match", "sp4r", "--mu", "1/2"), "(1/2)"),
+        (("match", "sp4r", "--mu", "2,0,0", "--direction", "inverse"), "(2,0,0)"),
+    ),
+)
+def test_a_weight_of_the_wrong_rank_is_named(capsys, argv, weight):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {weight} has rank ")
+    assert err.endswith(", not 2\n")
 
 
 def test_figure_rank_one_group_exits_2(capsys):

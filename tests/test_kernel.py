@@ -276,6 +276,12 @@ def test_wrong_rank_weight_raises_dimension_mismatch(name):
         match_inverse(d, w)
     with pytest.raises(DimensionMismatch):
         is_integral(d, w)
+    # Numerators over D, one coordinate too many or too few: zip would drop
+    # or ignore the extra ones, so each entry point checks the length.
+    for nums in ((2,) * (d.rank_tc + 1), (2,) * (d.rank_tc - 1)):
+        for entry in (construct_from_kappa, match_inverse, is_integral, lattice_coordinates):
+            with pytest.raises(DimensionMismatch, match=f"has rank {len(nums)}, not {d.rank_tc}"):
+                entry(d, nums)
 
 
 def memo_values(d):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempered_atlas import catalog, cli
+from tempered_atlas import catalog, cli, matching
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.errors import (
     AmbiguousPositiveSystem,
@@ -20,7 +20,7 @@ from tempered_atlas.matching import (
     summarize,
     summarize_datum,
 )
-from tempered_atlas.groups import loads_descriptor
+from tempered_atlas.groups import RealFormDescriptor, loads_descriptor
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
 from conftest import replace
@@ -190,6 +190,32 @@ def test_summaries_round_trip_on_su21(su21):
         assert len(s.minimal_k_types) == s.r_order == 2**s.n_pairs
         for w in s.minimal_k_types:
             assert match_inverse(su21, w) == datum.kappa
+
+
+def test_each_minimal_k_type_is_tested_once_by_the_inverse_matching(sp4r, monkeypatch):
+    # match_inverse's compact test is each K-type's only dominance check:
+    # the summary never calls is_dominant_weight, and makes one round trip
+    # per K-type.
+    entries = enumerate_components(sp4r, 20).entries
+    calls = {"is_dominant_weight": 0, "match_inverse": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(RealFormDescriptor, "is_dominant_weight")
+    counted(matching, "match_inverse")
+    for datum in entries:
+        summarize_datum(datum)
+    assert calls == {
+        "is_dominant_weight": 0,
+        "match_inverse": sum(2**datum.n_pairs for datum in entries),
+    }
 
 
 # ---------------------------------------------------------------------------
