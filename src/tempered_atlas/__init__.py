@@ -43,7 +43,7 @@ from .matching import (
     summarize_datum,
 )
 from .parabolic import ThetaParabolic, build_parabolic
-from .weights import BilinearForm, Weight, half_sum, parse_weight, reflect
+from .weights import BilinearForm, Weight, half_sum, parse_weight
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "minimal_k_types",
     "parse_weight",
     "r_group_order",
-    "reflect",
     "serialize_descriptor",
     "spin_weights",
     "summarize",

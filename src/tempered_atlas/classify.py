@@ -95,7 +95,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     if k is not None:
         p = build_parabolic(d, list(map(add, values, frame.rho_pairings)))
         mu = tuple(map(sub, k, p.mu_shift_nums))
-    if k is None or (type(kappa) is not tuple and not is_integral(d, mu)):
+    if k is None or (type(kappa) is not tuple and not is_integral(d, frame.weight(mu))):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
     return EssentialVoganDatum(p, kappa, mu, p.project_levi(mu))
@@ -105,7 +105,8 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
 def _chamber_walk(d: RealFormDescriptor):
     """(center, quad, scale, lower, shift_nums, basis_nums): the walk over
     the dominant genuine weights kappa = (shift_nums + m basis_nums) / D,
-    whose squared norm is m quad m^T / scale for the integer quad.
+    whose squared norm is (m - c) quad (m - c)^T / scale for the integer
+    quad, with the centre c = nums / den given as center = (nums, den).
 
     Built once per descriptor.  The integrality basis is changed by a
     unimodular integer transform that brings the pairing matrix
@@ -163,8 +164,7 @@ def _chamber_walk(d: RealFormDescriptor):
     # Numerators over D pair to <x, y> times D^2 and the form's denominator.
     gram_rows = d.form.pairing_rows(basis_nums)
     quad = tuple(tuple(sum(map(mul, x, row)) for row in gram_rows) for x in basis_nums)
-    center = tuple(Fraction(c, center_den) for c in center)
-    return center, quad, frame.scale, tuple(lower), nums[0], basis_nums
+    return (tuple(center), center_den), quad, frame.scale, tuple(lower), nums[0], basis_nums
 
 
 def enumerate_ball(

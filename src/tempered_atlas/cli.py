@@ -26,7 +26,6 @@ from .classify import enumerate_ball, enumerate_components
 from .errors import (
     AmbiguousPositiveSystem,
     DescriptorValidationError,
-    InternalBijectionFailure,
     RangeError,
     StructuralInvariantError,
     TemperedAtlasError,
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
     except RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except (StructuralInvariantError, InternalBijectionFailure) as exc:
+    except StructuralInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BrokenPipeError:  # a reader that closed stdout, not bad input

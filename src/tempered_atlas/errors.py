@@ -59,13 +59,13 @@ class AmbiguousPositiveSystem(TemperedAtlasError):
     a minimal K-type of an essential component."""
 
 
-class InternalBijectionFailure(TemperedAtlasError):
-    """A genuine dominant weight produced no datum; the classification map
-    must be defined on the whole genuine lattice."""
-
-
 class StructuralInvariantError(TemperedAtlasError):
     """An internal mathematical law failed (message says which one)."""
+
+
+class InternalBijectionFailure(StructuralInvariantError):
+    """A genuine dominant weight produced no datum; the classification map
+    must be defined on the whole genuine lattice."""
 
 
 class RangeError(TemperedAtlasError):

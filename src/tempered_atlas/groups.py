@@ -408,13 +408,13 @@ class IntegerFrame:
 integer_frame = per_descriptor(IntegerFrame)
 
 
-def lattice_coordinates(d: RealFormDescriptor, w):
-    """(nums, den) with nums[i] / den the exact coefficient of w (or of the
-    numerators over D) on the i-th basis weight and den > 0 their least
-    common denominator, as in ``Weight.int_coords``; None when singular."""
-    if len(w) != d.rank_tc:
-        raise DimensionMismatch(f"{integer_frame(d).weight(w)} has rank {len(w)}, not {d.rank_tc}")
-    nums, w_den = (w, integer_frame(d).den) if type(w) is tuple else w.int_coords()
+def lattice_coordinates(d: RealFormDescriptor, w: Weight):
+    """(nums, den) with nums[i] / den the exact coefficient of w on the i-th
+    basis weight and den > 0 their least common denominator, as in
+    ``Weight.int_coords``; None when singular."""
+    nums, w_den = w.int_coords()
+    if len(nums) != d.rank_tc:
+        raise DimensionMismatch(f"{w} has rank {len(nums)}, not {d.rank_tc}")
     table = _inverse_basis(d)
     if table is None:
         return None
@@ -427,7 +427,7 @@ def lattice_coordinates(d: RealFormDescriptor, w):
     return tuple([c // g for c in coords]), den // g
 
 
-def is_integral(d: RealFormDescriptor, w) -> bool:
+def is_integral(d: RealFormDescriptor, w: Weight) -> bool:
     """Membership of w in the integer span of the integrality basis: its
     lattice coordinates have denominator 1."""
     coords = lattice_coordinates(d, w)
@@ -642,7 +642,7 @@ def load_descriptor(path) -> RealFormDescriptor:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DescriptorFormatError(f"cannot read {path}: {exc}") from None
     return loads_descriptor(text)
 

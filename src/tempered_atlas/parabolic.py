@@ -86,7 +86,7 @@ class ThetaParabolic:
         self.mu_shift_nums = frame.over_den(self.mu_shift)
         # mu_shift - genuine_shift is minus the positives the face flips.
         genuine = frame.over_den(genuine_shift(d))
-        if not is_integral(d, tuple(map(sub, self.mu_shift_nums, genuine))):
+        if not is_integral(d, frame.weight(tuple(map(sub, self.mu_shift_nums, genuine)))):
             raise StructuralInvariantError(
                 f"{d.name}: mu must be integral on the face with signs {signs}; "
                 "a noncompact positive it flips is outside the integral lattice"

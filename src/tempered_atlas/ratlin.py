@@ -1,11 +1,12 @@
 """Exact linear algebra on integers: one fraction-free elimination, and
-integer-point enumeration inside rational ellipsoids.
+integer-point enumeration inside ellipsoids with integer quadrics.
 
 Every matrix the package eliminates is an integer matrix up to one scale,
 so ``eliminate`` runs Bareiss's fraction-free Gauss-Jordan elimination
 (E. H. Bareiss, Math. Comp. 22, 1968): each division in it is exact, and
 one pass gives the determinant, the adjugate and the leading principal
-minors.  The ellipsoid walk factors its form with it once and then runs on
+minors.  The ellipsoid walk takes its centre as integers over one
+denominator, factors its integer quadric with it once and then runs on
 integer budgets only, with optional integer lower bounds that cut each
 coordinate's window.
 """
@@ -58,25 +59,25 @@ def sqrt_upper(q: Fraction) -> Fraction:
 
 
 def ellipsoid_integer_points(center, quad, bound, lower=None):
-    """Yield every integer vector n with (n - center) Q (n - center)^T <= bound
-    that meets the caller's lower bounds.
+    """Yield every integer vector n with (n - cz/b) Q (n - cz/b)^T <= bound,
+    for center = (cz, b), that meets the caller's lower bounds.
 
-    Q must be symmetric positive definite, with rational entries.  Scaled
-    to integers, its leading principal minors m_i (m_-1 = 1) and the
-    pivot rows P of ``eliminate`` split the quadric as
-    sum_i z_i^2 / (m_(i-1) m_i), z_i = sum_{j>=i} P[i][j] x_j with
-    P[i][i] = m_i, so coordinates are fixed from the last to the first.
-    The centre and the bound are scaled once to integers, after which every
-    budget and window is integer arithmetic: the window of n_i is exact,
-    from one ``isqrt`` of the remaining integer budget, and no point outside
-    the ellipsoid is visited.
+    cz holds integers and b > 0; Q is a symmetric positive definite integer
+    matrix.  Its leading principal minors m_i (m_-1 = 1) and the pivot rows
+    P of ``eliminate`` split the quadric as sum_i z_i^2 / (m_(i-1) m_i),
+    z_i = sum_{j>=i} P[i][j] x_j with P[i][i] = m_i, so coordinates are
+    fixed from the last to the first.  The rational bound is scaled once to
+    an integer, after which every budget and window is integer arithmetic:
+    the window of n_i is exact, from one ``isqrt`` of the remaining integer
+    budget, and no point outside the ellipsoid is visited.
 
     ``lower``, when given, holds per coordinate None or a pair (c, row) of
     integers with row[i] > 0 and row[j] == 0 for j < i.  It asks for
     c + sum_j row[j] n_j >= 0, a lower bound on n_i given the coordinates
     already fixed, and the window is cut there.
     """
-    r = len(center)
+    cz, b = center
+    r = len(cz)
     lower = tuple(lower) if lower is not None else (None,) * r
     if len(lower) != r or any(
         lb is not None and (lb[1][i] <= 0 or any(lb[1][:i])) for i, lb in enumerate(lower)
@@ -88,20 +89,15 @@ def ellipsoid_integer_points(center, quad, bound, lower=None):
     if r == 0:
         yield ()
         return
-    qd = lcm(*(Fraction(x).denominator for row in quad for x in row))
-    _, _, pivot_rows = eliminate([[int(x * qd) for x in row] for row in quad])
+    _, _, pivot_rows = eliminate(quad)
     m = [row[i] for i, row in enumerate(pivot_rows)]
     if min(m) <= 0:
         raise ValueError("quadratic form is not positive definite")
-    center = tuple(Fraction(c) for c in center)
 
-    # With cz = b center integral, b z_i = t_i n_i - mid for t_i = b m_i and
-    # the integer mid = m_i cz_i - sum_{j>i} P[i][j] (b n_j - cz_j), and the
-    # budget test becomes w_i (t_i n_i - mid)^2 <= beta, the whole quadric
-    # scaled by b^2, by the lcm of the m_(i-1) m_i and by the denominators
-    # of Q and the bound.
-    b = lcm(*(c.denominator for c in center))
-    cz = tuple(int(c * b) for c in center)
+    # b z_i = t_i n_i - mid for t_i = b m_i and the integer
+    # mid = m_i cz_i - sum_{j>i} P[i][j] (b n_j - cz_j), and the budget test
+    # becomes w_i (t_i n_i - mid)^2 <= beta, the whole quadric scaled by
+    # b^2, by the lcm of the m_(i-1) m_i and by the bound's denominator.
     t = tuple(b * x for x in m)
     denoms = [a * x for a, x in zip((1, *m), m)]  # m_(i-1) m_i
     common = lcm(*denoms)
@@ -124,4 +120,4 @@ def ellipsoid_integer_points(center, quad, bound, lower=None):
             point[i] = n
             yield from rec(i - 1, beta - w[i] * z * z)
 
-    yield from rec(r - 1, bound.numerator * qd * b * b * common)
+    yield from rec(r - 1, bound.numerator * b * b * common)

@@ -1,4 +1,4 @@
-"""Exact rational weights, bilinear forms, half-sums, and reflections.
+"""Exact rational weights, bilinear forms, half-sums, and reflection closure.
 
 Weights are coordinate vectors in a fixed basis of the dual of the compact
 torus; the positive definite Gram matrix of a :class:`BilinearForm` carries
@@ -9,7 +9,7 @@ their least common denominator and a form keeps its Gram matrix as integers
 over one denominator, so +, -, scaling and <a, b> are integer sums, with a
 Fraction built only for a pairing's value or when coordinates are read; a
 test of a pairing against 0 reads the sign of the integer sum alone.  For
-weights that are paired again and again, ``BilinearForm.pairing_rows``
+numerators that are paired again and again, ``BilinearForm.pairing_rows``
 builds each one's integer row G t once, and ``BilinearForm.pairings`` then
 reads every pairing against them as one integer dot product per row.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatch, ZeroRoot
+from .errors import DimensionMismatch
 from .ratlin import eliminate
 
 # ASCII digits only: \d would match every Unicode decimal digit.
@@ -53,19 +53,17 @@ class Weight:
     multiplication by int or Fraction.
 
     Stored as integer numerators over their least common denominator, which
-    is all the arithmetic reads; the Fraction coordinates are built on first
-    use of ``coords``.  The value never changes after construction;
-    ``_coords`` only caches what it determines.
+    is all the arithmetic reads; ``coords`` builds the Fraction coordinates
+    each time it is read.  The value never changes after construction.
     """
 
-    __slots__ = ("_nums", "_den", "_coords")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coords):
-        coords = tuple(c if type(c) is Fraction else _coerce(c) for c in coords)
+        coords = [c if type(c) is Fraction else _coerce(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in coords)
         self._den = den
-        self._coords = coords
 
     @classmethod
     def from_ints(cls, nums: tuple[int, ...], den: int) -> "Weight":
@@ -81,12 +79,8 @@ class Weight:
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coords
-        except AttributeError:
-            den = self._den
-            self._coords = tuple(Fraction(n, den) for n in self._nums)
-            return self._coords
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
 
     def int_coords(self) -> tuple[tuple[int, ...], int]:
         """(nums, den) with coords[i] == nums[i] / den, den > 0 the least
@@ -250,12 +244,11 @@ class BilinearForm:
         self._check(b)
         return sum(map(mul, a._nums, self._int_row(b._nums)))
 
-    def pairing_rows(self, weights) -> tuple[tuple[int, ...], ...]:
-        """The integer row G t of each weight t, G the Gram matrix scaled to
-        integers: <w, t> is w's numerators dotted with t's row, over
-        positive denominators, so the dot product has the pairing's sign.
-        A t may also be integer numerators, so that rows share one scale."""
-        nums = [t if type(t) is tuple else t._nums for t in weights]
+    def pairing_rows(self, nums) -> tuple[tuple[int, ...], ...]:
+        """The integer row G t of each numerator tuple t, G the Gram matrix
+        scaled to integers: <w, t> is w's numerators dotted with t's row,
+        over positive denominators, so the dot product has the pairing's
+        sign.  The tuples share one scale, so their rows do too."""
         for t in nums:
             if len(t) != len(self._int_gram):
                 raise DimensionMismatch(f"weight rank {len(t)} vs form rank {self.rank}")
@@ -281,14 +274,6 @@ class BilinearForm:
     def norm_sq(self, w: Weight) -> Fraction:
         return self.inner(w, w)
 
-    def coroot_pairing(self, w: Weight, root: Weight) -> Fraction:
-        """2 <w, root> / <root, root>, as one Fraction of the two integer
-        pairings: their scales differ by w._den / root._den."""
-        nn = self._numerator(root, root)
-        if nn == 0:
-            raise ZeroRoot(f"zero-length root {root}")
-        return Fraction(2 * self._numerator(w, root) * root._den, nn * w._den)
-
     def is_symmetric(self) -> bool:
         g = self.gram
         return all(
@@ -303,10 +288,6 @@ class BilinearForm:
         if not self.is_symmetric():
             return False
         return all(row[i] > 0 for i, row in enumerate(eliminate(self._int_gram)[2]))
-
-    def scaled(self, factor) -> "BilinearForm":
-        c = _coerce(factor)
-        return BilinearForm(tuple(tuple(c * x for x in row) for row in self.gram))
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.gram == other.gram
@@ -331,10 +312,6 @@ def half_sum(roots, rank: int | None = None) -> Weight:
     for r in roots[1:]:
         total = total + r
     return Fraction(1, 2) * total
-
-
-def reflect(w: Weight, root: Weight, form: BilinearForm) -> Weight:
-    return w - form.coroot_pairing(w, root) * root
 
 
 def reflection_escape(mirrors, closed, form: BilinearForm):

@@ -1,15 +1,19 @@
 """Exact linear algebra over Fraction: the reference against which the
 tests check ``tempered_atlas.ratlin.eliminate``, the lattice coordinates
-built on it, and a face's integer Levi projection.
+built on it, a face's integer Levi projection, and the package's integer
+coroot pairings and reflections: ``coroot_pairing``, ``reflect`` and
+``scale_form`` are the textbook definitions, written on
+``BilinearForm.inner``.
 
 Matrices are tuples of tuples of Fractions (int entries are accepted
-too); every routine is textbook elimination, kept apart from the package
-so that the oracles stay independent of the code they check.
+too); every routine is a textbook definition, kept apart from the
+package so that the oracles stay independent of the code they check.
 """
 
 from fractions import Fraction
 
-from tempered_atlas.weights import Weight
+from tempered_atlas.errors import ZeroRoot
+from tempered_atlas.weights import BilinearForm, Weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -97,3 +101,21 @@ def project_away(w: Weight, roots, form) -> Weight:
         c = inner(form.gram, w, a) / inner(form.gram, a, a)
         out = [x - c * y for x, y in zip(out, a)]
     return Weight(out)
+
+
+def coroot_pairing(w: Weight, root: Weight, form: BilinearForm) -> Fraction:
+    """2 <w, root> / <root, root>."""
+    nn = form.inner(root, root)
+    if nn == 0:
+        raise ZeroRoot(f"zero-length root {root}")
+    return 2 * form.inner(w, root) / nn
+
+
+def reflect(w: Weight, root: Weight, form: BilinearForm) -> Weight:
+    """w less its coroot pairing with root times root."""
+    return w - coroot_pairing(w, root, form) * root
+
+
+def scale_form(form: BilinearForm, c) -> BilinearForm:
+    """The form c <., .>: every Gram entry times c."""
+    return BilinearForm(tuple(tuple(c * x for x in row) for row in form.gram))

@@ -28,7 +28,7 @@ from tempered_atlas.matching import (
 from tempered_atlas.ratlin import sqrt_upper
 from tempered_atlas.weights import Weight, half_sum
 from conftest import replace
-from fraction_linalg import project_away
+from fraction_linalg import project_away, scale_form
 from test_classify import brute_force_kappas
 from test_su31_custom import SU31_TEXT
 
@@ -256,7 +256,7 @@ def test_dirac_converse_least_shifted_norm(sp4r, sl2r, sl2c, su21):
 
 
 def test_criterion_09_gram_scale_invariance(sp4r):
-    scaled = replace(sp4r, form=sp4r.form.scaled(3))
+    scaled = replace(sp4r, form=scale_form(sp4r.form, 3))
 
     def sweep_data(d):
         out = []

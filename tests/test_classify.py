@@ -35,7 +35,9 @@ from tempered_atlas.matching import minimal_k_types
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
-from fraction_linalg import gauss_solve, inner, mat_mul, project_away, transpose
+from fraction_linalg import (
+    coroot_pairing, gauss_solve, inner, mat_mul, project_away, scale_form, transpose,
+)
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -47,7 +49,7 @@ def test_construct_one_pair(sp4r):
     assert datum.mu == Weight((-1, 0))
     assert datum.kappa_l == Weight((-H, H))
     (beta,) = datum.parabolic.l_pairs
-    assert sp4r.form.coroot_pairing(datum.mu, beta) == -1
+    assert coroot_pairing(datum.mu, beta, sp4r.form) == -1
 
 
 def test_construct_non_integral_is_empty(sp4r):
@@ -59,7 +61,7 @@ def test_construct_split_rank_one(sl2r):
     datum = construct_from_kappa(sl2r, Weight((0,)))
     assert datum.n_pairs == 1
     assert datum.mu == Weight((-1,))
-    assert sl2r.form.coroot_pairing(datum.mu, Weight((2,))) == -1
+    assert coroot_pairing(datum.mu, Weight((2,)), sl2r.form) == -1
     # whole group is the Levi here: empty nilradical, signed half pair sums +-1
     assert datum.parabolic.u_noncompact == ()
     assert datum.parabolic.rho_l == (Weight((1,)), Weight((-1,)))
@@ -136,7 +138,7 @@ def test_enumerate_deterministic(su21):
 def test_enumerate_scale_invariance(sp4r, su21):
     # same kappa set when the form triples and the squared radius follows
     for d in (sp4r, su21):
-        scaled = replace(d, form=d.form.scaled(3))
+        scaled = replace(d, form=scale_form(d.form, 3))
         base = enumerate_ball(d, Fraction(25, 2))
         comp = enumerate_ball(scaled, 3 * Fraction(25, 2))
         assert [e.kappa for e in base] == [e.kappa for e in comp]
@@ -162,10 +164,10 @@ def test_sign_choice_independence(sp4r, su21):
             assert project_away(mu_s, p.l_pairs, d.form) == datum.kappa_l
             # an odd coroot pairing is the sign value -1 on that pair
             for beta in p.l_pairs:
-                c = d.form.coroot_pairing(mu_s, beta)
+                c = coroot_pairing(mu_s, beta, d.form)
                 assert c.denominator == 1 and c.numerator % 2 == 1
         for beta in p.l_pairs:
-            assert d.form.coroot_pairing(datum.mu, beta) == -1
+            assert coroot_pairing(datum.mu, beta, d.form) == -1
 
 
 def test_condition_v_on_every_constructed_datum(sp4r):
@@ -180,7 +182,7 @@ def test_condition_v_on_every_constructed_datum(sp4r):
             for gamma in datum.parabolic.u_compact + datum.parabolic.u_noncompact:
                 assert sp4r.form.inner(lam, gamma) > 0
             for beta in datum.parabolic.l_pairs:
-                assert sp4r.form.coroot_pairing(datum.mu, beta) == -1
+                assert coroot_pairing(datum.mu, beta, sp4r.form) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def test_enumerate_ball_matches_brute_force(name, data, scale, radius_sq):
         sum((c * b for c, b in zip(row, d.integrality_basis)), Weight.zero(d.rank_tc))
         for row in u
     )
-    d = replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    d = replace(d, form=scale_form(d.form, scale), integrality_basis=basis)
     # bc1 is not reduced, which validate names; the walk itself still runs.
     expected = ["compact_reduced"] if name == "bc1" else []
     assert [rule for rule, _ in validate(d).violations] == expected
@@ -363,8 +365,8 @@ _scales = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4)
 def test_validated_product_classifies(name1, name2, scale1, scale2, data):
     groups = _walk_groups()
     d = _product(
-        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
-        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+        replace(groups[name1], form=scale_form(groups[name1].form, scale1)),
+        replace(groups[name2], form=scale_form(groups[name2].form, scale2)),
     )
     u = data.draw(unimodular(d.rank_tc))
     basis = tuple(
@@ -487,8 +489,8 @@ _VALID = ("sl2r", "sl2c", "su21", "sp4r", "su31")
 def test_levi_projection_matches_the_fraction_oracle(name1, name2, scale1, scale2, coeffs):
     groups = _walk_groups()
     d = _product(
-        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
-        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+        replace(groups[name1], form=scale_form(groups[name1].form, scale1)),
+        replace(groups[name2], form=scale_form(groups[name2].form, scale2)),
     )
     assert validate(d).ok
     _check_levi_projection(d, coeffs)
@@ -510,8 +512,8 @@ def test_levi_projection_on_faces_with_two_pairs():
 def test_face_integrality_law_agrees_with_the_per_component_test(name1, name2, scale1, scale2):
     groups = _walk_groups()
     d = _product(
-        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
-        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+        replace(groups[name1], form=scale_form(groups[name1].form, scale1)),
+        replace(groups[name2], form=scale_form(groups[name2].form, scale2)),
     )
     assert validate(d).ok
     radius = Fraction(3, 2) if "su31" in (name1, name2) else Fraction(5, 2)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempered_atlas
-from tempered_atlas import cli, matching
+from tempered_atlas import classify, cli, matching
 from tempered_atlas.cli import main
 from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
 from tempered_atlas.groups import RealFormDescriptor, catalog, integer_frame, serialize_descriptor
@@ -281,6 +281,20 @@ def test_a_refused_computed_k_type_exits_3(capsys, monkeypatch, error):
     assert f"minimal K-type {refused[0]} of " in err
 
 
+def test_a_non_dominant_walked_kappa_exits_3(capsys, monkeypatch):
+    # InternalBijectionFailure is a StructuralInvariantError, so the one
+    # exit-3 handler in main catches it.
+    def refusing(d, kappa):
+        raise NotDominant("refused")
+
+    monkeypatch.setattr(classify, "construct_from_kappa", refusing)
+    code, out, err = run_cli(capsys, "classify", "sp4r", "--radius", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "internal invariant failure: the dominant-chamber walk reached the non-dominant "
+    )
+
+
 @pytest.mark.parametrize(
     "argv, weight",
     (
@@ -335,6 +349,14 @@ def test_krep_takes_central_weights_off_the_descriptor_denominator(capsys, argv,
     # does not divide sp4r's D = 2, so krep works over lcm(D, 3).
     code, out, _ = run_cli(capsys, "krep", "sp4r", *argv)
     assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize("hw, dim", (("0,-1", "2\n"), ("-1,-1", "1\n")))
+def test_a_positional_weight_follows_a_double_dash(capsys, hw, dim):
+    # A positional weight that starts with - reads as a flag unless -- ends
+    # the options before it.
+    code, out, err = run_cli(capsys, "krep", "sp4r", "dim", "--", hw)
+    assert (code, out, err) == (0, dim, "")
 
 
 def test_krep_rejects_bad_weight(capsys):
@@ -552,6 +574,17 @@ def test_group_by_direct_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "match", str(path), "--mu", "0", "--direction", "forward")
     assert code == 0
     assert "(1) (-1)" in out
+
+
+@pytest.mark.parametrize("argv", (("validate",), ("classify", "--radius", "1")))
+def test_a_descriptor_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    # A UTF-16 byte-order mark: no UTF-8 text starts with the byte 0xff.
+    path = tmp_path / "utf16.group"
+    path.write_bytes(b"\xff\xfe")
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def cold_run(*argv):

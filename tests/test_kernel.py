@@ -4,6 +4,7 @@ Weights and forms compute on integers over a common denominator; these
 properties pin every integer path to the textbook formula it replaced.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -22,7 +23,7 @@ from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
-from fraction_linalg import det, gauss_solve, inner, project_away, transpose
+from fraction_linalg import det, gauss_solve, inner, project_away, scale_form, transpose
 from test_classify import _VALID, _product, _scales, _walk_groups, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -63,7 +64,7 @@ def test_inner_matches_fraction_definition(case, c):
     gram, a, b = case
     form = BilinearForm(gram)
     assert form.inner(a, b) == fraction_inner(gram, a, b)
-    scaled = form.scaled(c)
+    scaled = scale_form(form, c)
     assert scaled.inner(a, b) == fraction_inner(scaled.gram, a, b)
     assert scaled.inner(a, b) == c * form.inner(a, b)
 
@@ -76,7 +77,7 @@ def sign_of(x: Fraction) -> int:
 def test_sign_matches_sign_of_fraction_pairing(case, c, negate):
     gram, a, b = case
     form = BilinearForm(gram)
-    other = form.scaled(-c if negate else c)
+    other = scale_form(form, -c if negate else c)
     # Alternating forms: no pairing may depend on the form paired before.
     for f in (form, other, form, other):
         expected = sign_of(fraction_inner(f.gram, a, b))
@@ -181,7 +182,7 @@ def table_cases(draw):
     d = _TABLE_GROUPS[draw(names)]
     if draw(st.booleans()):
         d = _product(d, _TABLE_GROUPS[draw(names)])
-    d = replace(d, form=d.form.scaled(draw(scales)))
+    d = replace(d, form=scale_form(d.form, draw(scales)))
     den = draw(st.sampled_from((1, 2, 3, 6)))
     nums = draw(st.lists(st.integers(-6, 6), min_size=d.rank_tc, max_size=d.rank_tc))
     return d, Weight(Fraction(n, den) for n in nums)
@@ -228,8 +229,8 @@ def test_pairing_table_matches_per_weight_pairings(case):
 def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x):
     groups = _walk_groups()
     d = _product(
-        replace(groups[name1], form=groups[name1].form.scaled(scale1)),
-        replace(groups[name2], form=groups[name2].form.scaled(scale2)),
+        replace(groups[name1], form=scale_form(groups[name1].form, scale1)),
+        replace(groups[name2], form=scale_form(groups[name2].form, scale2)),
     )
     assert validate(d).ok
     frame, gram = integer_frame(d), d.form.gram
@@ -277,11 +278,24 @@ def test_wrong_rank_weight_raises_dimension_mismatch(name):
     with pytest.raises(DimensionMismatch):
         is_integral(d, w)
     # Numerators over D, one coordinate too many or too few: zip would drop
-    # or ignore the extra ones, so each entry point checks the length.
+    # or ignore the extra ones, so each entry point that takes them checks
+    # the length.
     for nums in ((2,) * (d.rank_tc + 1), (2,) * (d.rank_tc - 1)):
-        for entry in (construct_from_kappa, match_inverse, is_integral, lattice_coordinates):
+        for entry in (construct_from_kappa, match_inverse):
             with pytest.raises(DimensionMismatch, match=f"has rank {len(nums)}, not {d.rank_tc}"):
                 entry(d, nums)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{w} has rank")):
+        lattice_coordinates(d, w)
+
+
+@pytest.mark.parametrize("entry", (is_integral, lattice_coordinates))
+def test_lattice_tests_refuse_a_tuple(entry, sp4r):
+    # A tuple carries no denominator: read as numerators over D, (1, 0) on
+    # sp4r (D = 2) is the non-integral (1/2, 0), while Weight((1, 0)) is
+    # integral.  Either reading would be a silent guess, so it is refused.
+    assert is_integral(sp4r, Weight((1, 0)))
+    with pytest.raises((AttributeError, TypeError)):
+        entry(sp4r, (1, 0))
 
 
 def memo_values(d):
@@ -292,7 +306,7 @@ def memo_values(d):
 @given(scales)
 def test_gram_rescaling_shares_no_tables_and_keeps_output(c):
     base = catalog("su21")
-    scaled = replace(base, form=base.form.scaled(c))
+    scaled = replace(base, form=scale_form(base.form, c))
 
     def sweep(d, radius_sq):
         return [
@@ -329,7 +343,7 @@ def oracle_cases(draw):
         Fraction(1, m) * sum((c * b for c, b in zip(row, d.integrality_basis)), zero)
         for row in draw(unimodular(d.rank_tc))
     )
-    d = replace(d, form=d.form.scaled(scale), integrality_basis=basis)
+    d = replace(d, form=scale_form(d.form, scale), integrality_basis=basis)
     return d, scale * draw(st.sampled_from((1, 2, 4, 6)))
 
 

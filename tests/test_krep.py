@@ -21,7 +21,8 @@ from tempered_atlas.krep import (
     tensor_decompose,
     weyl_dim,
 )
-from tempered_atlas.weights import Weight, reflect
+from tempered_atlas.weights import Weight
+from fraction_linalg import coroot_pairing, reflect
 from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
 
@@ -182,7 +183,7 @@ def test_freudenthal_mass_and_weyl_invariance_b2():
     for c in itertools.product([Fraction(k, 2) for k in range(9)], repeat=2):
         hw = Weight(c)
         if not d.is_dominant_weight(hw) or any(
-            d.form.coroot_pairing(hw, a).denominator != 1 for a in simples
+            coroot_pairing(hw, a, d.form).denominator != 1 for a in simples
         ):
             continue
         seen += 1

@@ -12,6 +12,7 @@ from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
 from conftest import replace
+from fraction_linalg import scale_form
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -197,7 +198,7 @@ def test_zero_length_levi_pair_is_named_on_an_unvalidated_form(sl2r):
 
 
 def test_gram_rescaled_descriptor_shares_no_face_table(su21):
-    scaled = replace(su21, form=su21.form.scaled(Fraction(2, 3)))
+    scaled = replace(su21, form=scale_form(su21.form, Fraction(2, 3)))
     for lam in (Weight((1, 0)), Weight((3, 1))):
         p, q = build_parabolic(su21, lam), build_parabolic(scaled, lam)
         assert (p.u_compact, p.u_noncompact, p.l_pairs) == (

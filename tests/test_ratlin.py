@@ -144,13 +144,13 @@ def pd_matrices(draw, rank=2):
     st.fractions(min_value=0, max_value=30, max_denominator=4),
 )
 def test_ellipsoid_enumeration_complete_and_sound(quad, center, bound):
-    got = sorted(ellipsoid_integer_points(center, quad, bound))
     # quad is integral; scale the centre to integers and the quadric by m^2,
     # and clear the bound's denominator.
     m = center[0].denominator * center[1].denominator
     cz = [int(c * m) for c in center]
     gram = [[int(x) for x in row] for row in quad]
     scaled_bound = bound.numerator * m * m
+    got = sorted(ellipsoid_integer_points((cz, m), gram, bound))
 
     def q(n):
         x = [m * n[i] - cz[i] for i in range(2)]
@@ -194,12 +194,12 @@ def lower_bounds(draw):
     lower_bounds(),
 )
 def test_ellipsoid_lower_bounds_against_scan(quad, center, bound, lower):
-    got = list(ellipsoid_integer_points(center, quad, bound, lower))
     # quad is integral; scale the centre to integers and the quadric by m^2.
     m = center[0].denominator * center[1].denominator
     cz = [int(c * m) for c in center]
     gram = [[int(x) for x in row] for row in quad]
     scaled_bound = bound * m * m
+    got = list(ellipsoid_integer_points((cz, m), gram, bound, lower))
 
     def q(n):
         x = [m * n[i] - cz[i] for i in range(2)]
@@ -219,7 +219,7 @@ def test_ellipsoid_lower_bounds_against_scan(quad, center, bound, lower):
 
 
 def test_ellipsoid_lower_bound_must_lead_positive():
-    quad = to_matrix(((1, 0), (0, 1)))
+    quad = ((1, 0), (0, 1))
     for lower in (((0, (0, 1)), None), (None, (0, (1, 1))), (None, (0, (0, -1)))):
         with pytest.raises(ValueError):
-            list(ellipsoid_integer_points((0, 0), quad, 4, lower))
+            list(ellipsoid_integer_points(((0, 0), 1), quad, 4, lower))
