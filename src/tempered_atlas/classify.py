@@ -28,7 +28,7 @@ from .groups import (  # genuine_shift and is_genuine are re-exported here
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points
-from .weights import Weight
+from .weights import Weight, _coerce
 
 
 class EssentialVoganDatum(_Frozen):
@@ -120,8 +120,7 @@ def _chamber_walk(d: RealFormDescriptor):
     A row operation on the basis acts on lattice coordinates by the inverse
     column operation, so the centre moves with it.
     """
-    shift = genuine_shift(d)
-    coords = lattice_coordinates(d, -shift)
+    coords = lattice_coordinates(d, -genuine_shift(d))
     if coords is None:
         raise StructuralInvariantError("integrality basis is singular")
     center, center_den = list(coords[0]), coords[1]
@@ -129,7 +128,7 @@ def _chamber_walk(d: RealFormDescriptor):
 
     # One integer column per simple root: shift and then each basis row,
     # over D, dotted with the root's row.
-    nums = [frame.over_den(w) for w in (shift, *d.integrality_basis)]
+    nums = [frame.genuine, *map(frame.over_den, d.integrality_basis)]
     columns = [[sum(map(mul, x, row)) for x in nums] for _, row, _ in frame.simple]
     # Each row: its pairings with the simples, then its basis numerators.
     rows = [[*(col[j] for col in columns), *b] for j, b in enumerate(nums) if j]
@@ -184,7 +183,7 @@ def enumerate_ball(
     center, quad, scale, lower, shift_nums, basis_nums = _chamber_walk(d)
     columns = tuple(zip(*basis_nums))
     found = []
-    for n in ellipsoid_integer_points(center, quad, radius_sq * scale, lower):
+    for n in ellipsoid_integer_points(center, quad, _coerce(radius_sq) * scale, lower):
         k = tuple([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
         try:
             found.append((k, construct_from_kappa(d, k)))
@@ -201,8 +200,9 @@ def enumerate_ball(
 
 
 def enumerate_components(d: RealFormDescriptor, radius) -> ClassificationRun:
-    """Classification run over the closed ball of the given radius > 0."""
-    radius = Fraction(radius)
+    """Classification run over the closed ball of the given radius > 0;
+    exact, so a float radius is refused (TypeError)."""
+    radius = _coerce(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     entries = enumerate_ball(d, radius * radius)

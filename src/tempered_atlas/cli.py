@@ -10,9 +10,9 @@ A canonical argv (exact names, each option at most once as ``--opt=value``
 or ``--opt value``, nothing else starting with '-') is read straight from
 the grammar table ``_COMMANDS``; argparse, built from it, reads any other.
 
-Exit codes: 0 success, 2 input or descriptor error, 3 internal invariant
-failure, 4 ambiguous matching input, 5 range error, 141 stdout closed by
-its reader.  ``--version`` prints the package version and exits 0.
+Exit codes: 0 success, 141 stdout closed by its reader, and on an error
+the ``exit_code`` of its class (errors.py), 2 for any ValueError or
+OSError.  ``--version`` prints the package version and exits 0.
 """
 
 import functools
@@ -23,14 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .classify import enumerate_ball, enumerate_components
-from .errors import (
-    AmbiguousPositiveSystem,
-    DescriptorValidationError,
-    RangeError,
-    StructuralInvariantError,
-    TemperedAtlasError,
-    UnknownGroup,
-)
+from .errors import DescriptorValidationError, RangeError, TemperedAtlasError, UnknownGroup
 from .groups import catalog, catalog_names, integer_frame, lattice_coordinates, load_descriptor
 from .krep import dirac_multiplicity, freudenthal, tensor_decompose, weyl_dim
 from .matching import match_inverse, summarize, summarize_datum
@@ -39,9 +32,6 @@ from .weights import INTEGER_RE, parse_rational, parse_weight
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_INTERNAL = 3
-EXIT_AMBIGUOUS = 4
-EXIT_RANGE = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
 _SUMMARY_FIELDS = (
@@ -113,7 +103,7 @@ def cmd_validate(args, out) -> int:
     except DescriptorValidationError as exc:
         for name, detail in exc.report.violations:
             out.write(f"violation {name}: {detail}\n")
-        return EXIT_INPUT
+        return exc.exit_code
     out.write(f"OK {d.name}\n")
     return EXIT_OK
 
@@ -362,23 +352,29 @@ def _add_commands(parser, dest, commands) -> None:
 
 
 def main(argv=None) -> int:
-    args = read_canonical(argv) or build_parser().parse_args(argv)
+    try:
+        args = read_canonical(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse reads a value such as -1,1 as an option (a plain negative
+        # integer it reads as a value): on a usage error, name it and the cure.
+        tokens = sys.argv[1:] if argv is None else argv
+        hidden = [t for t in tokens if t[:1] == "-" and INTEGER_RE.match(t)
+                  and not INTEGER_RE.fullmatch(t)]
+        if exc.code == 2 and hidden:
+            print(f"note: {hidden[0]} starts with '-' and reads as an option; put it "
+                  f"after -- or write --opt={hidden[0]}", file=sys.stderr)
+        raise
     try:
         return args.func(args, sys.stdout)
-    except AmbiguousPositiveSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except StructuralInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except BrokenPipeError:  # a reader that closed stdout, not bad input
         raise
     except (TemperedAtlasError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # A package error carries its exit code (errors.py); any other is
+        # bad input.  Exit 3 is the package's own fault, and says so.
+        code = getattr(exc, "exit_code", EXIT_INPUT)
+        prefix = "internal invariant failure" if code == 3 else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -1,14 +1,16 @@
 """Exception hierarchy.
 
-The CLI maps these onto its exit-code contract: input/descriptor problems
-(exit 2), internal invariant violations (exit 3), ambiguous matching input
-(exit 4), range errors (exit 5).  A refusal of a weight the package built
+Each class owns its CLI exit code, ``exit_code``: input/descriptor problems
+exit 2 (the base class's code), internal invariant violations 3, ambiguous
+matching input 4, range errors 5.  A refusal of a weight the package built
 itself, such as a minimal K-type, is a StructuralInvariantError.
 """
 
 
 class TemperedAtlasError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(TemperedAtlasError):
@@ -58,9 +60,13 @@ class AmbiguousPositiveSystem(TemperedAtlasError):
     """mu + 2*rho_K pairs to zero with a noncompact weight: the input is not
     a minimal K-type of an essential component."""
 
+    exit_code = 4
+
 
 class StructuralInvariantError(TemperedAtlasError):
     """An internal mathematical law failed (message says which one)."""
+
+    exit_code = 3
 
 
 class InternalBijectionFailure(StructuralInvariantError):
@@ -70,3 +76,5 @@ class InternalBijectionFailure(StructuralInvariantError):
 
 class RangeError(TemperedAtlasError):
     """Grid range is empty or cannot be covered."""
+
+    exit_code = 5

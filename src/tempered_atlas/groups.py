@@ -365,10 +365,12 @@ class IntegerFrame:
     times the form's denominator c, so t's norm, read once per descriptor,
     is |t|^2 ``scale`` = |t|^2 D^2 c, and y.gram.y is |y|^2 E^2 c.
     ``pairings`` reads a weight against every row; over D they add, so
-    kappa + rho_K's are kappa's plus ``rho_pairings``."""
+    kappa + rho_K's are kappa's plus ``rho_pairings``.  ``genuine`` is the
+    genuine shift over D, and ``faces`` holds the descriptor's parabolics
+    by sign vector, filled as ``build_parabolic`` meets them."""
 
     __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
-                 "pairings", "rho_pairings", "two_rho_pairings")
+                 "pairings", "rho_pairings", "two_rho_pairings", "genuine", "faces")
 
     def __init__(self, d: RealFormDescriptor):
         self.rank = d.rank_tc
@@ -388,6 +390,8 @@ class IntegerFrame:
         self.pairings = functools.partial(d.form.pairings, rows=self.rows)
         self.rho_pairings = self.pairings(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
+        self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))
+        self.faces = {}
 
     def over_den(self, w) -> tuple[int, ...] | None:
         """w's numerators over D, or None when they are not integers; a
@@ -434,11 +438,12 @@ def is_integral(d: RealFormDescriptor, w: Weight) -> bool:
     return coords is not None and coords[1] == 1
 
 
-@per_descriptor
 def genuine_shift(d: RealFormDescriptor) -> Weight:
     """Half-sum of the lexicographic noncompact positives; the genuine
-    weights form its coset modulo the integral lattice."""
-    return half_sum(d.noncompact_positives(), rank=d.rank_tc)
+    weights form its coset modulo the integral lattice.  Kept over D as
+    ``IntegerFrame.genuine``."""
+    frame = integer_frame(d)
+    return frame.weight(frame.genuine)
 
 
 def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:

@@ -25,9 +25,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import (
-    RealFormDescriptor, genuine_shift, integer_frame, is_genuine, is_integral, per_descriptor,
-)
+from .groups import RealFormDescriptor, integer_frame, is_genuine, is_integral, per_descriptor
 from .weights import Weight
 
 _MAX_CHAMBER_STEPS = 100_000
@@ -201,7 +199,7 @@ def _spin_items(d: RealFormDescriptor) -> tuple[tuple[tuple[int, ...], int], ...
     built once per descriptor and never handed out mutable: each noncompact
     positive in turn adds to every weight so far its shift by minus it."""
     frame = integer_frame(d)
-    out = {frame.over_den(genuine_shift(d)): 2 ** (d.zero_weight_s_dim // 2)}
+    out = {frame.genuine: 2 ** (d.zero_weight_s_dim // 2)}
     for gamma, _, _ in frame.roots[frame.n_compact :]:
         for w, m in list(out.items()):
             w = tuple(map(sub, w, gamma))

@@ -3,7 +3,7 @@
 From a datum: the 2^N fine weights kappa_l + (1/2) sum s_j b_j, the minimal
 K-types (fine weight + twice the noncompact nilradical half-sum), the Dirac
 highest weight kappa_l + rho(s cap u) (always equal to kappa), and the
-R-group order 2^N, each offset a plain value of the face.  The inverse
+R-group order 2^N, each offset kept by the face over D.  The inverse
 direction recovers kappa from a minimal K-type as mu - rho_G + rho_K for the
 unique positive system making mu + 2 rho_K strictly dominant; rho_G - rho_K
 is the rho(s cap u) of build_parabolic(mu + 2 rho_K), a face with no Levi

@@ -13,20 +13,21 @@ through its sign vector over the noncompact positive system, one sign per
 +-pair: its face.  A sign + puts g in u, a sign - puts -g there, and a
 zero makes g a Levi pair.  A descriptor has finitely many faces, and the
 face is the parabolic: one ThetaParabolic per sign vector, with its sorted
-buckets checked and its half-sums stored as plain values once, is shared
-by every lam on it.  So are the laws on those constants: the Levi pairs
-are orthogonal; mu = kappa - mu_shift pairs to -1 with each coroot for
-every kappa whose kappa + rho_K lies on the face; and mu_shift -
-genuine_shift (minus the noncompact positives the face flips) is integral,
-so mu and every minimal K-type are integral for each genuine kappa on the
-face.  Each face checks them once.  build_parabolic is the one map from a
-weight to its face: the inverse matching calls it too, and its noncompact
-positive system is the u of a face with no zero sign.  The signs, and the
-strict dominance of lam, are read from the descriptor's integer pairing
-table.  The face keeps its offsets as numerators over D too
-(``integer_frame``), and each Levi pair's entry of the descriptor's root
-table (numerators, row and norm), so that the Levi law is one integer test
-per pair and ``project_levi`` takes mu to kappa_l on integers.
+buckets checked and its half-sums computed once, kept in the descriptor's
+``IntegerFrame.faces`` and shared by every lam on it.  So are the laws on
+those constants: the Levi pairs are orthogonal; mu = kappa - mu_shift
+pairs to -1 with each coroot for every kappa whose kappa + rho_K lies on
+the face; and mu_shift - genuine_shift (minus the noncompact positives the
+face flips) is integral, so mu and every minimal K-type are integral for
+each genuine kappa on the face.  Each face checks them once.
+build_parabolic is the one map from a weight to its face: the inverse
+matching calls it too, and its noncompact positive system is the u of a
+face with no zero sign.  The signs, and the strict dominance of lam, are
+read from the descriptor's integer pairing table.  The face keeps its
+offsets only as numerators over D (``integer_frame``), and each Levi
+pair's entry of the descriptor's root table (numerators, row and norm),
+so that the Levi law is one integer test per pair and ``project_levi``
+takes mu to kappa_l on integers.
 """
 
 import itertools
@@ -34,12 +35,12 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
-from .groups import RealFormDescriptor, genuine_shift, integer_frame, is_integral, per_descriptor
+from .groups import RealFormDescriptor, integer_frame, is_integral
 from .weights import Weight, half_sum
 
 
 class ThetaParabolic:
-    """The checked buckets of one face and the half-sums they determine."""
+    """The checked buckets of one face and the half-sums they determine, over D."""
 
     def __init__(self, d: RealFormDescriptor, signs):
         # A strictly dominant weight is positive exactly on the positive
@@ -69,32 +70,29 @@ class ThetaParabolic:
                 "lists are inconsistent"
             )
 
-        self.rho_s_cap_u = half_sum(self.u_noncompact, rank=d.rank_tc)
-        # Twice rho_s_cap_u: the shift from a fine weight to its minimal K-type.
-        self.two_rho_s_cap_u = 2 * self.rho_s_cap_u
-        # The signed Levi half-sums (1/2) sum s_j b_j, one per sign vector s
-        # in itertools.product((1, -1), repeat=N) order, +1 first.
-        self.rho_l = tuple(
-            half_sum((s * b for s, b in zip(choice, self.l_pairs)), rank=d.rank_tc)
+        # rho(s cap u), and the signed Levi half-sums (1/2) sum s_j b_j, one
+        # per sign vector s in itertools.product((1, -1), repeat=N) order,
+        # +1 first, kept only as numerators over D.
+        self.frame = frame = integer_frame(d)
+        self.rho_s_cap_u_nums = frame.over_den(half_sum(self.u_noncompact, rank=d.rank_tc))
+        self.rho_l_nums = tuple(
+            frame.over_den(half_sum((s * b for s, b in zip(choice, self.l_pairs)), rank=d.rank_tc))
             for choice in itertools.product((1, -1), repeat=self.n_pairs)
         )
         # kappa - mu for the all-plus sign choice.
-        self.mu_shift = self.rho_s_cap_u + self.rho_l[0]
-
-        # Over D, with each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type.
-        self.frame = frame = integer_frame(d)
-        self.mu_shift_nums = frame.over_den(self.mu_shift)
+        self.mu_shift_nums = tuple(map(add, self.rho_s_cap_u_nums, self.rho_l_nums[0]))
         # mu_shift - genuine_shift is minus the positives the face flips.
-        genuine = frame.over_den(genuine_shift(d))
-        if not is_integral(d, frame.weight(tuple(map(sub, self.mu_shift_nums, genuine)))):
+        if not is_integral(d, frame.weight(tuple(map(sub, self.mu_shift_nums, frame.genuine)))):
             raise StructuralInvariantError(
                 f"{d.name}: mu must be integral on the face with signs {signs}; "
                 "a noncompact positive it flips is outside the integral lattice"
             )
-        self.rho_s_cap_u_nums = frame.over_den(self.rho_s_cap_u)
         self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
-        self.rho_l_nums = tuple(map(frame.over_den, self.rho_l))
-        self.k_type_shift_nums = tuple(frame.over_den(r + self.two_rho_s_cap_u) for r in self.rho_l)
+        # Each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type, as twice
+        # rho(s cap u) is the shift from a fine weight to its minimal K-type.
+        self.k_type_shift_nums = tuple(
+            tuple([2 * x + y for x, y in zip(self.rho_s_cap_u_nums, r)]) for r in self.rho_l_nums
+        )
         # Each Levi pair's entry of the root table: numerators, row and norm.
         self.l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
         # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
@@ -123,13 +121,6 @@ class ThetaParabolic:
         return out
 
 
-@per_descriptor
-def _face_table(d: RealFormDescriptor) -> dict:
-    """Parabolics keyed by a sign vector over the noncompact positive
-    system, filled as build_parabolic meets them."""
-    return {}
-
-
 def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     """Bucket every torus weight of the group by the exact sign of its
     pairing with lam.
@@ -140,20 +131,19 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     representatives (first nonzero coordinate positive) are mutually
     orthogonal.  Only the signs over the noncompact positive system are
     computed, one per +-pair; they pick the shared parabolic of the face,
-    the same object for every lam on it.  The guard on public input and
-    the signs read lam's ``IntegerFrame.pairings``, which the hot path
-    passes in place of lam.
+    the same object for every lam on it, kept in ``IntegerFrame.faces``.
+    The guard on public input and the signs read lam's
+    ``IntegerFrame.pairings``, which the hot path passes in place of lam.
     """
     frame = integer_frame(d)
     values = frame.pairings(lam) if isinstance(lam, Weight) else lam
     if min(values[: frame.n_compact], default=1) <= 0:
         raise NotStrictlyDominant(f"{lam} is not strictly dominant for the compact positives")
     signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
-    table = _face_table(d)
     try:
-        return table[signs]
+        return frame.faces[signs]
     except KeyError:
         # Stored only once every check has passed, so a failing face
         # fails again on every call.
-        value = table[signs] = ThetaParabolic(d, signs)
+        value = frame.faces[signs] = ThetaParabolic(d, signs)
         return value

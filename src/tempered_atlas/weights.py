@@ -308,10 +308,7 @@ def half_sum(roots, rank: int | None = None) -> Weight:
     roots = tuple(roots)
     if not roots:
         return Weight.zero(rank if rank is not None else 0)
-    total = roots[0]
-    for r in roots[1:]:
-        total = total + r
-    return Fraction(1, 2) * total
+    return Fraction(1, 2) * sum(roots[1:], roots[0])
 
 
 def reflection_escape(mirrors, closed, form: BilinearForm):
@@ -330,7 +327,7 @@ def reflection_escape(mirrors, closed, form: BilinearForm):
     members = set(nums)
     for a in mirrors:
         a_nums = tuple(x * (den // a._den) for x in a._nums)
-        ga = tuple(sum(g * x for g, x in zip(row, a_nums)) for row in form._int_gram)
+        ga = form._int_row(a_nums)
         q = sum(x * y for x, y in zip(a_nums, ga))
         for b, b_nums in zip(closed, nums):
             p = 2 * sum(x * y for x, y in zip(b_nums, ga))

@@ -125,9 +125,9 @@ def test_criterion_04_sign_choice_independence(sp4r):
         p = datum.parabolic
         if p.n_pairs == 0:
             continue
-        assert len(p.rho_l) == 2**p.n_pairs
-        for rho_l in p.rho_l:
-            mu_s = kappa - p.rho_s_cap_u - rho_l
+        assert len(p.rho_l_nums) == 2**p.n_pairs
+        for rho_l in map(p.frame.weight, p.rho_l_nums):
+            mu_s = kappa - p.frame.weight(p.rho_s_cap_u_nums) - rho_l
             assert is_integral(sp4r, mu_s) == is_integral(sp4r, datum.mu)
             assert project_away(mu_s, p.l_pairs, sp4r.form) == datum.kappa_l
         checked += 1
@@ -140,11 +140,11 @@ def test_criterion_05_rho_identity(sp4r):
     for kappa in sp4r_box_sweep(sp4r, 10):
         p = construct_from_kappa(sp4r, kappa).parabolic
         signs_list = list(itertools.product((1, -1), repeat=p.n_pairs))
-        assert len(p.rho_l) == len(signs_list)
-        for signs, rho_l in zip(signs_list, p.rho_l):
+        assert len(p.rho_l_nums) == len(signs_list)
+        for signs, rho_l in zip(signs_list, map(p.frame.weight, p.rho_l_nums)):
             assembled = p.u_noncompact + tuple(s * b for s, b in zip(signs, p.l_pairs))
             recomputed = half_sum(assembled, rank=sp4r.rank_tc)
-            assert recomputed == p.rho_s_cap_u + rho_l
+            assert recomputed == p.frame.weight(p.rho_s_cap_u_nums) + rho_l
             count += 1
     print(f"criterion 5 PASS ({count} (kappa, sign) pairs)")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import classify, cli, krep, parabolic
+from tempered_atlas import classify, cli, krep
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -64,7 +64,8 @@ def test_construct_split_rank_one(sl2r):
     assert coroot_pairing(datum.mu, Weight((2,)), sl2r.form) == -1
     # whole group is the Levi here: empty nilradical, signed half pair sums +-1
     assert datum.parabolic.u_noncompact == ()
-    assert datum.parabolic.rho_l == (Weight((1,)), Weight((-1,)))
+    p = datum.parabolic
+    assert tuple(map(p.frame.weight, p.rho_l_nums)) == (Weight((1,)), Weight((-1,)))
 
 
 def test_construct_requires_dominance(sp4r):
@@ -94,7 +95,7 @@ def test_is_genuine_matches_kappa_adapted_system(sp4r, su21):
                 if not d.is_dominant_weight(kappa):
                     continue
                 p = build_parabolic(d, kappa + d.rho_compact())
-                adapted = p.rho_s_cap_u + p.rho_l[0]
+                adapted = p.frame.weight(p.rho_s_cap_u_nums) + p.frame.weight(p.rho_l_nums[0])
                 from tempered_atlas.groups import is_integral
 
                 assert is_integral(d, kappa - adapted) == is_genuine(d, kappa)
@@ -129,6 +130,16 @@ def test_enumerate_requires_positive_radius(sp4r):
             enumerate_components(sp4r, bad)
 
 
+def test_a_float_radius_is_refused(sp4r):
+    # Exact arithmetic throughout: a float radius is refused as a float
+    # coordinate is, not read as the rational it rounds to.
+    with pytest.raises(TypeError, match="float"):
+        enumerate_components(sp4r, 0.5)
+    with pytest.raises(TypeError, match="float"):
+        enumerate_ball(sp4r, 2.25)
+    assert len(enumerate_ball(sp4r, Fraction(9, 4))) == 3
+
+
 def test_enumerate_deterministic(su21):
     first = enumerate_components(su21, 3)
     second = enumerate_components(su21, 3)
@@ -157,9 +168,9 @@ def test_sign_choice_independence(sp4r, su21):
         p = datum.parabolic
         from tempered_atlas.groups import is_integral
 
-        assert len(p.rho_l) == 2**p.n_pairs
-        for rho_l in p.rho_l:
-            mu_s = kappa - p.rho_s_cap_u - rho_l
+        assert len(p.rho_l_nums) == 2**p.n_pairs
+        for rho_l in map(p.frame.weight, p.rho_l_nums):
+            mu_s = kappa - p.frame.weight(p.rho_s_cap_u_nums) - rho_l
             assert is_integral(d, mu_s)
             assert project_away(mu_s, p.l_pairs, d.form) == datum.kappa_l
             # an odd coroot pairing is the sign value -1 on that pair
@@ -468,7 +479,7 @@ def _check_levi_projection(d, coeffs):
     kappa = _fold_dominant(d, sum(map(mul, coeffs, d.integrality_basis), shift))
     datum = construct_from_kappa(d, kappa)
     p = datum.parabolic
-    mu = kappa - p.mu_shift
+    mu = kappa - p.frame.weight(p.mu_shift_nums)
     assert datum.mu == mu
     assert datum.kappa_l == project_away(mu, p.l_pairs, d.form)
     return datum
@@ -519,14 +530,14 @@ def test_face_integrality_law_agrees_with_the_per_component_test(name1, name2, s
     radius = Fraction(3, 2) if "su31" in (name1, name2) else Fraction(5, 2)
     entries = enumerate_ball(d, radius * radius)
     shift, positives = genuine_shift(d), d.noncompact_positives()
-    faces = parabolic._face_table(d)
-    assert entries and faces
-    for signs, p in faces.items():
+    frame = integer_frame(d)
+    assert entries and frame.faces
+    for signs, p in frame.faces.items():
         # mu_shift - genuine_shift is minus the positives the face flips.
         flipped = [g for g, s in zip(positives, signs) if s < 0]
-        assert p.mu_shift - shift == -sum(flipped, Weight.zero(d.rank_tc))
+        assert frame.weight(p.mu_shift_nums) - shift == -sum(flipped, Weight.zero(d.rank_tc))
     for datum in entries:
         # The law the face checked once is the test each mu used to pay.
-        law = is_integral(d, datum.parabolic.mu_shift - shift)
+        law = is_integral(d, frame.weight(datum.parabolic.mu_shift_nums) - shift)
         assert is_integral(d, datum.mu) == law == is_genuine(d, datum.kappa) is True
         assert all(is_integral(d, w) for w in minimal_k_types(datum))

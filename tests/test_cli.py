@@ -14,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempered_atlas
-from tempered_atlas import classify, cli, matching
+from tempered_atlas import classify, cli, errors, matching
 from tempered_atlas.cli import main
 from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
-from tempered_atlas.groups import RealFormDescriptor, catalog, integer_frame, serialize_descriptor
+from tempered_atlas.groups import (
+    RealFormDescriptor, ValidationReport, catalog, integer_frame, serialize_descriptor,
+)
 from tempered_atlas.weights import BilinearForm, Weight
 from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
@@ -742,6 +744,90 @@ def test_help_abbreviations_repeats_and_usage_errors_fall_back_to_argparse(capsy
     assert cli.read_canonical(argv) is None
     expected = run_cli(capsys, "classify", "sp4r", "--radius=2", "--format=json")
     assert run_cli(capsys, *argv) == expected
+
+
+def test_a_value_read_as_an_option_is_named_on_a_usage_error(capsys):
+    # argparse reads -1,1 as an option, so its own message names the
+    # argument it then misses; a second line names the value and the cure.
+    for argv, usage in (
+        (["krep", "sp4r", "weights", "-1,1"], "the following arguments are required: hw"),
+        (["match", "sp4r", "--mu", "-1,1"], "argument --mu: expected one argument"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert usage in err
+        assert err.endswith(
+            "note: -1,1 starts with '-' and reads as an option; put it after -- or write "
+            "--opt=-1,1\n"
+        )
+    # Help, the version and valid argvs print nothing extra.
+    for argv in (["krep", "sp4r", "weights", "-h"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+    assert run_cli(capsys, "krep", "sp4r", "dim", "--", "0,-1") == (0, "2\n", "")
+    assert run_cli(capsys, "match", "sp4r", "--mu=-1/2,-3/2")[2] == ""
+    # A usage error with no such value gets argparse's message alone, and
+    # so does one beside a negative integer, which argparse reads as a value.
+    for argv in (["krep", "sp4r", "weights"], ["classify", "sp4r", "--radius", "-2", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "note:" not in capsys.readouterr().err
+
+
+# The exit code of each concrete class in tempered_atlas.errors, as README's
+# table of exit codes gives it.
+EXIT_CODES = {
+    "DimensionMismatch": 2,
+    "ZeroRoot": 2,
+    "UnknownGroup": 2,
+    "DescriptorFormatError": 2,
+    "DescriptorValidationError": 2,
+    "NotDominant": 2,
+    "NotStrictlyDominant": 2,
+    "NotIntegral": 2,
+    "NotGenuine": 2,
+    "AmbiguousPositiveSystem": 4,
+    "StructuralInvariantError": 3,
+    "InternalBijectionFailure": 3,
+    "RangeError": 5,
+}
+
+
+def catalog_raising(monkeypatch, exc):
+    """Make the catalog command raise exc."""
+
+    def raising(args, out):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "catalog", ("", raising, (), {}, None))
+
+
+def test_each_error_class_owns_its_exit_code(capsys, monkeypatch):
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.TemperedAtlasError)
+        and cls is not errors.TemperedAtlasError
+    }
+    assert classes.keys() == EXIT_CODES.keys()
+    for name, cls in classes.items():
+        assert cls.exit_code == EXIT_CODES[name], name
+        if cls is errors.DescriptorValidationError:
+            exc = cls(ValidationReport((("rule", "detail"),)))
+        else:
+            exc = cls("refused")
+        catalog_raising(monkeypatch, exc)
+        prefix = "internal invariant failure" if cls.exit_code == 3 else "error"
+        assert run_cli(capsys, "catalog") == (EXIT_CODES[name], "", f"{prefix}: {exc}\n")
+    # Any other error the handler takes is bad input.
+    for exc in (ValueError("bad"), OSError("unreadable")):
+        catalog_raising(monkeypatch, exc)
+        assert run_cli(capsys, "catalog") == (2, "", f"error: {exc}\n")
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):

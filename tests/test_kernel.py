@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import catalog, parabolic
+from tempered_atlas import catalog
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, genuine_shift
 from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
 from tempered_atlas.groups import (
@@ -255,9 +255,13 @@ def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x)
     assert frame.simple == tuple(entry[a] for a in simple)
     rho = [sum(c) / 2 for c in zip(*(a.coords for a in d.positive_compact))] or [0] * d.rank_tc
     assert tuple(Fraction(n, D) for n in frame.rho) == tuple(rho)
+    # genuine is the half-sum of the noncompact positives over D.
+    positives = d.noncompact_positives()
+    genuine = [sum(c) / 2 for c in zip(*(g.coords for g in positives))] or [0] * d.rank_tc
+    assert tuple(Fraction(n, D) for n in frame.genuine) == tuple(genuine)
     # Each face met in a small ball keeps its Levi pairs' entries.
     enumerate_ball(d, 3 * max(scale1, scale2))
-    faces = parabolic._face_table(d).values()
+    faces = frame.faces.values()
     assert faces
     for p in faces:
         assert p.l_pair_terms == tuple(entry[b] for b in p.l_pairs)
@@ -351,12 +355,13 @@ def oracle(d, kappa):
     """The component's formulas in Weight arithmetic: mu, kappa_l, the fine
     weights, the minimal K-types and each K-type's recovered weight."""
     p = build_parabolic(d, kappa + d.rho_compact())
-    mu = kappa - p.mu_shift
+    weight = p.frame.weight
+    mu = kappa - weight(p.mu_shift_nums)
     kappa_l = project_away(mu, p.l_pairs, d.form)
-    fine = tuple(kappa_l + r for r in p.rho_l)
-    k_types = tuple(f + p.two_rho_s_cap_u for f in fine)
+    fine = tuple(kappa_l + weight(r) for r in p.rho_l_nums)
+    k_types = tuple(f + 2 * weight(p.rho_s_cap_u_nums) for f in fine)
     back = tuple(
-        w - build_parabolic(d, w + 2 * d.rho_compact()).rho_s_cap_u for w in k_types
+        w - weight(build_parabolic(d, w + 2 * d.rho_compact()).rho_s_cap_u_nums) for w in k_types
     )
     return mu, kappa_l, fine, k_types, back
 
@@ -379,5 +384,6 @@ def test_integer_component_path_matches_weight_arithmetic(case):
         assert construct_from_kappa(d, kappa) == datum
         s = summarize_datum(datum)
         assert (s.fine_weights, s.minimal_k_types) == (fine, k_types)
-        assert s.dirac_hw == kappa_l + datum.parabolic.rho_s_cap_u == kappa
+        p = datum.parabolic
+        assert s.dirac_hw == kappa_l + p.frame.weight(p.rho_s_cap_u_nums) == kappa
         assert tuple(match_inverse(d, w) for w in k_types) == back == (kappa,) * len(back)

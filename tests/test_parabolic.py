@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from tempered_atlas import catalog, classify, groups, matching, parabolic
 from tempered_atlas.classify import enumerate_ball
-from tempered_atlas.groups import RealFormDescriptor, lex_positive, loads_descriptor, validate
+from tempered_atlas.groups import (
+    RealFormDescriptor, integer_frame, lex_positive, loads_descriptor, validate,
+)
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
@@ -64,23 +66,32 @@ def test_not_strictly_dominant_rejected(sp4r):
         build_parabolic(sp4r, Weight((0, 0)))
 
 
+def rho_s_cap_u(p):
+    return p.frame.weight(p.rho_s_cap_u_nums)
+
+
+def rho_l(p):
+    return tuple(map(p.frame.weight, p.rho_l_nums))
+
+
 def test_rho_s_cap_u(sp4r):
     p = build_parabolic(sp4r, Weight((3, 1)))
-    assert p.rho_s_cap_u == Weight((Fraction(3, 2), Fraction(3, 2)))
-    assert p.two_rho_s_cap_u == Weight((3, 3))
-    assert build_parabolic(sp4r, Weight((1, -1))).rho_s_cap_u == Weight((1, -1))
+    assert rho_s_cap_u(p) == Weight((Fraction(3, 2), Fraction(3, 2)))
+    # No Levi pair: the one K-type shift is twice rho(s cap u).
+    assert tuple(map(p.frame.weight, p.k_type_shift_nums)) == (Weight((3, 3)),)
+    assert rho_s_cap_u(build_parabolic(sp4r, Weight((1, -1)))) == Weight((1, -1))
     # empty nilradical noncompact part for the split rank-one group at 0
-    assert build_parabolic(catalog("sl2r"), Weight((0,))).rho_s_cap_u == Weight((0,))
+    assert rho_s_cap_u(build_parabolic(catalog("sl2r"), Weight((0,)))) == Weight((0,))
 
 
 def test_rho_l_plus(sp4r):
     # One signed Levi half-sum per sign vector, +1 first.
     p = build_parabolic(sp4r, Weight((1, -1)))
-    assert p.rho_l == (Weight((H, H)), Weight((-H, -H)))
+    assert rho_l(p) == (Weight((H, H)), Weight((-H, -H)))
     p2 = build_parabolic(sp4r, Weight((1, 0)))
-    assert p2.rho_l == (Weight((0, 1)), Weight((0, -1)))
+    assert rho_l(p2) == (Weight((0, 1)), Weight((0, -1)))
     p3 = build_parabolic(sp4r, Weight((3, 1)))
-    assert p3.rho_l == (Weight((0, 0)),)
+    assert rho_l(p3) == (Weight((0, 0)),)
 
 
 strict_dominant_sp4r = (
@@ -131,13 +142,13 @@ def test_rho_identity_over_sign_vectors(sp4r, su21):
         for lam in lams:
             p = build_parabolic(d, lam)
             sign_vectors = list(itertools.product((1, -1), repeat=p.n_pairs))
-            assert len(p.rho_l) == len(sign_vectors)
-            for signs, rho_l in zip(sign_vectors, p.rho_l):
+            assert len(p.rho_l_nums) == len(sign_vectors)
+            for signs, signed_half_sum in zip(sign_vectors, rho_l(p)):
                 assembled = p.u_noncompact + tuple(s * b for s, b in zip(signs, p.l_pairs))
                 # one member per noncompact pair
                 assert len(assembled) * 2 == len(d.noncompact_weights)
                 assert len({frozenset((w, -w)) for w in assembled}) == len(assembled)
-                assert half_sum(assembled, rank=d.rank_tc) == p.rho_s_cap_u + rho_l
+                assert half_sum(assembled, rank=d.rank_tc) == rho_s_cap_u(p) + signed_half_sum
 
 
 @pytest.mark.parametrize(
@@ -157,8 +168,9 @@ def test_weights_on_one_face_give_equal_buckets(sp4r, lams):
         assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
             sp4r, Weight(lam)
         )
-        assert p.rho_s_cap_u == half_sum(p.u_noncompact, rank=2)
-        assert p.mu_shift == p.rho_s_cap_u + half_sum(p.l_pairs, rank=2)
+        assert rho_s_cap_u(p) == half_sum(p.u_noncompact, rank=2)
+        mu_shift = p.frame.weight(p.mu_shift_nums)
+        assert mu_shift == half_sum(p.u_noncompact, rank=2) + half_sum(p.l_pairs, rank=2)
 
 
 def test_one_parabolic_per_face_and_descriptor(sp4r):
@@ -207,7 +219,7 @@ def test_gram_rescaled_descriptor_shares_no_face_table(su21):
             q.l_pairs,
         )
         assert p.u_noncompact is not q.u_noncompact
-        assert p.rho_s_cap_u is not q.rho_s_cap_u
+        assert p.rho_s_cap_u_nums is not q.rho_s_cap_u_nums
 
 
 def test_partition_check_catches_compact_roots_outside_the_positive_system(sp4r):
@@ -223,22 +235,25 @@ def test_partition_check_catches_compact_roots_outside_the_positive_system(sp4r)
 def test_matching_and_parabolic_share_one_face_table(sp4r):
     d = replace(sp4r)
     # (2,0) + 2 rho_K = (3,-1) and (5,-1) lie on one face with no zero sign.
+    table = integer_frame(d).faces
+    assert table == {}
     kappa = match_inverse(d, Weight((2, 0)))
-    table = parabolic._face_table(d)
-    assert len(table) == 1
+    assert table is integer_frame(d).faces and len(table) == 1
     p = build_parabolic(d, Weight((5, -1)))
     assert len(table) == 1
-    assert p is next(iter(table.values()))
-    assert kappa == Weight((2, 0)) - p.rho_s_cap_u
+    assert p is table[(-1, 1, 1)]
+    assert kappa == Weight((2, 0)) - rho_s_cap_u(p)
     # A face with a Levi pair is a second entry.
-    build_parabolic(d, Weight((1, -1)))
+    assert build_parabolic(d, Weight((1, -1))) is table[(-1, 0, 1)]
     assert len(table) == 2
+    # A copy of the descriptor starts with an empty table of its own.
+    assert integer_frame(replace(d)).faces == {}
 
 
 def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     d = replace(sp4r)
     enumerate_ball(d, 1)  # builds the walk's own per-descriptor tables
-    parabolic._face_table(d).clear()
+    integer_frame(d).faces.clear()
     built = []
     init = parabolic.ThetaParabolic.__init__
 
@@ -250,7 +265,7 @@ def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     monkeypatch.setattr(parabolic.ThetaParabolic, "__init__", counted)
     entries = enumerate_ball(d, 100)
     assert sum(e.n_pairs for e in entries) > sum(s.count(0) for s in built) > 0
-    assert sorted(built) == sorted(parabolic._face_table(d))
+    assert sorted(built) == sorted(integer_frame(d).faces)
     built.clear()
     assert enumerate_ball(d, 100) == entries
     assert built == []
@@ -270,7 +285,7 @@ def test_integrality_law_is_checked_once_per_face(sp4r, monkeypatch):
     summaries = list(map(summarize_datum, entries))
     # The walk's faces and the round trip's faces with no Levi pair: one
     # lattice test each, none per component or per minimal K-type.
-    faces = parabolic._face_table(d)
+    faces = integer_frame(d).faces
     assert len(calls) == len(faces) < len(entries) == len(summaries) == 646
     assert any(s.count(0) for s in faces) and any(0 not in s for s in faces)
 
@@ -291,14 +306,15 @@ def test_integrality_law_names_the_group_and_the_face():
     for _ in range(2):
         with pytest.raises(StructuralInvariantError, match=message):
             build_parabolic(d, Weight((-1,)))
-    assert (-1,) not in parabolic._face_table(d)
+    assert (-1,) not in integer_frame(d).faces
     # The walk reaches kappa = -3/2 on that face: the same error.
     with pytest.raises(StructuralInvariantError, match=message):
         enumerate_ball(d, 4)
 
 
 def face_buckets(p):
-    return p.u_compact, p.u_noncompact, p.l_pairs, p.rho_s_cap_u, p.rho_l, p.mu_shift
+    offsets = (p.rho_s_cap_u_nums, *p.rho_l_nums, p.mu_shift_nums, *p.k_type_shift_nums)
+    return p.u_compact, p.u_noncompact, p.l_pairs, tuple(map(p.frame.weight, offsets))
 
 
 @pytest.mark.parametrize("name", ("sp4r", "su21", "su31"))
@@ -316,9 +332,9 @@ def test_faces_do_not_depend_on_the_noncompact_list_order(name):
         assert (a.kappa, a.mu, a.kappa_l) == (b.kappa, b.mu, b.kappa_l)
         assert face_buckets(a.parabolic) == face_buckets(b.parabolic)
     # One sign per +-pair, over the same positive system whatever the order.
-    keys = parabolic._face_table(e).keys()
+    keys = integer_frame(e).faces.keys()
     assert {len(k) for k in keys} == {len(d.noncompact_positives())}
-    assert keys == parabolic._face_table(d).keys()
+    assert keys == integer_frame(d).faces.keys()
 
 
 def test_inner_is_read_once_per_table_root_of_each_descriptor(monkeypatch):
@@ -333,6 +349,6 @@ def test_inner_is_read_once_per_table_root_of_each_descriptor(monkeypatch):
     assert sorted(seen) == sorted((*d.positive_compact, *d.noncompact_positives()))
     assert sum(s.n_pairs > 0 for s in summaries) > 10 * len(seen) > 0
     seen.clear()
-    parabolic._face_table(d).clear()
+    integer_frame(d).faces.clear()
     assert list(map(summarize_datum, enumerate_ball(d, Fraction(20) ** 2))) == summaries
     assert seen == []
