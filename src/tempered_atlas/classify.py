@@ -23,8 +23,8 @@ from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (  # genuine_shift and is_genuine are re-exported here
-    RealFormDescriptor, _Frozen, genuine_shift, integer_frame, is_genuine, is_integral,
-    lattice_coordinates, per_descriptor,
+    RealFormDescriptor, _Frozen, _Numerators, genuine_shift, integer_frame, is_genuine,
+    is_integral, lattice_coordinates, per_descriptor,
 )
 from .parabolic import ThetaParabolic, build_parabolic
 from .ratlin import ellipsoid_integer_points
@@ -81,24 +81,23 @@ class ClassificationRun(_Frozen):
 
 
 def construct_from_kappa(d: RealFormDescriptor, kappa):
-    """The datum generated by kappa.  Raises NotDominant unless kappa is
-    dominant, and NotGenuine unless it is genuine, which is exactly when
-    the shifted weight mu is integral.  kappa is a Weight or, from the
-    walk, a genuine weight's numerators over integer_frame(d).den, whose mu
-    the face's law makes integral, so only a Weight is tested: a tuple is
-    trusted, and (sp4r, (2, 0)) gives the non-genuine (1,0), mu (-1/2,1/2)."""
+    """The datum generated by kappa, a Weight or its numerators over
+    integer_frame(d).den.  Raises NotDominant unless kappa is dominant, and
+    NotGenuine unless it is genuine, which is exactly when the shifted
+    weight mu is integral."""
     frame = integer_frame(d)
-    k = frame.over_den(kappa)
+    trusted = type(kappa) is _Numerators  # the walk's genuine kappa: untested, copied
+    k = tuple(kappa) if trusted else frame.over_den(kappa)
     values = frame.pairings(kappa if k is None else k)
     if min(values[: frame.n_compact], default=0) < 0:
         raise NotDominant(f"{frame.weight(kappa)} is not dominant for the compact positives")
     if k is not None:
         p = build_parabolic(d, list(map(add, values, frame.rho_pairings)))
         mu = tuple(map(sub, k, p.mu_shift_nums))
-    if k is None or (type(kappa) is not tuple and not is_integral(d, frame.weight(mu))):
+    if k is None or (not trusted and not is_integral(d, frame.weight(mu))):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
-    return EssentialVoganDatum(p, kappa, mu, p.project_levi(mu))
+    return EssentialVoganDatum(p, k if trusted else kappa, mu, p.project_levi(mu))
 
 
 @per_descriptor
@@ -184,7 +183,7 @@ def enumerate_ball(
     columns = tuple(zip(*basis_nums))
     found = []
     for n in ellipsoid_integer_points(center, quad, _coerce(radius_sq) * scale, lower):
-        k = tuple([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
+        k = _Numerators([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
         try:
             found.append((k, construct_from_kappa(d, k)))
         except NotDominant as exc:
@@ -192,10 +191,9 @@ def enumerate_ball(
                 f"the dominant-chamber walk reached the non-dominant {integer_frame(d).weight(k)}"
             ) from exc
 
-    # Over one positive D, numerator order is kappa order.
+    # Over one positive D, numerator order is kappa order; the kappa are
+    # distinct, as the walk's points are and its basis is unimodular.
     found.sort(key=lambda item: item[0])
-    if len({k for k, _ in found}) != len(found):
-        raise InternalBijectionFailure("duplicate kappa in enumeration")
     return tuple(datum for _, datum in found)
 
 

@@ -83,16 +83,8 @@ def cmd_catalog(args, out) -> int:
     rows = [["name", "rank_tc", "rank_g", "compact", "noncompact", "zero_weight_s_dim"]]
     for name in catalog_names():
         d = catalog(name)
-        rows.append(
-            [
-                d.name,
-                str(d.rank_tc),
-                str(d.rank_g),
-                str(len(d.compact_roots)),
-                str(len(d.noncompact_weights)),
-                str(d.zero_weight_s_dim),
-            ]
-        )
+        counts = (d.rank_tc, d.rank_g, len(d.compact_roots), len(d.noncompact_weights))
+        rows.append([d.name, *map(str, counts), str(d.zero_weight_s_dim)])
     _print_table(rows, out)
     return EXIT_OK
 

@@ -354,6 +354,13 @@ def _inverse_basis(d: RealFormDescriptor):
     return tuple(tuple(c * x for x in row[n:]) for row in rows), abs(delta)
 
 
+class _Numerators(tuple):
+    """Numerators over D the package built itself, the walk's kappa and each
+    minimal K-type: the one tuple type that skips the lattice tests."""
+
+    __slots__ = ()
+
+
 class IntegerFrame:
     """A descriptor's denominator D (``den``), over which each genuine or
     integral weight, rho_K (``rho``) and noncompact half-sum has integer
@@ -396,7 +403,7 @@ class IntegerFrame:
     def over_den(self, w) -> tuple[int, ...] | None:
         """w's numerators over D, or None when they are not integers; a
         tuple is its numerators over D already."""
-        nums, den = (w, self.den) if type(w) is tuple else w.int_coords()
+        nums, den = (w, self.den) if isinstance(w, tuple) else w.int_coords()
         if len(nums) != self.rank:
             raise DimensionMismatch(f"{self.weight(w)} has rank {len(nums)}, not {self.rank}")
         if den == self.den:
@@ -406,7 +413,7 @@ class IntegerFrame:
 
     def weight(self, w) -> Weight:
         """w, or the Weight its numerators over D give."""
-        return Weight.from_ints(w, self.den) if type(w) is tuple else w
+        return Weight.from_ints(w, self.den) if isinstance(w, tuple) else w
 
 
 integer_frame = per_descriptor(IntegerFrame)

@@ -17,7 +17,7 @@ from operator import add, sub
 
 from .classify import EssentialVoganDatum, construct_from_kappa
 from .errors import AmbiguousPositiveSystem, NotDominant, NotIntegral, StructuralInvariantError
-from .groups import RealFormDescriptor, _Frozen, integer_frame, is_integral
+from .groups import RealFormDescriptor, _Frozen, _Numerators, integer_frame, is_integral
 from .parabolic import build_parabolic
 from .weights import Weight
 
@@ -69,7 +69,7 @@ def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     for s in datum.parabolic.k_type_shift_nums:
         w = tuple(map(add, kappa_l, s))
         try:
-            back = match_inverse(d, w)
+            back = match_inverse(d, _Numerators(w))
         except (NotDominant, AmbiguousPositiveSystem) as exc:
             raise StructuralInvariantError(
                 f"computed minimal K-type {frame.weight(w)} of {datum.kappa}: {exc}"
@@ -104,14 +104,14 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     of an essential component and is an error, never a tie-break.  With none,
     its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
     and dominant, which is checked first so that the error names the input,
-    and so must the recovered weight.  A tuple mu_g is trusted as a minimal
-    K-type's numerators over integer_frame(d).den, integral by the face's
-    law, so untested, and gives numerators back.
+    and so must the recovered weight.  mu_g is a Weight or its numerators
+    over integer_frame(d).den.
     """
     frame = integer_frame(d)
-    if type(mu_g) is not tuple and not is_integral(d, mu_g):
+    trusted = type(mu_g) is _Numerators  # a computed K-type, integral by the face's law
+    if not trusted and not is_integral(d, frame.weight(mu_g)):
         raise NotIntegral(f"{frame.weight(mu_g)} is not analytically integral")
-    m = frame.over_den(mu_g)  # integral, so over D
+    m = mu_g if trusted else frame.over_den(mu_g)  # integral, so over D
     values = frame.pairings(m)
     if min(values[: frame.n_compact], default=0) < 0:
         raise NotDominant(f"{frame.weight(mu_g)} is not dominant for the compact positives")
@@ -128,7 +128,7 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
             f"{frame.weight(mu_g)} is not a minimal K-type: it matches back to "
             f"{frame.weight(kappa)}, which is not dominant for the compact positives"
         )
-    return kappa if type(mu_g) is tuple else frame.weight(kappa)
+    return kappa if trusted else frame.weight(kappa)
 
 
 def summarize_datum(datum: EssentialVoganDatum) -> ComponentSummary:

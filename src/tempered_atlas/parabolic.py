@@ -47,7 +47,7 @@ class ThetaParabolic:
         # compact roots when the compact roots are +-positive_compact; the
         # partition check below fails on a descriptor where they are not.
         self.descriptor = d
-        self.u_compact = tuple(sorted(d.positive_compact))
+        self.frame = frame = integer_frame(d)
         positives = d.noncompact_positives()
         self.u_noncompact = tuple(sorted(s * g for g, s in zip(positives, signs) if s))
         self.l_pairs = tuple(g for g, s in zip(positives, signs) if not s)
@@ -63,7 +63,7 @@ class ThetaParabolic:
                         "rank-one Levi factors must be mutually orthogonal; "
                         f"{a} and {b} are not"
                     )
-        counts = (len(self.u_compact), len(self.u_noncompact), self.n_pairs)
+        counts = (frame.n_compact, len(self.u_noncompact), self.n_pairs)
         if 2 * sum(counts) != len(d.compact_roots) + len(d.noncompact_weights):
             raise StructuralInvariantError(
                 "sign buckets do not partition the torus weights; descriptor "
@@ -73,7 +73,6 @@ class ThetaParabolic:
         # rho(s cap u), and the signed Levi half-sums (1/2) sum s_j b_j, one
         # per sign vector s in itertools.product((1, -1), repeat=N) order,
         # +1 first, kept only as numerators over D.
-        self.frame = frame = integer_frame(d)
         self.rho_s_cap_u_nums = frame.over_den(half_sum(self.u_noncompact, rank=d.rank_tc))
         self.rho_l_nums = tuple(
             frame.over_den(half_sum((s * b for s, b in zip(choice, self.l_pairs)), rank=d.rank_tc))
@@ -133,12 +132,14 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     computed, one per +-pair; they pick the shared parabolic of the face,
     the same object for every lam on it, kept in ``IntegerFrame.faces``.
     The guard on public input and the signs read lam's
-    ``IntegerFrame.pairings``, which the hot path passes in place of lam.
+    ``IntegerFrame.pairings``, which the hot path passes in place of lam:
+    a dominant weight's plus rho_K's multiple, so a failure there names rho_K.
     """
     frame = integer_frame(d)
     values = frame.pairings(lam) if isinstance(lam, Weight) else lam
     if min(values[: frame.n_compact], default=1) <= 0:
-        raise NotStrictlyDominant(f"{lam} is not strictly dominant for the compact positives")
+        what = lam if isinstance(lam, Weight) else f"{d.name}: rho_K = {d.rho_compact()}"
+        raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")
     signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
     try:
         return frame.faces[signs]

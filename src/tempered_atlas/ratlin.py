@@ -48,9 +48,7 @@ def eliminate(rows):
 
 def sqrt_upper(q: Fraction) -> Fraction:
     """A rational u >= sqrt(q) for q >= 0, exact when q is a perfect square
-    of a rational with the same denominator."""
-    if q < 0:
-        raise ValueError("negative radicand")
+    of a rational with the same denominator; isqrt refuses q < 0."""
     num, den = q.numerator, q.denominator
     r = isqrt(num * den)
     if r * r == num * den:
@@ -83,6 +81,8 @@ def ellipsoid_integer_points(center, quad, bound, lower=None):
         lb is not None and (lb[1][i] <= 0 or any(lb[1][:i])) for i, lb in enumerate(lower)
     ):
         raise ValueError("each lower bound must lead with a positive coefficient")
+    if not isinstance(bound, (int, Fraction)):
+        raise TypeError(f"the bound must be an int or a Fraction, not {type(bound).__name__}")
     bound = Fraction(bound)
     if bound < 0:
         return

@@ -220,11 +220,7 @@ class BilinearForm:
 
     @classmethod
     def identity(cls, rank: int) -> "BilinearForm":
-        return cls(
-            tuple(
-                tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-            )
-        )
+        return cls([[int(i == j) for j in range(rank)] for i in range(rank)])
 
     @property
     def rank(self) -> int:
@@ -257,7 +253,7 @@ class BilinearForm:
     def pairings(self, w, rows) -> list[int]:
         """One integer per row of ``pairing_rows``, of the sign of <w, t>
         for that row's weight t; w may also be its integer numerators."""
-        if type(w) is not tuple:
+        if not isinstance(w, tuple):
             self._check(w)
             w = w._nums
         return [sum(map(mul, w, row)) for row in rows]

@@ -190,7 +190,7 @@ def test_condition_v_on_every_constructed_datum(sp4r):
             datum = construct_from_kappa(sp4r, kappa)
             assert datum is not None
             lam = kappa + sp4r.rho_compact()
-            for gamma in datum.parabolic.u_compact + datum.parabolic.u_noncompact:
+            for gamma in sp4r.positive_compact + datum.parabolic.u_noncompact:
                 assert sp4r.form.inner(lam, gamma) > 0
             for beta in datum.parabolic.l_pairs:
                 assert coroot_pairing(datum.mu, beta, sp4r.form) == -1

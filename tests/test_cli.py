@@ -271,7 +271,7 @@ def test_a_refused_computed_k_type_exits_3(capsys, monkeypatch, error):
     original = matching.match_inverse
 
     def refusing(d, mu_g):
-        if type(mu_g) is tuple:
+        if isinstance(mu_g, tuple):
             refused.append(integer_frame(d).weight(mu_g))
             raise error("refused")
         return original(d, mu_g)

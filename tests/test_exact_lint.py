@@ -9,6 +9,11 @@ A second rule keeps the integer scales in one place: only ``weights.py``,
 which defines them, and ``groups.py``, whose ``IntegerFrame`` hands them on
 per descriptor, read the private ``_den`` or ``_int_gram`` of a weight or
 form.
+
+A third rule keeps trust off the public tuple type: no module compares a
+type with ``tuple`` by identity, so the hot path's unchecked numerators
+are told apart only by their private subclass, and a caller's tuple is
+read as the weight it denotes.
 """
 
 import ast
@@ -61,6 +66,22 @@ def private_scale_reads(tree: ast.Module, module: str) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SCALES
     ]
+
+
+def tuple_identity_tests(tree: ast.Module) -> list[str]:
+    """One line per comparison ``... is tuple`` or ``... is not tuple``,
+    either side, as 'line: is tuple'."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, a, b in zip(node.ops, operands, operands[1:]):
+            names = {x.id for x in (a, b) if isinstance(x, ast.Name)}
+            if isinstance(op, (ast.Is, ast.IsNot)) and "tuple" in names:
+                word = "is" if isinstance(op, ast.Is) else "is not"
+                found.append(f"{node.lineno}: {word} tuple")
+    return found
 
 
 def test_the_package_has_modules():
@@ -119,3 +140,24 @@ def test_scale_lint_allows_only_the_owners():
     for owner in SCALE_OWNERS:
         assert private_scale_reads(ast.parse(source), owner) == []
     assert private_scale_reads(ast.parse(source), "krep.py") == ["1: ._den", "1: ._int_gram"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_keys_no_trust_on_the_tuple_type(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert tuple_identity_tests(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    (
+        ("ok = type(w) is tuple", ["1: is tuple"]),
+        ("ok = type(w) is not tuple", ["1: is not tuple"]),
+        ("ok = tuple is type(w)", ["1: is tuple"]),
+        ("ok = isinstance(w, tuple)", []),
+        ("ok = type(w) is _Numerators", []),
+        ("ok = type(w) == tuple", []),
+    ),
+)
+def test_tuple_lint_flags_each_kind(source, expected):
+    assert tuple_identity_tests(ast.parse(source)) == expected

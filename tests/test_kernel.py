@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from tempered_atlas import catalog
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, genuine_shift
-from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
+from tempered_atlas.errors import (
+    DimensionMismatch, NotGenuine, NotIntegral, NotStrictlyDominant, TemperedAtlasError,
+)
 from tempered_atlas.groups import (
-    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, simple_compact_roots,
-    validate,
+    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, loads_descriptor,
+    simple_compact_roots, validate,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
@@ -25,6 +27,7 @@ from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
 from fraction_linalg import det, gauss_solve, inner, project_away, scale_form, transpose
 from test_classify import _VALID, _product, _scales, _walk_groups, unimodular
+from test_su31_custom import SU31_TEXT
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
@@ -300,6 +303,43 @@ def test_lattice_tests_refuse_a_tuple(entry, sp4r):
     assert is_integral(sp4r, Weight((1, 0)))
     with pytest.raises((AttributeError, TypeError)):
         entry(sp4r, (1, 0))
+
+
+def test_a_callers_tuple_is_tested_as_the_weight_it_denotes(sp4r):
+    # sp4r has D = 2: (2, 0) over D is the dominant, non-genuine (1,0), and
+    # (3, -1) the dominant, non-integral (3/2,-1/2).
+    with pytest.raises(NotGenuine, match=re.escape("(1,0) is not the highest weight")):
+        construct_from_kappa(sp4r, (2, 0))
+    with pytest.raises(NotIntegral, match=re.escape("(3/2,-1/2) is not analytically")):
+        match_inverse(sp4r, (3, -1))
+
+
+def outcome(entry, d, arg):
+    try:
+        return entry(d, arg)
+    except TemperedAtlasError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("sp4r", "su21", "su31")), st.data())
+def test_a_numerator_tuple_and_its_weight_give_one_answer(name, data):
+    d = loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name)
+    frame = integer_frame(d)
+    nums = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=d.rank_tc, max_size=d.rank_tc)))
+    w = Weight.from_ints(nums, frame.den)
+    for entry in (construct_from_kappa, match_inverse):
+        assert outcome(entry, d, nums) == outcome(entry, d, w)
+
+
+@pytest.mark.parametrize("name", ("sp4r", "su21"))
+def test_no_returned_value_carries_the_walks_trust(name):
+    # The walk and the round trip hand their own numerators on unchecked;
+    # what comes back to a caller holds plain tuples only.
+    for datum in enumerate_ball(catalog(name), 16):
+        s = summarize_datum(datum)
+        for nums in (datum.kappa_nums, *(w.int_coords()[0] for w in (s.kappa, *s.minimal_k_types))):
+            assert type(nums) is tuple
 
 
 def memo_values(d):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from tempered_atlas import catalog, classify, groups, matching, parabolic
-from tempered_atlas.classify import enumerate_ball
+from tempered_atlas.classify import construct_from_kappa, enumerate_ball
 from tempered_atlas.groups import (
     RealFormDescriptor, integer_frame, lex_positive, loads_descriptor, validate,
 )
@@ -33,12 +33,15 @@ def brute_force_buckets(d, lam):
     return tuple(u_c), tuple(u_nc), tuple(pairs)
 
 
+def buckets(p):
+    """The face's buckets: its compact ones are the positive compact roots."""
+    return tuple(sorted(p.descriptor.positive_compact)), p.u_noncompact, p.l_pairs
+
+
 def test_all_positive_bucket(sp4r):
     p = build_parabolic(sp4r, Weight((3, 1)))
-    assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
-        sp4r, Weight((3, 1))
-    )
-    assert p.u_compact == (Weight((1, -1)),)
+    assert buckets(p) == brute_force_buckets(sp4r, Weight((3, 1)))
+    assert buckets(p)[0] == (Weight((1, -1)),)
     assert p.u_noncompact == (Weight((0, 2)), Weight((1, 1)), Weight((2, 0)))
     assert p.l_pairs == ()
     assert p.n_pairs == 0
@@ -46,9 +49,7 @@ def test_all_positive_bucket(sp4r):
 
 def test_one_pair_bucket(sp4r):
     p = build_parabolic(sp4r, Weight((1, -1)))
-    assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
-        sp4r, Weight((1, -1))
-    )
+    assert buckets(p) == brute_force_buckets(sp4r, Weight((1, -1)))
     assert p.u_noncompact == (Weight((0, -2)), Weight((2, 0)))
     assert p.l_pairs == (Weight((1, 1)),)
 
@@ -64,6 +65,18 @@ def test_not_strictly_dominant_rejected(sp4r):
         build_parabolic(sp4r, Weight((1, 1)))
     with pytest.raises(NotStrictlyDominant):
         build_parabolic(sp4r, Weight((0, 0)))
+
+
+def test_a_guard_failure_on_the_hot_path_names_rho_k():
+    # positive_compact sums to zero here, so rho_K is 0, which validate
+    # refuses; unvalidated, the hot path's pairing values all read 0, but the
+    # message names the group and rho_K, the one operand that can fail.
+    d = loads_descriptor(SU31_TEXT)
+    cycle = replace(d, positive_compact=tuple(map(Weight, ((1, -1, 0), (0, 1, -1), (-1, 0, 1)))))
+    message = r"su31: rho_K = \(0,0,0\) is not strictly dominant for the compact positives"
+    for entry in (construct_from_kappa, match_inverse):
+        with pytest.raises(NotStrictlyDominant, match=message):
+            entry(cycle, Weight((0, 0, 0)))
 
 
 def rho_s_cap_u(p):
@@ -109,24 +122,20 @@ def test_scale_invariance_of_buckets(sp4r_lam, c):
     d = catalog("sp4r")
     p1 = build_parabolic(d, sp4r_lam)
     p2 = build_parabolic(d, c * sp4r_lam)
-    assert (p1.u_compact, p1.u_noncompact, p1.l_pairs) == (
-        p2.u_compact,
-        p2.u_noncompact,
-        p2.l_pairs,
-    )
+    assert buckets(p1) == buckets(p2)
 
 
 @given(strict_dominant_sp4r)
 def test_partition_completeness_and_orthogonality(lam):
     d = catalog("sp4r")
     p = build_parabolic(d, lam)
-    total = 2 * len(p.u_compact) + 2 * len(p.u_noncompact) + 2 * p.n_pairs
+    total = 2 * len(d.positive_compact) + 2 * len(p.u_noncompact) + 2 * p.n_pairs
     assert total == len(d.compact_roots) + len(d.noncompact_weights)
     for i, a in enumerate(p.l_pairs):
         for b in p.l_pairs[i + 1 :]:
             assert d.form.inner(a, b) == 0
     # nilradical half-sum restricts to zero on every rank-one Levi factor
-    rho = half_sum(p.u_compact + p.u_noncompact, rank=d.rank_tc)
+    rho = half_sum(d.positive_compact + p.u_noncompact, rank=d.rank_tc)
     assert all(d.form.inner(rho, beta) == 0 for beta in p.l_pairs)
 
 
@@ -165,7 +174,7 @@ def test_weights_on_one_face_give_equal_buckets(sp4r, lams):
     first = ps[0]
     for p, lam in zip(ps, lams):
         assert p is first
-        assert (p.u_compact, p.u_noncompact, p.l_pairs) == brute_force_buckets(
+        assert buckets(p) == brute_force_buckets(
             sp4r, Weight(lam)
         )
         assert rho_s_cap_u(p) == half_sum(p.u_noncompact, rank=2)
@@ -182,7 +191,7 @@ def test_one_parabolic_per_face_and_descriptor(sp4r):
     q = build_parabolic(copy, Weight((5, 2)))
     assert q is not p
     assert q.descriptor is copy
-    assert (q.u_compact, q.u_noncompact, q.l_pairs) == (p.u_compact, p.u_noncompact, p.l_pairs)
+    assert buckets(q) == buckets(p)
 
 
 def test_failing_face_fails_on_every_call(sl2r):
@@ -213,11 +222,7 @@ def test_gram_rescaled_descriptor_shares_no_face_table(su21):
     scaled = replace(su21, form=scale_form(su21.form, Fraction(2, 3)))
     for lam in (Weight((1, 0)), Weight((3, 1))):
         p, q = build_parabolic(su21, lam), build_parabolic(scaled, lam)
-        assert (p.u_compact, p.u_noncompact, p.l_pairs) == (
-            q.u_compact,
-            q.u_noncompact,
-            q.l_pairs,
-        )
+        assert buckets(p) == buckets(q)
         assert p.u_noncompact is not q.u_noncompact
         assert p.rho_s_cap_u_nums is not q.rho_s_cap_u_nums
 
@@ -314,7 +319,7 @@ def test_integrality_law_names_the_group_and_the_face():
 
 def face_buckets(p):
     offsets = (p.rho_s_cap_u_nums, *p.rho_l_nums, p.mu_shift_nums, *p.k_type_shift_nums)
-    return p.u_compact, p.u_noncompact, p.l_pairs, tuple(map(p.frame.weight, offsets))
+    return (*buckets(p), tuple(map(p.frame.weight, offsets)))
 
 
 @pytest.mark.parametrize("name", ("sp4r", "su21", "su31"))

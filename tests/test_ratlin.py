@@ -223,3 +223,15 @@ def test_ellipsoid_lower_bound_must_lead_positive():
     for lower in (((0, (0, 1)), None), (None, (0, (1, 1))), (None, (0, (0, -1)))):
         with pytest.raises(ValueError):
             list(ellipsoid_integer_points(((0, 0), 1), quad, 4, lower))
+
+
+def test_ellipsoid_bound_must_be_exact():
+    # Refused as weights._coerce refuses a float, even one that is exact.
+    with pytest.raises(TypeError, match="not float"):
+        list(ellipsoid_integer_points(((0,), 1), ((1,),), 2.25))
+    assert list(ellipsoid_integer_points(((0,), 1), ((1,),), Fraction(9, 4))) == [(-1,), (0,), (1,)]
+
+
+def test_sqrt_upper_refuses_a_negative_radicand():
+    with pytest.raises(ValueError):
+        sqrt_upper(Fraction(-1, 4))
