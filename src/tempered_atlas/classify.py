@@ -27,7 +27,7 @@ from .groups import (  # genuine_shift and is_genuine are re-exported here
     is_integral, lattice_coordinates, per_descriptor,
 )
 from .parabolic import ThetaParabolic, build_parabolic
-from .ratlin import ellipsoid_integer_points
+from .ratlin import ellipsoid_integer_points, matvec
 from .weights import Weight, _coerce
 
 
@@ -46,12 +46,12 @@ class EssentialVoganDatum(_Frozen):
 
     def __init__(self, parabolic: ThetaParabolic, kappa, mu, kappa_l):
         frame = parabolic.frame
-        set_slot = object.__setattr__
-        set_slot(self, "parabolic", parabolic)
-        set_slot(self, "kappa", frame.weight(kappa))
-        set_slot(self, "kappa_nums", frame.over_den(kappa))
-        set_slot(self, "mu_nums", frame.over_den(mu))
-        set_slot(self, "kappa_l_nums", frame.over_den(kappa_l))
+        self._fill(parabolic, frame.weight(kappa), *map(frame.over_den, (kappa, mu, kappa_l)))
+
+    def _fill(self, *values):
+        """Set the slots in order: parabolic, kappa, then the three over D."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def mu(self) -> Weight:
@@ -97,13 +97,16 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     if k is None or (not trusted and not is_integral(d, frame.weight(mu))):
         raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
 
-    return EssentialVoganDatum(p, k if trusted else kappa, mu, p.project_levi(mu))
+    # k, mu and kappa_l are already over D: nothing for the constructor to derive.
+    datum = object.__new__(EssentialVoganDatum)
+    datum._fill(p, frame.weight(k if trusted else kappa), k, mu, p.project_levi(mu))
+    return datum
 
 
 @per_descriptor
 def _chamber_walk(d: RealFormDescriptor):
-    """(center, quad, scale, lower, shift_nums, basis_nums): the walk over
-    the dominant genuine weights kappa = (shift_nums + m basis_nums) / D,
+    """(center, quad, scale, lower, shift_nums, dots): the walk over the
+    dominant genuine kappa = (shift_nums + dots(m)) / D, dots(m) = m basis_nums,
     whose squared norm is (m - c) quad (m - c)^T / scale for the integer
     quad, with the centre c = nums / den given as center = (nums, den).
 
@@ -160,9 +163,10 @@ def _chamber_walk(d: RealFormDescriptor):
 
     basis_nums = tuple(tuple(row[len(columns) :]) for row in rows)
     # Numerators over D pair to <x, y> times D^2 and the form's denominator.
-    gram_rows = d.form.pairing_rows(basis_nums)
-    quad = tuple(tuple(sum(map(mul, x, row)) for row in gram_rows) for x in basis_nums)
-    return (tuple(center), center_den), quad, frame.scale, tuple(lower), nums[0], basis_nums
+    pair = matvec(map(frame.gram, basis_nums))
+    quad = tuple(tuple(pair(x)) for x in basis_nums)
+    dots = matvec(zip(*basis_nums))
+    return (tuple(center), center_den), quad, frame.scale, tuple(lower), nums[0], dots
 
 
 def enumerate_ball(
@@ -179,11 +183,10 @@ def enumerate_ball(
     that construct_from_kappa finds non-dominant is a hard correctness
     failure, not a skip.
     """
-    center, quad, scale, lower, shift_nums, basis_nums = _chamber_walk(d)
-    columns = tuple(zip(*basis_nums))
+    center, quad, scale, lower, shift_nums, dots = _chamber_walk(d)
     found = []
     for n in ellipsoid_integer_points(center, quad, _coerce(radius_sq) * scale, lower):
-        k = _Numerators([s + sum(map(mul, n, col)) for s, col in zip(shift_nums, columns)])
+        k = _Numerators(map(add, shift_nums, dots(n)))
         try:
             found.append((k, construct_from_kappa(d, k)))
         except NotDominant as exc:

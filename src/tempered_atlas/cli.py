@@ -56,12 +56,14 @@ def resolve_descriptor(name: str):
 
 
 def _record(summary) -> dict:
+    # summarize_datum has checked that the Dirac highest weight is kappa.
+    kappa = str(summary.kappa)
     return {
-        "kappa": str(summary.kappa),
+        "kappa": kappa,
         "n_pairs": summary.n_pairs,
         "r_group_order": summary.r_order,
         "minimal_k_types": [str(w) for w in summary.minimal_k_types],
-        "dirac_highest_weight": str(summary.dirac_hw),
+        "dirac_highest_weight": kappa,
     }
 
 
@@ -293,7 +295,8 @@ def read_canonical(argv=None):
             token = tokens.pop(0)
             if token.startswith("-"):
                 flag, eq, value = token.partition("=")
-                if flag not in options or options[flag][0] in ns:
+                # argparse reads an attached -- by its version: leave it to argparse.
+                if flag not in options or options[flag][0] in ns or (eq and value == "--"):
                     return None
                 if not eq and (not tokens or tokens[0].startswith("-")):
                     return None
@@ -327,6 +330,20 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """argparse's namespace for argv, refusing --radius=-- by the flag:
+    argparse before 3.13 leaves the value [], and 3.13 leaves '--'."""
+    args = build_parser().parse_args(argv)
+    dest, commands = "command", _COMMANDS
+    while commands:
+        *_, options, sub = commands[getattr(args, dest)]
+        for flag, (opt_dest, *_) in options.items():
+            if getattr(args, opt_dest) in ([], "--"):
+                build_parser().error(f"argument {flag}: expected one argument")
+        dest, commands = sub or (None, None)
+    return args
+
+
 def _add_commands(parser, dest, commands) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, func, positionals, options, subcommands) in commands.items():
@@ -345,7 +362,7 @@ def _add_commands(parser, dest, commands) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = read_canonical(argv) or build_parser().parse_args(argv)
+        args = read_canonical(argv) or _parse_args(argv)
     except SystemExit as exc:
         # argparse reads a value such as -1,1 as an option (a plain negative
         # integer it reads as a value): on a usage error, name it and the cure.

@@ -47,7 +47,7 @@ from .errors import (
     DimensionMismatch,
     UnknownGroup,
 )
-from .ratlin import eliminate
+from .ratlin import eliminate, matvec
 from .weights import INTEGER_RE, BilinearForm, Weight, half_sum, parse_rational, reflection_escape
 
 
@@ -159,7 +159,7 @@ class RealFormDescriptor(_Frozen):
         """<w, a> >= 0 for every positive compact root a; vacuously true
         when there is none."""
         frame = integer_frame(self)
-        return min(self.form.pairings(w, frame.rows[: frame.n_compact]), default=0) >= 0
+        return min(frame.pairings(w)[: frame.n_compact], default=0) >= 0
 
 
 def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
@@ -334,9 +334,9 @@ def validate(d: RealFormDescriptor) -> ValidationReport:
 
 @per_descriptor
 def _inverse_basis(d: RealFormDescriptor):
-    """(rows, den): the inverse of the transposed basis matrix as integer
-    rows over one denominator den > 0, so lattice coordinates are one
-    mat-vec.  None when the basis is not a nonsingular square matrix.
+    """(dots, den): the inverse of the transposed basis matrix as integer
+    rows over den > 0, kept as their ``matvec``: lattice coordinates are
+    one call.  None when the basis is not a nonsingular square matrix.
 
     With the basis over one denominator c, N = c B, the inverse is
     c adj(N^T) / delta for delta = det(N^T), from one elimination of
@@ -351,7 +351,7 @@ def _inverse_basis(d: RealFormDescriptor):
     if delta == 0:
         return None
     c = c if delta > 0 else -c
-    return tuple(tuple(c * x for x in row[n:]) for row in rows), abs(delta)
+    return matvec([c * x for x in row[n:]] for row in rows), abs(delta)
 
 
 class _Numerators(tuple):
@@ -370,35 +370,50 @@ class IntegerFrame:
     -g as minus with g; ``rows`` the rows, ``simple`` the entries of
     ``simple_compact_roots``.  x over E dotted with t's row is <x, t> E D
     times the form's denominator c, so t's norm, read once per descriptor,
-    is |t|^2 ``scale`` = |t|^2 D^2 c, and y.gram.y is |y|^2 E^2 c.
-    ``pairings`` reads a weight against every row; over D they add, so
-    kappa + rho_K's are kappa's plus ``rho_pairings``.  ``genuine`` is the
-    genuine shift over D, and ``faces`` holds the descriptor's parabolics
-    by sign vector, filled as ``build_parabolic`` meets them."""
+    is |t|^2 ``scale`` = |t|^2 D^2 c, and y . gram(y) is |y|^2 E^2 c.
+    ``pairings`` reads a weight against every row, ``dots`` being the rows'
+    ``ratlin.matvec`` and ``gram`` the integer Gram matrix's; over D they
+    add, so kappa + rho_K's are kappa's plus ``rho_pairings``.  ``genuine``
+    is the genuine shift over D, and ``faces`` holds the ``descriptor``'s
+    parabolics by sign vector, filled as ``build_parabolic`` meets them."""
 
     __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
-                 "pairings", "rho_pairings", "two_rho_pairings", "genuine", "faces")
+                 "dots", "rho_pairings", "two_rho_pairings", "genuine", "faces", "descriptor")
 
     def __init__(self, d: RealFormDescriptor):
+        self.descriptor = d
         self.rank = d.rank_tc
         weights = (*d.compact_roots, *d.positive_compact, *d.noncompact_weights)
         self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
                        *(b.int_coords()[1] for b in d.integrality_basis))
         self.n_compact = len(d.positive_compact)
         self.scale = self.den**2 * d.form._den
-        self.gram = d.form._int_gram
+        if d.form.rank != self.rank:
+            raise DimensionMismatch(f"form rank {d.form.rank} vs rank_tc {self.rank}")
+        self.gram = matvec(d.form._int_gram)
         roots = (*d.positive_compact, *d.noncompact_positives())
         nums = tuple(map(self.over_den, roots))
-        self.rows = d.form.pairing_rows(nums)
+        self.rows = tuple(tuple(self.gram(t)) for t in nums)
         norms = [int(d.form.norm_sq(t) * self.scale) for t in roots]
         self.roots = tuple(zip(nums, self.rows, norms))
         self.simple = tuple(self.roots[roots.index(a)] for a in simple_compact_roots(d))
         self.rho = self.over_den(d.rho_compact())
-        self.pairings = functools.partial(d.form.pairings, rows=self.rows)
+        self.dots = matvec(self.rows)
         self.rho_pairings = self.pairings(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
         self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))
         self.faces = {}
+
+    def __reduce__(self):
+        return IntegerFrame, (self.descriptor,)  # the kernels are closures: rebuilt, not copied
+
+    def pairings(self, w) -> list[int]:
+        """One integer per row, of the sign of w's pairing with its root;
+        w is a Weight or its numerators over D, of the frame's rank."""
+        nums = w if isinstance(w, tuple) else w.int_coords()[0]
+        if len(nums) != self.rank:
+            raise DimensionMismatch(f"{self.weight(w)} has rank {len(nums)}, not {self.rank}")
+        return self.dots(nums)
 
     def over_den(self, w) -> tuple[int, ...] | None:
         """w's numerators over D, or None when they are not integers; a
@@ -429,9 +444,9 @@ def lattice_coordinates(d: RealFormDescriptor, w: Weight):
     table = _inverse_basis(d)
     if table is None:
         return None
-    rows, den = table
+    dots, den = table
     den *= w_den
-    coords = [sum(map(mul, row, nums)) for row in rows]
+    coords = dots(nums)
     g = gcd(den, *coords)
     if g == 1:
         return tuple(coords), den

@@ -102,8 +102,8 @@ def _weight_table(d: RealFormDescriptor, hw: Weight):
     simple, k = frame.simple, den // frame.den
     rho, steps = tuple(map(k.__mul__, frame.rho)), [tuple(map(k.__mul__, a)) for a, _, _ in simple]
     positive = [(tuple(map(k.__mul__, a)), row) for a, row, _ in frame.roots[: frame.n_compact]]
-    pairings, gram, y = d.form.pairings, frame.gram, tuple(map(add, top, rho))
-    mult, top_norm = {top: 1}, _dot(y, pairings(y, gram))
+    gram, y = frame.gram, tuple(map(add, top, rho))
+    mult, top_norm = {top: 1}, _dot(y, gram(y))
     # Walk hw - (nonnegative combinations of simple roots) level by level.
     # Every true weight below hw has a true-weight parent one simple root
     # up, so expanding only positive-multiplicity frontiers loses nothing.
@@ -130,7 +130,7 @@ def _weight_table(d: RealFormDescriptor, hw: Weight):
                 # m = 2 acc / (|hw + rho|^2 - |w + rho|^2), times E / D for
                 # the scales of acc and the norms.
                 y = tuple(map(add, w, rho))
-                acc, denom = 2 * k * acc, top_norm - _dot(y, pairings(y, gram))
+                acc, denom = 2 * k * acc, top_norm - _dot(y, gram(y))
                 if denom <= 0 or acc % denom or acc < 0:
                     raise StructuralInvariantError(
                         f"multiplicity recursion gave {acc} / {denom} at {Weight.from_ints(w, den)}"

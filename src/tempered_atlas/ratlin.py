@@ -1,5 +1,5 @@
-"""Exact linear algebra on integers: one fraction-free elimination, and
-integer-point enumeration inside ellipsoids with integer quadrics.
+"""Exact linear algebra on integers: fraction-free elimination, a mat-vec
+kernel, and integer-point enumeration in ellipsoids with integer quadrics.
 
 Every matrix the package eliminates is an integer matrix up to one scale,
 so ``eliminate`` runs Bareiss's fraction-free Gauss-Jordan elimination
@@ -13,6 +13,7 @@ coordinate's window.
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 
 def eliminate(rows):
@@ -44,6 +45,21 @@ def eliminate(rows):
                 rows[r] = [(q * x - c * y) // prev for x, y in zip(row, pivot)]
         prev = q
     return prev, rows, pivot_rows
+
+
+def matvec(rows):
+    """x -> [row . x for row in rows] for integer rows and x of one length,
+    built once per table.  The products are written out for lengths 1 to 3,
+    every catalog rank; longer rows, as in block products, are summed."""
+    rows = tuple(map(tuple, rows))
+    width = {len(row) for row in rows}
+    if width == {1}:
+        return lambda x: [a * x[0] for (a,) in rows]
+    if width == {2}:
+        return lambda x: [a * x[0] + b * x[1] for a, b in rows]
+    if width == {3}:
+        return lambda x: [a * x[0] + b * x[1] + c * x[2] for a, b, c in rows]
+    return lambda x: [sum(map(mul, x, row)) for row in rows]
 
 
 def sqrt_upper(q: Fraction) -> Fraction:

@@ -9,9 +9,9 @@ their least common denominator and a form keeps its Gram matrix as integers
 over one denominator, so +, -, scaling and <a, b> are integer sums, with a
 Fraction built only for a pairing's value or when coordinates are read; a
 test of a pairing against 0 reads the sign of the integer sum alone.  For
-numerators that are paired again and again, ``BilinearForm.pairing_rows``
-builds each one's integer row G t once, and ``BilinearForm.pairings`` then
-reads every pairing against them as one integer dot product per row.
+numerators t that are paired again and again, the integer rows G t are
+built once, and ``ratlin.matvec``, the package's one integer mat-vec
+kernel, reads every pairing against them in one call.
 """
 
 import re
@@ -170,6 +170,8 @@ class Weight:
     def __str__(self):
         # Each coordinate as Fraction prints it, reduced by one gcd.
         den = self._den
+        if den == 1:
+            return "(" + ",".join(map(str, self._nums)) + ")"
         parts = []
         for n in self._nums:
             g = gcd(n, den)
@@ -239,24 +241,6 @@ class BilinearForm:
         self._check(a)
         self._check(b)
         return sum(map(mul, a._nums, self._int_row(b._nums)))
-
-    def pairing_rows(self, nums) -> tuple[tuple[int, ...], ...]:
-        """The integer row G t of each numerator tuple t, G the Gram matrix
-        scaled to integers: <w, t> is w's numerators dotted with t's row,
-        over positive denominators, so the dot product has the pairing's
-        sign.  The tuples share one scale, so their rows do too."""
-        for t in nums:
-            if len(t) != len(self._int_gram):
-                raise DimensionMismatch(f"weight rank {len(t)} vs form rank {self.rank}")
-        return tuple(map(self._int_row, nums))
-
-    def pairings(self, w, rows) -> list[int]:
-        """One integer per row of ``pairing_rows``, of the sign of <w, t>
-        for that row's weight t; w may also be its integer numerators."""
-        if not isinstance(w, tuple):
-            self._check(w)
-            w = w._nums
-        return [sum(map(mul, w, row)) for row in rows]
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         return Fraction(self._numerator(a, b), a._den * b._den * self._den)

@@ -250,10 +250,35 @@ def _bc1():
     )
 
 
+# Sp(6,R) with K = U(3) (Knapp, Lie Groups Beyond an Introduction,
+# Appendix C): compact roots +-(e_i - e_j), noncompact +-(e_i + e_j) and
+# +-2 e_i.  Its faces meet two Levi pairs of different lengths, strongly
+# orthogonal inside one simple group, as at kappa = 0: e1 + e3 and 2 e2.
+SP6R_TEXT = """
+[group]
+name = sp6r
+rank_tc = 3
+rank_g = 3
+zero_weight_s_dim = 0
+
+[form]
+gram = 1,0,0 ; 0,1,0 ; 0,0,1
+
+[roots]
+compact = 1,-1,0 ; -1,1,0 ; 1,0,-1 ; -1,0,1 ; 0,1,-1 ; 0,-1,1
+positive_compact = 1,-1,0 ; 1,0,-1 ; 0,1,-1
+noncompact = 1,1,0 ; -1,-1,0 ; 1,0,1 ; -1,0,-1 ; 0,1,1 ; 0,-1,-1 ; 2,0,0 ; -2,0,0 ; 0,2,0 ; 0,-2,0 ; 0,0,2 ; 0,0,-2
+
+[lattice]
+basis = 1,0,0 ; 0,1,0 ; 0,0,1
+"""
+
+
 def _walk_groups():
     return {
         **{name: catalog(name) for name in ("sl2r", "sl2c", "su21", "sp4r")},
         "su31": loads_descriptor(SU31_TEXT),
+        "sp6r": loads_descriptor(SP6R_TEXT),
         "bc1": _bc1(),
     }
 
@@ -278,7 +303,7 @@ def unimodular(draw, r):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1")),
+    st.sampled_from(("sl2r", "sl2c", "su21", "sp4r", "su31", "sp6r", "bc1")),
     st.data(),
     st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4),
     st.fractions(min_value=0, max_value=14, max_denominator=7),
@@ -298,7 +323,7 @@ def test_enumerate_ball_matches_brute_force(name, data, scale, radius_sq):
     assert got == brute_force_kappas(d, radius_sq)
 
 
-@pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r", "su31", "bc1"))
+@pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r", "su31", "sp6r", "bc1"))
 @pytest.mark.parametrize("radius_sq", (Fraction(7, 3), 10, Fraction(53, 2)))
 def test_enumerate_ball_matches_brute_force_catalog(name, radius_sq):
     d = _walk_groups()[name]

@@ -746,6 +746,22 @@ def test_help_abbreviations_repeats_and_usage_errors_fall_back_to_argparse(capsy
     assert run_cli(capsys, *argv) == expected
 
 
+@pytest.mark.parametrize("argv, flag", (
+    (["classify", "sp4r", "--rad=--"], "--radius"),
+    (["krep", "sp4r", "diracmult", "--ta=--", "--v", "2,0"], "--tau"),
+    (["figure", "sp4r", "--m-r=--", "--n-range=0:1"], "--m-range"),
+    (["classify", "sp4r", "--radius=--", "--format", "csv"], "--radius"),
+))
+def test_a_double_dash_attached_to_an_option_is_a_usage_error(capsys, argv, flag):
+    # argparse before 3.13 drops the -- and leaves the value [], and 3.13
+    # reads the value '--'; main refuses either by the option's flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
+
+
 def test_a_value_read_as_an_option_is_named_on_a_usage_error(capsys):
     # argparse reads -1,1 as an option, so its own message names the
     # argument it then misses; a second line names the value and the cure.
@@ -906,6 +922,7 @@ def mutated_argvs(draw):
 @example(["krep", "sp4r", "diracmult", "--tau", "1", "--v", "2", "--", "x"])
 @example(["krep", "sp4r", "diracmult", "--v=2", "--tau=1", "tensor"])
 @example(["krep", "sp4r", "dim", "-h"])
+@example(["classify", "sp4r", "--radius=--", "--format", "csv"])
 def test_reader_agrees_with_argparse_wherever_it_reads(argv):
     ns = cli.read_canonical(argv)
     if argv in map(list, CANONICAL):

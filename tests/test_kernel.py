@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempered_atlas import catalog
@@ -174,6 +174,15 @@ def test_lattice_coordinates_non_unimodular_basis():
 # the per-descriptor pairing table against per-weight pairings
 
 _TABLE_GROUPS = _walk_groups()
+# Descriptors of each rank the kernel writes out, 1 to 3, and a product of
+# rank 4, which takes its generic sum.
+_BY_RANK = {
+    d.name: d
+    for d in (
+        *(_TABLE_GROUPS[name] for name in ("sl2r", "sl2c", "su21", "sp4r", "su31", "sp6r")),
+        _product(_TABLE_GROUPS["sp4r"], _TABLE_GROUPS["su21"]),
+    )
+}
 
 
 @st.composite
@@ -193,14 +202,17 @@ def table_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(table_cases())
+@example((_BY_RANK["sl2c"], Weight((1,))))
+@example((_BY_RANK["sp4r"], Weight((2, -2))))
+@example((_BY_RANK["sp6r"], Weight((Fraction(3, 2), 1, -1))))
+@example((_BY_RANK["sp4rxsu21"], Weight((1, -1, 1, 1))))
 def test_pairing_table_matches_per_weight_pairings(case):
     d, w = case
     frame = integer_frame(d)
-    rows = frame.rows
     targets = d.positive_compact + d.noncompact_positives()
-    assert len(rows) == len(targets)
+    assert len(frame.rows) == len(targets)
     assert frame.n_compact == len(d.positive_compact)
-    signs = tuple(sign_of(v) for v in d.form.pairings(w, rows))
+    signs = tuple(sign_of(v) for v in frame.pairings(w))
     assert signs == tuple(d.form.sign(w, t) for t in targets)
 
     compact_signs = [d.form.sign(w, a) for a in d.positive_compact]
@@ -223,12 +235,13 @@ def test_pairing_table_matches_per_weight_pairings(case):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(_VALID),
-    st.sampled_from(_VALID),
+    st.sampled_from(_VALID + ("sp6r",)),
+    st.sampled_from(_VALID + ("sp6r",)),
     _scales,
     _scales,
     st.lists(st.integers(-6, 6), min_size=6, max_size=6),
 )
+@example("sp6r", "sl2r", Fraction(1), Fraction(1), [3, -1, 2, 5, 0, 0])
 def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x):
     groups = _walk_groups()
     d = _product(
@@ -270,9 +283,9 @@ def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x)
         assert p.l_pair_terms == tuple(entry[b] for b in p.l_pairs)
 
 
-@pytest.mark.parametrize("name", ("sl2r", "sl2c", "su21", "sp4r"))
+@pytest.mark.parametrize("name", sorted(_BY_RANK))
 def test_wrong_rank_weight_raises_dimension_mismatch(name):
-    d = catalog(name)
+    d = _BY_RANK[name]
     w = Weight((1,) * (d.rank_tc + 1))
     # sl2r has no compact root to pair with, so its dominance test must
     # check the rank itself.
@@ -293,6 +306,14 @@ def test_wrong_rank_weight_raises_dimension_mismatch(name):
                 entry(d, nums)
     with pytest.raises(DimensionMismatch, match=re.escape(f"{w} has rank")):
         lattice_coordinates(d, w)
+
+
+def test_the_frame_refuses_a_form_of_another_rank(sp4r):
+    # validate names this form_shape; the frame's kernels would read the
+    # Gram rows against numerators of another length, so it refuses it too.
+    d = replace(sp4r, form=BilinearForm.identity(3))
+    with pytest.raises(DimensionMismatch, match="form rank 3 vs rank_tc 2"):
+        integer_frame(d)
 
 
 @pytest.mark.parametrize("entry", (is_integral, lattice_coordinates))
@@ -408,6 +429,8 @@ def oracle(d, kappa):
 
 @settings(max_examples=40, deadline=None)
 @given(oracle_cases())
+# kappa = 0 and (1,0,-1) are on faces with two Levi pairs of different lengths.
+@example((_TABLE_GROUPS["sp6r"], 2))
 def test_integer_component_path_matches_weight_arithmetic(case):
     d, radius_sq = case
     # bc1 is not reduced, which validate names; the component path still runs.

@@ -24,6 +24,7 @@ from tempered_atlas.groups import RealFormDescriptor, loads_descriptor
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
 from conftest import replace
+from test_classify import SP6R_TEXT
 from test_parabolic import brute_force_buckets
 from test_su31_custom import SU31_TEXT
 
@@ -122,12 +123,13 @@ def check_buckets(d, lam):
 
 
 @pytest.mark.parametrize("parabolic_first", [True, False], ids=["parabolic-first", "matching-first"])
-@pytest.mark.parametrize("name", ["sp4r", "su21", "su31"])
+@pytest.mark.parametrize("name", ["sp4r", "su21", "su31", "sp6r"])
 def test_match_inverse_against_brute_force(name, parabolic_first):
     # Fresh descriptors, so the face table starts empty; each mu + 2 rho_K
     # lies on the face match_inverse reads, so the parabolic built there
     # and the matching share it whichever fills it first.
-    base = loads_descriptor(SU31_TEXT) if name == "su31" else catalog(name)
+    texts = {"su31": SU31_TEXT, "sp6r": SP6R_TEXT}
+    base = loads_descriptor(texts[name]) if name in texts else catalog(name)
     d = replace(base)
     two_rho_k = 2 * d.rho_compact()
     mus = [

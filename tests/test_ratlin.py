@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tempered_atlas.ratlin import eliminate, ellipsoid_integer_points, sqrt_upper
+from tempered_atlas.ratlin import eliminate, ellipsoid_integer_points, matvec, sqrt_upper
 from fraction_linalg import gauss_solve, mat_mul, to_matrix, transpose
 
 
@@ -32,6 +33,29 @@ def test_gauss_solve_unique():
 
 def test_gauss_solve_inconsistent():
     assert eliminate(((1, 1, 1), (2, 2, 3)))[0] == 0
+
+
+@st.composite
+def matvec_cases(draw):
+    """Integer rows of one length 0..5, each length one of matvec's
+    branches or the generic sum, and a vector of that length."""
+    width = draw(st.integers(min_value=0, max_value=5))
+    entries = st.lists(st.integers(-10**6, 10**6), min_size=width, max_size=width)
+    rows = draw(st.lists(entries, max_size=6))
+    return rows, draw(entries)
+
+
+@given(matvec_cases(), st.booleans(), st.booleans())
+def test_matvec_matches_the_generic_sum(case, tuple_rows, tuple_x):
+    rows, x = case
+    rows = [tuple(row) if tuple_rows else row for row in rows]
+    x = tuple(x) if tuple_x else x
+    dots = matvec(iter(rows))
+    expected = [sum(map(mul, x, row)) for row in rows]
+    assert dots(x) == expected
+    # The kernel holds its own copy of the rows, and reads x afresh each call.
+    assert dots(x) == expected
+    assert dots([2 * v for v in x]) == [2 * v for v in expected]
 
 
 def ldl_from_pivot_rows(pivot_rows):
