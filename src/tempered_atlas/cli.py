@@ -326,25 +326,21 @@ def build_parser():
         description="Exact classification of essential tempered components.",
     )
     parser.add_argument("--version", action="version", version=f"tempered-atlas {__version__}")
-    _add_commands(parser, "command", _COMMANDS)
+
+    class StoreValue(argparse.Action):
+        """Store, refusing --radius=-- (argparse stores [] before 3.13, '--'
+        in 3.13) with the usage error of the subcommand owning the option."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values in ([], "--"):
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
+    _add_commands(parser, "command", _COMMANDS, StoreValue)
     return parser
 
 
-def _parse_args(argv):
-    """argparse's namespace for argv, refusing --radius=-- by the flag:
-    argparse before 3.13 leaves the value [], and 3.13 leaves '--'."""
-    args = build_parser().parse_args(argv)
-    dest, commands = "command", _COMMANDS
-    while commands:
-        *_, options, sub = commands[getattr(args, dest)]
-        for flag, (opt_dest, *_) in options.items():
-            if getattr(args, opt_dest) in ([], "--"):
-                build_parser().error(f"argument {flag}: expected one argument")
-        dest, commands = sub or (None, None)
-    return args
-
-
-def _add_commands(parser, dest, commands) -> None:
+def _add_commands(parser, dest, commands, store) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, func, positionals, options, subcommands) in commands.items():
         # A subcommand given help=None would still get a line in the help.
@@ -353,16 +349,16 @@ def _add_commands(parser, dest, commands) -> None:
             p.add_argument(positional)
         for flag, (opt_dest, default, choices, option_help) in options.items():
             p.add_argument(flag, dest=opt_dest, required=default is None, default=default,
-                           choices=choices, help=option_help)
+                           choices=choices, help=option_help, action=store)
         if subcommands:
-            _add_commands(p, *subcommands)
+            _add_commands(p, *subcommands, store)
         if func:
             p.set_defaults(func=func)
 
 
 def main(argv=None) -> int:
     try:
-        args = read_canonical(argv) or _parse_args(argv)
+        args = read_canonical(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse reads a value such as -1,1 as an option (a plain negative
         # integer it reads as a value): on a usage error, name it and the cure.

@@ -371,17 +371,16 @@ class IntegerFrame:
     ``simple_compact_roots``.  x over E dotted with t's row is <x, t> E D
     times the form's denominator c, so t's norm, read once per descriptor,
     is |t|^2 ``scale`` = |t|^2 D^2 c, and y . gram(y) is |y|^2 E^2 c.
-    ``pairings`` reads a weight against every row, ``dots`` being the rows'
-    ``ratlin.matvec`` and ``gram`` the integer Gram matrix's; over D they
-    add, so kappa + rho_K's are kappa's plus ``rho_pairings``.  ``genuine``
-    is the genuine shift over D, and ``faces`` holds the ``descriptor``'s
-    parabolics by sign vector, filled as ``build_parabolic`` meets them."""
+    ``pairings`` reads a weight against the rows' ``ratlin.matvec``, ``dots``,
+    and ``gram`` is the form's G t kernel; over D pairings add, so kappa +
+    rho_K's are kappa's plus ``rho_pairings``.  ``genuine`` is the genuine
+    shift over D, and ``faces`` holds the descriptor's parabolics by sign
+    vector, filled as ``build_parabolic`` meets them."""
 
     __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
-                 "dots", "rho_pairings", "two_rho_pairings", "genuine", "faces", "descriptor")
+                 "dots", "rho_pairings", "two_rho_pairings", "genuine", "faces")
 
     def __init__(self, d: RealFormDescriptor):
-        self.descriptor = d
         self.rank = d.rank_tc
         weights = (*d.compact_roots, *d.positive_compact, *d.noncompact_weights)
         self.den = lcm(*(2 * w.int_coords()[1] for w in weights),
@@ -390,7 +389,7 @@ class IntegerFrame:
         self.scale = self.den**2 * d.form._den
         if d.form.rank != self.rank:
             raise DimensionMismatch(f"form rank {d.form.rank} vs rank_tc {self.rank}")
-        self.gram = matvec(d.form._int_gram)
+        self.gram = d.form._int_row
         roots = (*d.positive_compact, *d.noncompact_positives())
         nums = tuple(map(self.over_den, roots))
         self.rows = tuple(tuple(self.gram(t)) for t in nums)
@@ -403,9 +402,6 @@ class IntegerFrame:
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
         self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))
         self.faces = {}
-
-    def __reduce__(self):
-        return IntegerFrame, (self.descriptor,)  # the kernels are closures: rebuilt, not copied
 
     def pairings(self, w) -> list[int]:
         """One integer per row, of the sign of w's pairing with its root;

@@ -12,6 +12,7 @@ coordinate's window.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 from operator import mul
 
@@ -47,19 +48,28 @@ def eliminate(rows):
     return prev, rows, pivot_rows
 
 
+def _dot2(rows, x):
+    x0, x1 = x
+    return [a * x0 + b * x1 for a, b in rows]
+
+
+def _dot3(rows, x):
+    x0, x1, x2 = x
+    return [a * x0 + b * x1 + c * x2 for a, b, c in rows]
+
+
+def _dot(rows, x):
+    return [sum(map(mul, x, row)) for row in rows]
+
+
 def matvec(rows):
     """x -> [row . x for row in rows] for integer rows and x of one length,
-    built once per table.  The products are written out for lengths 1 to 3,
-    every catalog rank; longer rows, as in block products, are summed."""
+    built once per table as a picklable partial.  The products are written
+    out for lengths 2 and 3, the benchmarked ranks; others are summed."""
     rows = tuple(map(tuple, rows))
     width = {len(row) for row in rows}
-    if width == {1}:
-        return lambda x: [a * x[0] for (a,) in rows]
-    if width == {2}:
-        return lambda x: [a * x[0] + b * x[1] for a, b in rows]
-    if width == {3}:
-        return lambda x: [a * x[0] + b * x[1] + c * x[2] for a, b, c in rows]
-    return lambda x: [sum(map(mul, x, row)) for row in rows]
+    kernel = {2: _dot2, 3: _dot3}.get(width.pop(), _dot) if len(width) == 1 else _dot
+    return partial(kernel, rows)
 
 
 def sqrt_upper(q: Fraction) -> Fraction:

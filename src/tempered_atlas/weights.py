@@ -10,8 +10,8 @@ over one denominator, so +, -, scaling and <a, b> are integer sums, with a
 Fraction built only for a pairing's value or when coordinates are read; a
 test of a pairing against 0 reads the sign of the integer sum alone.  For
 numerators t that are paired again and again, the integer rows G t are
-built once, and ``ratlin.matvec``, the package's one integer mat-vec
-kernel, reads every pairing against them in one call.
+built once; ``ratlin.matvec``, the package's one integer mat-vec kernel,
+forms each G t and then reads every pairing against the rows in one call.
 """
 
 import re
@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch
-from .ratlin import eliminate
+from .ratlin import eliminate, matvec
 
 # ASCII digits only: \d would match every Unicode decimal digit.
 INTEGER_RE = re.compile(r"[+-]?[0-9]+")
@@ -206,7 +206,7 @@ class BilinearForm:
     is all the pairing reads.
     """
 
-    __slots__ = ("gram", "_int_gram", "_den")
+    __slots__ = ("gram", "_int_gram", "_den", "_int_row")
 
     def __init__(self, rows):
         gram = tuple(tuple(_coerce(x) for x in row) for row in rows)
@@ -219,6 +219,7 @@ class BilinearForm:
             tuple(x.numerator * (self._den // x.denominator) for x in row)
             for row in gram
         )
+        self._int_row = matvec(self._int_gram)  # G t, for t's numerators
 
     @classmethod
     def identity(cls, rank: int) -> "BilinearForm":
@@ -231,10 +232,6 @@ class BilinearForm:
     def _check(self, w: Weight):
         if len(w._nums) != len(self._int_gram):
             raise DimensionMismatch(f"{w} has rank {len(w)}, not {self.rank}")
-
-    def _int_row(self, nums: tuple[int, ...]) -> tuple[int, ...]:
-        """G t over the integer Gram matrix, for t's numerators nums."""
-        return tuple(sum(g * y for g, y in zip(r, nums)) for r in self._int_gram)
 
     def _numerator(self, a: Weight, b: Weight) -> int:
         """<a, b> times the positive a._den * b._den * self._den."""

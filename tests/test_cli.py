@@ -754,12 +754,14 @@ def test_help_abbreviations_repeats_and_usage_errors_fall_back_to_argparse(capsy
 ))
 def test_a_double_dash_attached_to_an_option_is_a_usage_error(capsys, argv, flag):
     # argparse before 3.13 drops the -- and leaves the value [], and 3.13
-    # reads the value '--'; main refuses either by the option's flag.
+    # reads the value '--'; either is refused by the option's flag, with
+    # the usage of the subcommand that owns it.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and flag in err
+    assert out == "" and f"argument {flag}: expected one argument" in err
+    assert err.startswith(f"usage: tempered-atlas {argv[0]} ")
 
 
 def test_a_value_read_as_an_option_is_named_on_a_usage_error(capsys):

@@ -133,10 +133,11 @@ def test_value_classes_compare_by_value_and_are_frozen():
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back is not d
     assert not any(key.startswith("_memo_") for key in vars(back))
-    # A datum pickles with its face, whose frame holds closures: the frame
-    # is rebuilt from its descriptor and reads the same pairing table.
+    # A datum pickles with its face and its frame, kernels and faces table
+    # included, and the copy reads the same pairing table.
     back = pickle.loads(pickle.dumps(datum))
     assert (back.kappa, back.mu, back.kappa_l) == (datum.kappa, datum.mu, datum.kappa_l)
+    assert back.parabolic.frame.faces.keys() == datum.parabolic.frame.faces.keys()
     assert back.parabolic.frame.pairings(back.kappa) == datum.parabolic.frame.pairings(datum.kappa)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 from operator import mul
 
@@ -56,6 +57,7 @@ def test_matvec_matches_the_generic_sum(case, tuple_rows, tuple_x):
     # The kernel holds its own copy of the rows, and reads x afresh each call.
     assert dots(x) == expected
     assert dots([2 * v for v in x]) == [2 * v for v in expected]
+    assert pickle.loads(pickle.dumps(dots))(x) == expected
 
 
 def ldl_from_pivot_rows(pivot_rows):
