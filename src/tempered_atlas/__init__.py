@@ -20,9 +20,6 @@ from .groups import (
     catalog_names,
     is_integral,
     lattice_coordinates,
-    load_descriptor,
-    loads_descriptor,
-    serialize_descriptor,
     validate,
 )
 from .krep import (
@@ -86,3 +83,12 @@ __all__ = [
     "validate",
     "weyl_dim",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the descriptor file format is compiled on first use.
+    if name not in ("load_descriptor", "loads_descriptor", "serialize_descriptor"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import descriptor_file
+
+    return getattr(descriptor_file, name)

@@ -8,14 +8,14 @@ exact rationals; no floats.
 
 A canonical argv (exact names, each option at most once as ``--opt=value``
 or ``--opt value``, nothing else starting with '-') is read straight from
-the grammar table ``_COMMANDS``; argparse, built from it, reads any other.
+the grammar table ``_COMMANDS``; argparse, built from it in ``cli_parser``
+on first use, reads any other.
 
 Exit codes: 0 success, 141 stdout closed by its reader, and on an error
 the ``exit_code`` of its class (errors.py), 2 for any ValueError or
 OSError.  ``--version`` prints the package version and exits 0.
 """
 
-import functools
 import os
 import sys
 import types
@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .classify import enumerate_ball, enumerate_components
 from .errors import DescriptorValidationError, RangeError, TemperedAtlasError, UnknownGroup
-from .groups import catalog, catalog_names, integer_frame, lattice_coordinates, load_descriptor
+from .groups import catalog, catalog_names, integer_frame, lattice_coordinates
 from .krep import dirac_multiplicity, freudenthal, tensor_decompose, weyl_dim
 from .matching import match_inverse, summarize, summarize_datum
 from .ratlin import sqrt_upper
@@ -46,6 +46,8 @@ _SUMMARY_FIELDS = (
 def resolve_descriptor(name: str):
     if name in catalog_names():
         return catalog(name)
+    from .descriptor_file import load_descriptor  # compiled only for a path
+
     if os.path.exists(name):
         return load_descriptor(name)
     for base in filter(None, os.environ.get("TEMPERED_ATLAS_PATH", "").split(os.pathsep)):
@@ -92,6 +94,8 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
+    from .descriptor_file import load_descriptor
+
     try:
         d = load_descriptor(args.path)
     except DescriptorValidationError as exc:
@@ -315,50 +319,13 @@ def read_canonical(argv=None):
     return types.SimpleNamespace(**ns)
 
 
-@functools.cache
-def build_parser():
-    """The argparse parser for the argvs read_canonical leaves alone, built
-    from _COMMANDS on first use and shared by every later main call."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="tempered-atlas",
-        description="Exact classification of essential tempered components.",
-    )
-    parser.add_argument("--version", action="version", version=f"tempered-atlas {__version__}")
-
-    class StoreValue(argparse.Action):
-        """Store, refusing --radius=-- (argparse stores [] before 3.13, '--'
-        in 3.13) with the usage error of the subcommand owning the option."""
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values in ([], "--"):
-                raise argparse.ArgumentError(self, "expected one argument")
-            setattr(namespace, self.dest, values)
-
-    _add_commands(parser, "command", _COMMANDS, StoreValue)
-    return parser
-
-
-def _add_commands(parser, dest, commands, store) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (help_text, func, positionals, options, subcommands) in commands.items():
-        # A subcommand given help=None would still get a line in the help.
-        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
-        for positional in positionals:
-            p.add_argument(positional)
-        for flag, (opt_dest, default, choices, option_help) in options.items():
-            p.add_argument(flag, dest=opt_dest, required=default is None, default=default,
-                           choices=choices, help=option_help, action=store)
-        if subcommands:
-            _add_commands(p, *subcommands, store)
-        if func:
-            p.set_defaults(func=func)
-
-
 def main(argv=None) -> int:
     try:
-        args = read_canonical(argv) or build_parser().parse_args(argv)
+        args = read_canonical(argv)
+        if args is None:
+            from .cli_parser import build_parser
+
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse reads a value such as -1,1 as an option (a plain negative
         # integer it reads as a value): on a usage error, name it and the cure.
@@ -379,6 +346,10 @@ def main(argv=None) -> int:
         code = getattr(exc, "exit_code", EXIT_INPUT)
         prefix = "internal invariant failure" if code == 3 else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
+        if code == 3:  # context for a report, one key=value a line
+            print(f"version={__version__}", file=sys.stderr)
+            if hasattr(args, "group"):
+                print(f"group={args.group}", file=sys.stderr)
         return code
 
 

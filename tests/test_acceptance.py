@@ -10,9 +10,10 @@ import random
 import time
 from fractions import Fraction
 
+from tempered_atlas import loads_descriptor
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.cli import main
-from tempered_atlas.groups import catalog, is_integral, loads_descriptor
+from tempered_atlas.groups import catalog, is_integral
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
@@ -29,7 +30,7 @@ from tempered_atlas.ratlin import sqrt_upper
 from tempered_atlas.weights import Weight, half_sum
 from conftest import replace
 from fraction_linalg import project_away, scale_form
-from test_classify import brute_force_kappas
+from test_classify import SP6R_TEXT, brute_force_kappas
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -207,8 +208,9 @@ def test_criterion_08_dirac_multiplicity_sweep(sp4r, sl2r, sl2c, su21):
             seen.add((kappa, w))
             pairs += 1
     assert hand_cases <= seen
-    # Every other group, over the components in a ball of radius 4.
-    for d in (sl2r, sl2c, su21, loads_descriptor(SU31_TEXT)):
+    # Every other group, over the components in a ball of radius 4; sp6r
+    # brings faces with two Levi pairs of different lengths.
+    for d in (sl2r, sl2c, su21, loads_descriptor(SU31_TEXT), loads_descriptor(SP6R_TEXT)):
         for datum in enumerate_components(d, 4).entries:
             s = summarize_datum(datum)
             for w in s.minimal_k_types:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import classify, cli, krep
+from tempered_atlas import classify, cli, krep, loads_descriptor, serialize_descriptor
 from tempered_atlas.classify import (
     construct_from_kappa,
     enumerate_ball,
@@ -19,19 +19,17 @@ from tempered_atlas.classify import (
     genuine_shift,
     is_genuine,
 )
+from tempered_atlas.descriptor_file import parse_descriptor
 from tempered_atlas.errors import InternalBijectionFailure, NotDominant, NotGenuine
 from tempered_atlas.groups import (
     RealFormDescriptor,
     catalog,
     integer_frame,
     is_integral,
-    loads_descriptor,
-    parse_descriptor,
-    serialize_descriptor,
     validate,
 )
 from tempered_atlas.krep import dirac_multiplicity, weyl_dim
-from tempered_atlas.matching import minimal_k_types
+from tempered_atlas.matching import minimal_k_types, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
@@ -329,6 +327,55 @@ def test_enumerate_ball_matches_brute_force_catalog(name, radius_sq):
     d = _walk_groups()[name]
     got = tuple(e.kappa for e in enumerate_ball(d, radius_sq))
     assert got == brute_force_kappas(d, radius_sq)
+
+
+def test_sp6r_components_with_two_levi_pairs():
+    # Derived by hand.  rho_K = (1,0,-1), and the noncompact half-sum
+    # (2,2,2) is integral, so the genuine kappa are the dominant integral
+    # ones; at |kappa|^2 <= 2 there are six: 0, (1,0,0), (0,0,-1), (1,1,0),
+    # (0,-1,-1) and (1,0,-1).  kappa + rho_K pairs to zero with both e1+e3
+    # and 2e2 exactly when kappa_2 = 0 and kappa_3 = -kappa_1, so for
+    # kappa = 0 and (1,0,-1) only.  On that face u cap s holds e1+e2, 2e1,
+    # -(e2+e3) and -2e3, so rho(s cap u) = (3/2,0,-3/2), and the Levi
+    # offset of the sign choice (+,+) is rho_l(+,+) = (1/2,1,1/2).  Then
+    # mu = kappa - rho(s cap u) - rho_l(+,+); kappa_l is mu less its parts
+    # along e1+e3 and e2; the fine weights are kappa_l + (+-1/2, +-1, +-1/2),
+    # the first and last signs equal; the minimal K-types add
+    # 2 rho(s cap u) = (3,0,-3), and the R-group order is 2^2.
+    #   kappa = 0:       mu = (-2,-1,1), kappa_l = (-3/2,0,3/2),
+    #                    K-types (2,+-1,-1), (1,+-1,-2);
+    #   kappa = (1,0,-1): mu = (-1,-1,0), kappa_l = (-1/2,0,1/2),
+    #                    K-types (3,+-1,-2), (2,+-1,-3).
+    d = loads_descriptor(SP6R_TEXT)
+    entries = enumerate_ball(d, 2)
+    assert {e.kappa: e.n_pairs for e in entries} == {
+        Weight(k): n for k, n in (
+            ((0, 0, 0), 2), ((1, 0, -1), 2), ((1, 0, 0), 1), ((0, 0, -1), 1),
+            ((1, 1, 0), 1), ((0, -1, -1), 1),
+        )
+    }
+    expected = {
+        Weight((0, 0, 0)): (
+            (-2, -1, 1), (-3 * H, 0, 3 * H),
+            ((-1, 1, 2), (-1, -1, 2), (-2, 1, 1), (-2, -1, 1)),
+            ((2, 1, -1), (2, -1, -1), (1, 1, -2), (1, -1, -2)),
+        ),
+        Weight((1, 0, -1)): (
+            (-1, -1, 0), (-H, 0, H),
+            ((0, 1, 1), (0, -1, 1), (-1, 1, 0), (-1, -1, 0)),
+            ((3, 1, -2), (3, -1, -2), (2, 1, -3), (2, -1, -3)),
+        ),
+    }
+    for e in entries:
+        if e.n_pairs != 2:
+            continue
+        mu, kappa_l, fine, k_types = expected[e.kappa]
+        s = summarize_datum(e)
+        assert set(e.parabolic.l_pairs) == {Weight((1, 0, 1)), Weight((0, 2, 0))}
+        assert (e.mu, e.kappa_l) == (Weight(mu), Weight(kappa_l))
+        assert set(s.fine_weights) == set(map(Weight, fine))
+        assert set(s.minimal_k_types) == set(map(Weight, k_types))
+        assert (s.r_order, s.dirac_hw) == (4, e.kappa)
 
 
 def test_walk_visits_only_components(monkeypatch):

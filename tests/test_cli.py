@@ -14,12 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempered_atlas
-from tempered_atlas import classify, cli, errors, matching
+from tempered_atlas import classify, cli, cli_parser, errors, matching, serialize_descriptor
 from tempered_atlas.cli import main
 from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
-from tempered_atlas.groups import (
-    RealFormDescriptor, ValidationReport, catalog, integer_frame, serialize_descriptor,
-)
+from tempered_atlas.groups import RealFormDescriptor, ValidationReport, catalog, integer_frame
 from tempered_atlas.weights import BilinearForm, Weight
 from test_classify import _bc1
 from test_su31_custom import SU31_TEXT
@@ -257,9 +255,11 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "resolve_descriptor", lambda name: d)
     code, out, err = run_cli(capsys, "classify", "y", "--radius", "2")
     assert (code, out) == (3, "")
+    # The version and the group as typed follow, one key=value a line.
     assert err == (
         "internal invariant failure: mu must restrict to minus one half of each "
         "Levi pair; coroot pairing against (2,0) is 0\n"
+        f"version={tempered_atlas.__version__}\ngroup=y\n"
     )
 
 
@@ -636,7 +636,8 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
         "import tempered_atlas.cli\n"
         "loaded = sorted(sys.modules)\n"
         "import json\n"
-        "from tempered_atlas.groups import loads_descriptor, validate\n"
+        "from tempered_atlas import loads_descriptor\n"
+        "from tempered_atlas.groups import validate\n"
         "d = loads_descriptor(sys.stdin.read())\n"
         "print(json.dumps([loaded, d.name, validate(d).ok]))\n"
     )
@@ -655,6 +656,8 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     # A canonical argv is read without argparse, which builds its parser
     # and imports gettext only for help, abbreviations and usage errors.
     assert not {"argparse", "gettext"} & set(loaded)
+    # Nor are the modules of the argparse fallback and the file format.
+    assert not {"tempered_atlas.cli_parser", "tempered_atlas.descriptor_file"} & set(loaded)
     # Only classify and figure write CSV or JSON, and import them there.
     assert not {"json", "csv"} & set(loaded)
     # bench/tracer.py's install() wraps krep's functions by looking the
@@ -662,6 +665,37 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     assert "tempered_atlas.krep" in loaded
     # The descriptor file parser imports configparser on first use.
     assert (name, ok) == ("su31", True)
+
+
+def test_a_catalog_run_leaves_the_file_format_and_argparse_unloaded(tmp_path):
+    # figure sp4r names a catalog group in a canonical argv: neither lazy
+    # module loads.  A group named by path loads the file format, and an
+    # abbreviated option the argparse fallback.
+    path = tmp_path / "g.group"
+    path.write_text(serialize_descriptor(catalog("sp4r")), encoding="utf-8")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tempered_atlas import cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(list(argv))\n"
+        "    lazy = ('tempered_atlas.descriptor_file', 'tempered_atlas.cli_parser')\n"
+        "    return [code, [m for m in lazy if m in sys.modules]]\n"
+        "steps = [run('figure', 'sp4r', '--m-range=0:2', '--n-range=0:2')]\n"
+        "steps.append(run('figure', sys.argv[1], '--m-range=0:2', '--n-range=0:2'))\n"
+        "steps.append(run('figure', 'sp4r', '--m-r=0:2', '--n-range=0:2'))\n"
+        "print(json.dumps(steps))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tempered_atlas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        [0, []],
+        [0, ["tempered_atlas.descriptor_file"]],
+        [0, ["tempered_atlas.descriptor_file", "tempered_atlas.cli_parser"]],
+    ]
 
 
 def test_repeated_main_calls_match_a_cold_run(tmp_path, capsys):
@@ -714,7 +748,7 @@ def argparse_answer(argv):
     parser alone on argv; what it prints is dropped."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv)), None
+            return vars(cli_parser.build_parser().parse_args(argv)), None
         except SystemExit as exc:
             return None, exc.code
 
@@ -840,8 +874,12 @@ def test_each_error_class_owns_its_exit_code(capsys, monkeypatch):
         else:
             exc = cls("refused")
         catalog_raising(monkeypatch, exc)
-        prefix = "internal invariant failure" if cls.exit_code == 3 else "error"
-        assert run_cli(capsys, "catalog") == (EXIT_CODES[name], "", f"{prefix}: {exc}\n")
+        # catalog takes no group, so exit 3's context is the version alone.
+        if cls.exit_code == 3:
+            err = f"internal invariant failure: {exc}\nversion={tempered_atlas.__version__}\n"
+        else:
+            err = f"error: {exc}\n"
+        assert run_cli(capsys, "catalog") == (EXIT_CODES[name], "", err)
     # Any other error the handler takes is bad input.
     for exc in (ValueError("bad"), OSError("unreadable")):
         catalog_raising(monkeypatch, exc)
@@ -869,6 +907,7 @@ def test_every_golden_op_argv_is_read_without_argparse():
 # Canonical argvs, one per command, and tokens that the mutations below put
 # into them: misspelt names, abbreviated and exact flags in both forms,
 # values starting with '-' or holding a space, bad choices, '--' and help.
+# Radii and boxes stay small, so that cli.main runs each argv quickly.
 CANONICAL = (
     ("catalog",),
     ("validate", "g.group"),
@@ -888,7 +927,7 @@ TOKENS = (
     "--direction", "--dir", "--m-range", "--n-range", "--n", "--tau", "--t", "--v",
     "--radius=", "--mu=-1,2", "--mu=1 2", "--format=xml", "--direction=inverse",
     "--tau=1/2,1/2", "--v=-2,0", "--rad=2", "--m-range=-6:6", "--version", "--", "-",
-    "-h", "--help",
+    "-h", "--help", "--rad=--", "--ta=--", "--m-r=--", "--tau=--",
 )
 
 
@@ -933,3 +972,25 @@ def test_reader_agrees_with_argparse_wherever_it_reads(argv):
         expected, code = argparse_answer(argv)
         assert code is None, argv
         assert vars(ns) == expected, argv
+
+
+def main_exit_code(argv):
+    """The exit code cli.main returns or raises as SystemExit on argv, with
+    stdout and stderr dropped; any other exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_argvs())
+@example(["classify", "sp4r", "--rad=--"])
+@example(["krep", "sp4r", "diracmult", "--ta=--", "--v", "2,0"])
+@example(["figure", "sp4r", "--m-r=--", "--n-range=0:1"])
+@example(["krep", "sp4r", "diracmult", "--tau=--", "--v=2,0"])
+def test_no_argv_crashes_main(argv):
+    # Every argv succeeds or is refused with a documented code: exit 3 is
+    # the package's own fault, and any other exception a crash.
+    assert main_exit_code(argv) in (0, 2, 4, 5), argv

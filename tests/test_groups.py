@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempered_atlas import groups
+from tempered_atlas import (
+    descriptor_file, groups, load_descriptor, loads_descriptor, serialize_descriptor,
+)
 from tempered_atlas.classify import (
     ClassificationRun,
     EssentialVoganDatum,
@@ -15,6 +17,7 @@ from tempered_atlas.classify import (
     enumerate_components,
 )
 from tempered_atlas.cli import main
+from tempered_atlas.descriptor_file import parse_descriptor
 from tempered_atlas.errors import (
     DescriptorFormatError,
     DescriptorValidationError,
@@ -27,10 +30,6 @@ from tempered_atlas.groups import (
     catalog_names,
     is_integral,
     lattice_coordinates,
-    load_descriptor,
-    loads_descriptor,
-    parse_descriptor,
-    serialize_descriptor,
     validate,
 )
 from tempered_atlas.matching import ComponentSummary, summarize
@@ -76,7 +75,9 @@ def test_descriptors_are_built_once_and_validated_on_every_resolve(monkeypatch):
         checked.append(d)
         return validate(d)
 
+    # catalog looks validate up in groups, loads_descriptor in descriptor_file.
     monkeypatch.setattr(groups, "validate", counting_validate)
+    monkeypatch.setattr(descriptor_file, "validate", counting_validate)
     for name in catalog_names():
         assert catalog(name) is catalog(name)
     assert loads_descriptor(text) is loads_descriptor(text) is d

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import catalog
+from tempered_atlas import catalog, loads_descriptor
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, genuine_shift
 from tempered_atlas.errors import (
     DimensionMismatch, NotGenuine, NotIntegral, NotStrictlyDominant, TemperedAtlasError,
 )
 from tempered_atlas.groups import (
-    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates, loads_descriptor,
+    RealFormDescriptor, integer_frame, is_integral, lattice_coordinates,
     simple_compact_roots, validate,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import krep
+from tempered_atlas import krep, loads_descriptor
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine, StructuralInvariantError
-from tempered_atlas.groups import (
-    catalog, integer_frame, is_integral, loads_descriptor, simple_compact_roots,
-)
+from tempered_atlas.groups import catalog, integer_frame, is_integral, simple_compact_roots
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempered_atlas import catalog, cli, matching
+from tempered_atlas import catalog, cli, loads_descriptor, matching
 from tempered_atlas.classify import construct_from_kappa, enumerate_components
 from tempered_atlas.errors import (
     AmbiguousPositiveSystem,
@@ -20,7 +20,7 @@ from tempered_atlas.matching import (
     summarize,
     summarize_datum,
 )
-from tempered_atlas.groups import RealFormDescriptor, loads_descriptor
+from tempered_atlas.groups import RealFormDescriptor
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import Weight, half_sum
 from conftest import replace

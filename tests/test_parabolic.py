@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
-from tempered_atlas import catalog, classify, groups, matching, parabolic
+from tempered_atlas import catalog, classify, groups, loads_descriptor, matching, parabolic
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball
 from tempered_atlas.groups import (
-    RealFormDescriptor, integer_frame, lex_positive, loads_descriptor, validate,
+    RealFormDescriptor, integer_frame, lex_positive, validate,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
 from tempered_atlas.parabolic import build_parabolic

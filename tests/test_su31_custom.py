@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import cli
+from tempered_atlas import cli, loads_descriptor
 from tempered_atlas.classify import construct_from_kappa, enumerate_ball, enumerate_components
 from tempered_atlas.errors import TemperedAtlasError
-from tempered_atlas.groups import loads_descriptor, simple_compact_roots, validate
+from tempered_atlas.groups import simple_compact_roots, validate
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
