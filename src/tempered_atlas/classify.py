@@ -201,8 +201,8 @@ def enumerate_ball(
 
 
 def enumerate_components(d: RealFormDescriptor, radius) -> ClassificationRun:
-    """Classification run over the closed ball of the given radius > 0;
-    exact, so a float radius is refused (TypeError)."""
+    """Classification run over the closed ball of the given radius > 0, an
+    int or a Fraction: any other type is refused (TypeError)."""
     radius = _coerce(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")

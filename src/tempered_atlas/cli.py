@@ -33,6 +33,7 @@ from .weights import INTEGER_RE, parse_rational, parse_weight
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE
+_load_descriptor = None  # descriptor_file's, bound by the first path resolve
 
 _SUMMARY_FIELDS = (
     "kappa",
@@ -44,16 +45,17 @@ _SUMMARY_FIELDS = (
 
 
 def resolve_descriptor(name: str):
+    global _load_descriptor
     if name in catalog_names():
         return catalog(name)
-    from .descriptor_file import load_descriptor  # compiled only for a path
-
+    if _load_descriptor is None:  # compiled only for a path, imported once
+        from .descriptor_file import load_descriptor as _load_descriptor
     if os.path.exists(name):
-        return load_descriptor(name)
+        return _load_descriptor(name)
     for base in filter(None, os.environ.get("TEMPERED_ATLAS_PATH", "").split(os.pathsep)):
         for candidate in (os.path.join(base, name), os.path.join(base, name + ".group")):
             if os.path.isfile(candidate):
-                return load_descriptor(candidate)
+                return _load_descriptor(candidate)
     raise UnknownGroup(f"no catalog entry or descriptor file named {name!r}")
 
 

@@ -442,82 +442,20 @@ def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
     return is_integral(d, kappa - genuine_shift(d))
 
 
-def _pm(*weights) -> tuple[Weight, ...]:
-    out = []
-    for w in weights:
-        out.append(Weight(w))
-        out.append(-Weight(w))
-    return tuple(out)
-
-
-def _sl2r() -> RealFormDescriptor:
+# One row per built-in group: rank_g, the Gram matrix, the positive compact
+# roots, one weight of each noncompact +-pair, and zero_weight_s_dim.
+_CATALOG = {
     # k = so(2) is abelian; s has torus weights +-2; lattice Z.
-    return RealFormDescriptor(
-        name="sl2r",
-        rank_tc=1,
-        rank_g=1,
-        form=BilinearForm.identity(1),
-        compact_roots=(),
-        positive_compact=(),
-        noncompact_weights=_pm((2,)),
-        zero_weight_s_dim=0,
-        integrality_basis=(Weight((1,)),),
-    )
-
-
-def _sl2c() -> RealFormDescriptor:
+    "sl2r": (1, ((1,),), (), ((2,),), 0),
     # Complex group seen as real: k = su(2), s is its adjoint, so the
     # weight +-2 occurs on both sides and s has a 1-dim zero-weight part.
-    return RealFormDescriptor(
-        name="sl2c",
-        rank_tc=1,
-        rank_g=2,
-        form=BilinearForm.identity(1),
-        compact_roots=_pm((2,)),
-        positive_compact=(Weight((2,)),),
-        noncompact_weights=_pm((2,)),
-        zero_weight_s_dim=1,
-        integrality_basis=(Weight((1,)),),
-    )
-
-
-def _su21() -> RealFormDescriptor:
+    "sl2c": (2, ((1,),), ((2,),), ((2,),), 1),
     # Coordinates in the fundamental-weight basis of su(3); K = S(U(2)xU(1)).
     # Compact root e1-e2 = (2,-1); noncompact e1-e3 = (1,1), e2-e3 = (-1,2).
     # Gram is the (scaled) trace form in these coordinates; lattice Z^2.
-    return RealFormDescriptor(
-        name="su21",
-        rank_tc=2,
-        rank_g=2,
-        form=BilinearForm(((2, 1), (1, 2))),
-        compact_roots=_pm((2, -1)),
-        positive_compact=(Weight((2, -1)),),
-        noncompact_weights=_pm((1, 1), (-1, 2)),
-        zero_weight_s_dim=0,
-        integrality_basis=(Weight((1, 0)), Weight((0, 1))),
-    )
-
-
-def _sp4r() -> RealFormDescriptor:
+    "su21": (2, ((2, 1), (1, 2)), ((2, -1),), ((1, 1), (-1, 2)), 0),
     # K = U(2): compact roots +-(e1-e2); s carries +-(e1+e2), +-2e1, +-2e2.
-    return RealFormDescriptor(
-        name="sp4r",
-        rank_tc=2,
-        rank_g=2,
-        form=BilinearForm.identity(2),
-        compact_roots=_pm((1, -1)),
-        positive_compact=(Weight((1, -1)),),
-        noncompact_weights=_pm((1, 1), (2, 0), (0, 2)),
-        zero_weight_s_dim=0,
-        integrality_basis=(Weight((1, 0)), Weight((0, 1))),
-    )
-
-
-_CATALOG = {
-    "sl2r": _sl2r,
-    "sl2c": _sl2c,
-    "su21": _su21,
-    "sp4r": _sp4r,
+    "sp4r": (2, ((1, 0), (0, 1)), ((1, -1),), ((1, 1), (2, 0), (0, 2)), 0),
 }
 
 
@@ -527,9 +465,25 @@ def catalog_names() -> tuple[str, ...]:
 
 @functools.cache
 def _catalog_entry(name: str) -> RealFormDescriptor:
-    """Each built-in descriptor is built once per process and shared, so
-    its memoised tables stay warm across queries."""
-    return _CATALOG[name]()
+    """A row's descriptor: each root and weight followed by its negative,
+    the lattice Z^rank_tc for rank_tc the size of the Gram matrix.  Built
+    once per process and shared, so its memoised tables stay warm."""
+    rank_g, gram, positive, pairs, zero_weight_s_dim = _CATALOG[name]
+    compact, noncompact = (
+        tuple(v for w in map(Weight, ws) for v in (w, -w)) for ws in (positive, pairs)
+    )
+    n = len(gram)
+    return RealFormDescriptor(
+        name=name,
+        rank_tc=n,
+        rank_g=rank_g,
+        form=BilinearForm(gram),
+        compact_roots=compact,
+        positive_compact=compact[::2],
+        noncompact_weights=noncompact,
+        zero_weight_s_dim=zero_weight_s_dim,
+        integrality_basis=tuple(Weight([int(i == j) for j in range(n)]) for i in range(n)),
+    )
 
 
 def catalog(name: str) -> RealFormDescriptor:

@@ -28,22 +28,22 @@ from .errors import NotDominant, NotGenuine, StructuralInvariantError
 from .groups import RealFormDescriptor, integer_frame, is_genuine, is_integral, per_descriptor
 from .weights import Weight
 
-_MAX_CHAMBER_STEPS = 100_000
-
 
 def _dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
-def _walk(simple, w):
+def _walk(frame, w):
     """(dominant image, reflection parity, hit a chamber wall) of w's
     numerators over some E.  Each step reflects in the first simple root a
     with p = 2 w.row < 0: s_a(w) is w less p / q times a's numerators over
-    D, q = a.row; p / q, the coroot pairing times E / D, must be an integer."""
+    D, q = a.row; p / q, the coroot pairing times E / D, must be an integer.
+    s_a negates a and permutes the other positive roots, so a step lowers by
+    one the positive roots w pairs negatively with: at most n_compact steps."""
     sign = 1
-    for _ in range(_MAX_CHAMBER_STEPS):
+    for _ in range(frame.n_compact + 1):
         singular = False
-        for a, row, q in simple:
+        for a, row, q in frame.simple:
             p = 2 * _dot(w, row)
             if p < 0:
                 break
@@ -112,7 +112,7 @@ def _weight_table(d: RealFormDescriptor, hw: Weight):
         candidates = {tuple(map(sub, w, s)) for w in frontier for s in steps}
         frontier = []
         for w in candidates:
-            wd = _walk(simple, w)[0]
+            wd = _walk(frame, w)[0]
             if wd != w:
                 # Multiplicities are reflection invariant; the dominant
                 # image sits at a strictly earlier level, already decided.
@@ -160,7 +160,7 @@ def _klimyk_fold(d: RealFormDescriptor, top, den: int, items) -> dict:
     rho = tuple(map((den // frame.den).__mul__, frame.rho))
     start, acc = tuple(map(add, top, rho)), {}
     for nu, m in items:
-        moved, sign, singular = _walk(frame.simple, tuple(map(add, start, nu)))
+        moved, sign, singular = _walk(frame, tuple(map(add, start, nu)))
         if not singular:
             target = tuple(map(sub, moved, rho))
             acc[target] = acc.get(target, 0) + sign * m
@@ -177,8 +177,11 @@ def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
     acc = _klimyk_fold(d, tuple(map((den // den1).__mul__, top)), den, items)
     # Over one positive den, numerator order is weight order.
     out = tuple((Weight.from_ints(w, den), c) for w, c in sorted(acc.items()) if c)
+    # A term is an image off the walls less rho: hw1, hw2 (both checked), rho
+    # and the roots pair with each simple coroot as integers, so the image
+    # pairs with each as a positive integer and the term is dominant.
     for w, c in out:
-        if c < 0 or not d.is_dominant_weight(w):
+        if c < 0:
             raise StructuralInvariantError(f"tensor decomposition produced invalid term ({w}, {c})")
     return out
 

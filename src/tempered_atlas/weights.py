@@ -2,7 +2,7 @@
 
 Weights are coordinate vectors in a fixed basis of the dual of the compact
 torus; the positive definite Gram matrix of a :class:`BilinearForm` carries
-all the geometry.  Every operation is pure, exact, and rejects floats.
+all the geometry.  Operations are pure and exact, on int and Fraction only.
 
 Arithmetic runs on integers: a weight is stored as integer numerators over
 their least common denominator and a form keeps its Gram matrix as integers
@@ -43,8 +43,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coordinates are not allowed; use Fraction")
+    # Fraction() would also take a str, a Decimal or a float.
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"an exact number must be an int or a Fraction, not {type(value).__name__}")
     return Fraction(value)
 
 

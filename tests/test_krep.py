@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from tempered_atlas import krep, loads_descriptor
 from tempered_atlas.classify import enumerate_ball
 from tempered_atlas.errors import NotDominant, NotGenuine, StructuralInvariantError
-from tempered_atlas.groups import catalog, integer_frame, is_integral, simple_compact_roots
+from tempered_atlas.groups import (
+    RealFormDescriptor, catalog, integer_frame, is_integral, simple_compact_roots,
+)
 from tempered_atlas.krep import (
     dirac_multiplicity,
     freudenthal,
@@ -19,9 +21,9 @@ from tempered_atlas.krep import (
     tensor_decompose,
     weyl_dim,
 )
-from tempered_atlas.weights import Weight
+from tempered_atlas.weights import BilinearForm, Weight
 from fraction_linalg import coroot_pairing, reflect
-from test_classify import _bc1
+from test_classify import SP6R_TEXT, _bc1
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -291,9 +293,9 @@ def walk(d, w):
     each reflection coefficient p / q an integer; then so is every one
     along it.  The image comes back as a Weight over den * f."""
     nums, den = w.int_coords()
-    simple = integer_frame(d).simple
-    f = lcm(*(q // gcd(2 * sum(map(mul, nums, row)), q) for _, row, q in simple))
-    image, sign, singular = krep._walk(simple, tuple(f * x for x in nums))
+    frame = integer_frame(d)
+    f = lcm(*(q // gcd(2 * sum(map(mul, nums, row)), q) for _, row, q in frame.simple))
+    image, sign, singular = krep._walk(frame, tuple(f * x for x in nums))
     return Weight.from_ints(image, den * f), sign, singular
 
 
@@ -301,6 +303,7 @@ _WALK_GROUPS = {
     "sp4r": catalog("sp4r"),
     "su21": catalog("su21"),
     "su31": loads_descriptor(SU31_TEXT),
+    "sp6r": loads_descriptor(SP6R_TEXT),
 }
 
 
@@ -318,6 +321,27 @@ def test_to_dominant_chamber_matches_a_reference_walk(name, den, nums):
     d = _WALK_GROUPS[name]
     w = Weight(Fraction(n, den) for n in nums[: d.rank_tc])
     assert walk(d, w) == reference_walk(d, w)
+
+
+def test_a_walk_longer_than_the_positive_roots_is_refused():
+    # Positive compact roots (-2,-2) and (1,1) lie on one line: no root
+    # system, and unvalidated.  (1,-1) is orthogonal to both, so it passes
+    # as a highest weight, but below it the walk reflects back and forth
+    # between the two without end.  It is refused after n_compact = 2 steps.
+    positive = (Weight((-2, -2)), Weight((1, 1)))
+    d = RealFormDescriptor(
+        name="line2",
+        rank_tc=2,
+        rank_g=2,
+        form=BilinearForm.identity(2),
+        compact_roots=(*positive, *(-a for a in positive)),
+        positive_compact=positive,
+        noncompact_weights=(),
+        zero_weight_s_dim=0,
+        integrality_basis=(Weight((1, 0)), Weight((0, 1))),
+    )
+    with pytest.raises(StructuralInvariantError, match="did not terminate"):
+        freudenthal(d, Weight((1, -1)))
 
 
 def test_dominant_representative(sp4r):
@@ -367,10 +391,12 @@ def convolved_dirac_multiplicity(d, tau_hw, v_hw):
     )
 
 
-@pytest.mark.parametrize("name", ["sp4r", "su31"])
+@pytest.mark.parametrize("name", ["sp4r", "su31", "sp6r"])
 def test_dirac_multiplicity_matches_convolved_product(name, sp4r):
-    d = sp4r if name == "sp4r" else loads_descriptor(SU31_TEXT)
-    taus = [datum.kappa for datum in enumerate_ball(d, Fraction(20))]
+    # sp6r at radius^2 6: 22 taus by 20 Vs keep the oracle under a second.
+    texts = {"su31": SU31_TEXT, "sp6r": SP6R_TEXT}
+    d = sp4r if name == "sp4r" else loads_descriptor(texts[name])
+    taus = [datum.kappa for datum in enumerate_ball(d, Fraction(6 if name == "sp6r" else 20))]
     vs = [
         Weight(c)
         for c in itertools.product(range(-1, 3), repeat=d.rank_tc)

@@ -1,10 +1,12 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tempered_atlas.classify import enumerate_ball, enumerate_components
 from tempered_atlas.errors import DimensionMismatch, ZeroRoot
 from tempered_atlas.groups import RealFormDescriptor
 from tempered_atlas.weights import (
@@ -177,11 +179,26 @@ def test_parse_weight_equals_the_weight_of_its_parsed_rationals(parts, parens):
     assert got.coords == tuple(parse_rational(p) for p in parts)
 
 
-def test_weight_rejects_floats():
+def test_weight_rejects_floats(sp4r):
     with pytest.raises(TypeError):
         Weight((0.5, 1))
     with pytest.raises(TypeError):
         Weight((1, 0)) * 0.5
+    # Fraction() reads a decimal literal too: only an int or a Fraction
+    # enters, as a coordinate, a Gram entry, a scalar or a radius.
+    for bad in ("1/2", "0.5", "1e2", Decimal("0.1"), Decimal(3)):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"not {name}"):
+            Weight((bad, 1))
+        with pytest.raises(TypeError, match=f"not {name}"):
+            BilinearForm([[bad]])
+        with pytest.raises(TypeError, match=f"not {name}"):
+            Weight((1, 0)) * bad
+        with pytest.raises(TypeError, match=f"not {name}"):
+            enumerate_components(sp4r, bad)
+        with pytest.raises(TypeError, match=f"not {name}"):
+            enumerate_ball(sp4r, bad)
+    assert Weight((1, Fraction(1, 2))) * Fraction(2) == Weight((2, 1))
 
 
 def test_project_away_removes_orthogonal_components():
