@@ -74,10 +74,9 @@ class ClassificationRun(_Frozen):
     """The data of every component in the ball of the given radius about 0
     in group, sorted by kappa."""
 
-    __match_args__ = ("group", "radius", "entries")
-
-    def __init__(self, group: str, radius: Fraction, entries: tuple[EssentialVoganDatum, ...]):
-        self.__dict__.update(group=group, radius=radius, entries=entries)
+    group: str
+    radius: Fraction
+    entries: tuple[EssentialVoganDatum, ...]
 
 
 def construct_from_kappa(d: RealFormDescriptor, kappa):

@@ -51,15 +51,27 @@ def lex_positive(w: Weight) -> bool:
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__match_args__``, and its ``__init__``
-    sets each one once, bypassing ``__setattr__``.  Equality, hashing, repr
-    and copying read that tuple, as a frozen dataclass's do, and assigning
-    or deleting an attribute raises AttributeError.  Written by hand:
-    importing ``dataclasses``, which imports ``inspect``, is about a quarter
-    of a CLI call's set-up."""
+    A subclass declares each field once, as an annotation, and gets a
+    ``__match_args__`` naming them in order and an ``__init__`` setting each
+    once, bypassing ``__setattr__``; EssentialVoganDatum declares none and
+    writes both, over ``__slots__``.  Equality, hashing, repr and copying
+    read that tuple, as a frozen dataclass's do, and assigning or deleting
+    an attribute raises AttributeError.  Written by hand: importing
+    ``dataclasses``, which imports ``inspect``, is about a quarter of a CLI call's set-up."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The class's own annotations (3.10+), evaluated here when lazy (3.14).
+        if fields := tuple(cls.__annotations__):
+            cls.__match_args__ = fields
+            body = ", ".join(f"{f}={f}" for f in fields)
+            ns = {"__name__": cls.__module__}  # compiled once per class, as dataclasses does
+            exec(f"def __init__(self, {', '.join(fields)}):\n    self.__dict__.update({body})", ns)
+            cls.__init__ = ns["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__.__annotations__ = dict(cls.__annotations__)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -90,28 +102,15 @@ class RealFormDescriptor(_Frozen):
     """A group's compact-torus weight data; see the module docstring.  The
     instance dict holds only what ``per_descriptor`` memoises."""
 
-    __match_args__ = (
-        "name", "rank_tc", "rank_g", "form", "compact_roots", "positive_compact",
-        "noncompact_weights", "zero_weight_s_dim", "integrality_basis",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        rank_tc: int,
-        rank_g: int,
-        form: BilinearForm,
-        compact_roots: tuple[Weight, ...],
-        positive_compact: tuple[Weight, ...],
-        noncompact_weights: tuple[Weight, ...],
-        zero_weight_s_dim: int,
-        integrality_basis: tuple[Weight, ...],
-    ):
-        self.__dict__.update(
-            name=name, rank_tc=rank_tc, rank_g=rank_g, form=form, compact_roots=compact_roots,
-            positive_compact=positive_compact, noncompact_weights=noncompact_weights,
-            zero_weight_s_dim=zero_weight_s_dim, integrality_basis=integrality_basis,
-        )
+    name: str
+    rank_tc: int
+    rank_g: int
+    form: BilinearForm
+    compact_roots: tuple[Weight, ...]
+    positive_compact: tuple[Weight, ...]
+    noncompact_weights: tuple[Weight, ...]
+    zero_weight_s_dim: int
+    integrality_basis: tuple[Weight, ...]
 
     # The fields never change and a copy is rebuilt by the constructor: hash once.
     __hash__ = per_descriptor(_Frozen.__hash__)
@@ -144,10 +143,7 @@ def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
 class ValidationReport(_Frozen):
     """validate's (invariant name, detail) pairs, empty when d is valid."""
 
-    __match_args__ = ("violations",)
-
-    def __init__(self, violations: tuple[tuple[str, str], ...]):
-        self.__dict__.update(violations=violations)
+    violations: tuple[tuple[str, str], ...]
 
     @property
     def ok(self) -> bool:

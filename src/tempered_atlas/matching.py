@@ -26,23 +26,12 @@ class ComponentSummary(_Frozen):
     """The invariants of the component kappa generates, as summarize_datum
     checks them."""
 
-    __match_args__ = (
-        "kappa", "n_pairs", "r_order", "fine_weights", "minimal_k_types", "dirac_hw",
-    )
-
-    def __init__(
-        self,
-        kappa: Weight,
-        n_pairs: int,
-        r_order: int,
-        fine_weights: tuple[Weight, ...],
-        minimal_k_types: tuple[Weight, ...],
-        dirac_hw: Weight,
-    ):
-        self.__dict__.update(
-            kappa=kappa, n_pairs=n_pairs, r_order=r_order, fine_weights=fine_weights,
-            minimal_k_types=minimal_k_types, dirac_hw=dirac_hw,
-        )
+    kappa: Weight
+    n_pairs: int
+    r_order: int
+    fine_weights: tuple[Weight, ...]
+    minimal_k_types: tuple[Weight, ...]
+    dirac_hw: Weight
 
 
 def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:

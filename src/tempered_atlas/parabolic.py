@@ -36,7 +36,7 @@ from operator import add, mul, sub
 
 from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from .groups import RealFormDescriptor, integer_frame, is_integral
-from .weights import Weight, half_sum
+from .weights import half_sum
 
 
 class ThetaParabolic:
@@ -131,14 +131,15 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     orthogonal.  Only the signs over the noncompact positive system are
     computed, one per +-pair; they pick the shared parabolic of the face,
     the same object for every lam on it, kept in ``IntegerFrame.faces``.
-    The guard on public input and the signs read lam's
-    ``IntegerFrame.pairings``, which the hot path passes in place of lam:
-    a dominant weight's plus rho_K's multiple, so a failure there names rho_K.
+    lam is a Weight or, as a tuple, its numerators over D.  The guard on
+    public input and the signs read lam's ``IntegerFrame.pairings``, which
+    the hot path passes in place of lam, as a list: a dominant weight's plus
+    rho_K's multiple, so a failure there names rho_K.
     """
     frame = integer_frame(d)
-    values = frame.pairings(lam) if isinstance(lam, Weight) else lam
+    values = lam if isinstance(lam, list) else frame.pairings(lam)
     if min(values[: frame.n_compact], default=1) <= 0:
-        what = lam if isinstance(lam, Weight) else f"{d.name}: rho_K = {d.rho_compact()}"
+        what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else frame.weight(lam)
         raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")
     signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
     try:

@@ -61,7 +61,7 @@ class Weight:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coords):
-        coords = [c if type(c) is Fraction else _coerce(c) for c in coords]
+        coords = [_coerce(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in coords)
         self._den = den
@@ -114,9 +114,6 @@ class Weight:
     def _combine(self, other: "Weight", sign: int) -> "Weight":
         self._check(other)
         a, b = self._den, other._den
-        if a == b:
-            nums = tuple(x + sign * y for x, y in zip(self._nums, other._nums))
-            return Weight.from_ints(nums, a)
         den = lcm(a, b)
         fa, fb = den // a, sign * (den // b)
         nums = tuple(x * fa + y * fb for x, y in zip(self._nums, other._nums))
@@ -135,7 +132,7 @@ class Weight:
         return w
 
     def __mul__(self, scalar):
-        c = scalar if type(scalar) is int else _coerce(scalar)
+        c = _coerce(scalar)
         return Weight.from_ints(
             tuple(x * c.numerator for x in self._nums), self._den * c.denominator
         )
@@ -156,8 +153,6 @@ class Weight:
         # Both sides over the product denominator; order-preserving as
         # denominators are positive.
         a, b = self._den, other._den
-        if a == b:
-            return self._nums, other._nums
         return tuple(x * b for x in self._nums), tuple(y * a for y in other._nums)
 
     def __lt__(self, other):

@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import csv
 import io
@@ -5,8 +6,10 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from tempered_atlas.cli import main
 from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
 from tempered_atlas.groups import RealFormDescriptor, ValidationReport, catalog, integer_frame
 from tempered_atlas.weights import BilinearForm, Weight
-from test_classify import _bc1
+from test_classify import SP6R_TEXT, _bc1
 from test_su31_custom import SU31_TEXT
 
 
@@ -908,6 +911,12 @@ def test_every_golden_op_argv_is_read_without_argparse():
 # into them: misspelt names, abbreviated and exact flags in both forms,
 # values starting with '-' or holding a space, bad choices, '--' and help.
 # Radii and boxes stay small, so that cli.main runs each argv quickly.
+# sp6r, rank 3 and no catalog group, is named by a descriptor file written
+# once at import: @given takes no function-scoped fixture such as tmp_path.
+_SP6R_DIR = tempfile.mkdtemp(prefix="tempered-atlas-")
+atexit.register(shutil.rmtree, _SP6R_DIR, ignore_errors=True)
+SP6R_PATH = os.path.join(_SP6R_DIR, "sp6r.group")
+Path(SP6R_PATH).write_text(SP6R_TEXT, encoding="utf-8")
 CANONICAL = (
     ("catalog",),
     ("validate", "g.group"),
@@ -918,6 +927,9 @@ CANONICAL = (
     ("krep", "su21", "weights", "1,1"),
     ("krep", "sp4r", "tensor", "1,0", "1,0"),
     ("krep", "sp4r", "diracmult", "--tau", "1/2,1/2", "--v=2,0"),
+    ("classify", SP6R_PATH, "--radius", "2"),
+    ("match", SP6R_PATH, "--mu", "2,1,-1", "--direction", "inverse"),
+    ("krep", SP6R_PATH, "weights", "1,0,0"),
 )
 TOKENS = (
     "catalog", "validate", "classify", "match", "figure", "krep", "dim", "weights", "tensor",
@@ -927,7 +939,7 @@ TOKENS = (
     "--direction", "--dir", "--m-range", "--n-range", "--n", "--tau", "--t", "--v",
     "--radius=", "--mu=-1,2", "--mu=1 2", "--format=xml", "--direction=inverse",
     "--tau=1/2,1/2", "--v=-2,0", "--rad=2", "--m-range=-6:6", "--version", "--", "-",
-    "-h", "--help", "--rad=--", "--ta=--", "--m-r=--", "--tau=--",
+    "-h", "--help", "--rad=--", "--ta=--", "--m-r=--", "--tau=--", SP6R_PATH,
 )
 
 

@@ -2,8 +2,7 @@
 
 Every module under src/tempered_atlas is parsed and searched for a float
 literal, a math import other than the integer functions gcd, lcm and isqrt,
-and any use of the name ``float``.  The one allowed use is the isinstance
-test in ``weights._coerce`` that rejects float input.
+and any use of the name ``float``, with no exception.
 
 A second rule keeps the integer scales in one place: only ``weights.py``,
 which defines them, and ``groups.py``, whose ``IntegerFrame`` hands them on
@@ -28,19 +27,8 @@ PRIVATE_SCALES = {"_den", "_int_gram"}
 SCALE_OWNERS = {"weights.py", "groups.py"}
 
 
-def float_uses(tree: ast.Module, module: str) -> list[str]:
+def float_uses(tree: ast.Module) -> list[str]:
     """One line per offending node, as 'line: what'."""
-    allowed = set()
-    for fn in ast.walk(tree):
-        if module == "weights.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_coerce":
-            for call in ast.walk(fn):
-                if (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == "isinstance"
-                    and len(call.args) == 2
-                ):
-                    allowed.add(id(call.args[1]))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -51,7 +39,7 @@ def float_uses(tree: ast.Module, module: str) -> list[str]:
             bad = [a.name for a in node.names if a.name not in INTEGER_MATH]
             if bad:
                 found.append(f"{node.lineno}: from math import {', '.join(bad)}")
-        elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
+        elif isinstance(node, ast.Name) and node.id == "float":
             found.append(f"{node.lineno}: name float")
     return found
 
@@ -91,7 +79,7 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_no_floats(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert float_uses(tree, path.name) == []
+    assert float_uses(tree) == []
 
 
 @pytest.mark.parametrize(
@@ -104,16 +92,12 @@ def test_module_uses_no_floats(path):
         ("from math import gcd, isqrt, lcm", []),
         ("y = float(x)", ["1: name float"]),
         ("def f(v):\n    return isinstance(v, float)", ["2: name float"]),
+        # Even a test that rejects float input names it: none is exempt.
+        ("def _coerce(v):\n    if isinstance(v, float):\n        raise TypeError", ["2: name float"]),
     ),
 )
 def test_lint_flags_each_kind(source, expected):
-    assert float_uses(ast.parse(source), "other.py") == expected
-
-
-def test_lint_allows_only_the_coerce_rejection():
-    source = "def _coerce(v):\n    if isinstance(v, float):\n        raise TypeError\n"
-    assert float_uses(ast.parse(source), "weights.py") == []
-    assert float_uses(ast.parse(source), "groups.py") == ["2: name float"]
+    assert float_uses(ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -333,6 +333,12 @@ def test_a_callers_tuple_is_tested_as_the_weight_it_denotes(sp4r):
         construct_from_kappa(sp4r, (2, 0))
     with pytest.raises(NotIntegral, match=re.escape("(3/2,-1/2) is not analytically")):
         match_inverse(sp4r, (3, -1))
+    # build_parabolic reads a tuple the same way: (6, 2) over D is (3,1).
+    assert build_parabolic(sp4r, (6, 2)) is build_parabolic(sp4r, Weight((3, 1)))
+    with pytest.raises(DimensionMismatch):
+        build_parabolic(sp4r, (3, 1, 1, 1))
+    with pytest.raises(NotStrictlyDominant, match=re.escape("(1/2,1/2) is not strictly")):
+        build_parabolic(sp4r, (1, 1))
 
 
 def outcome(entry, d, arg):
@@ -349,7 +355,7 @@ def test_a_numerator_tuple_and_its_weight_give_one_answer(name, data):
     frame = integer_frame(d)
     nums = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=d.rank_tc, max_size=d.rank_tc)))
     w = Weight.from_ints(nums, frame.den)
-    for entry in (construct_from_kappa, match_inverse):
+    for entry in (construct_from_kappa, match_inverse, build_parabolic):
         assert outcome(entry, d, nums) == outcome(entry, d, w)
 
 
