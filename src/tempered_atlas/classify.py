@@ -48,10 +48,14 @@ class EssentialVoganDatum(_Frozen):
         frame = parabolic.frame
         self._fill(parabolic, frame.weight(kappa), *map(frame.over_den, (kappa, mu, kappa_l)))
 
-    def _fill(self, *values):
-        """Set the slots in order: parabolic, kappa, then the three over D."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def _fill(self, parabolic, kappa, kappa_nums, mu_nums, kappa_l_nums):
+        """Set the slots: parabolic, kappa, then the three over D."""
+        fill = object.__setattr__
+        fill(self, "parabolic", parabolic)
+        fill(self, "kappa", kappa)
+        fill(self, "kappa_nums", kappa_nums)
+        fill(self, "mu_nums", mu_nums)
+        fill(self, "kappa_l_nums", kappa_l_nums)
 
     @property
     def mu(self) -> Weight:
@@ -87,7 +91,8 @@ def construct_from_kappa(d: RealFormDescriptor, kappa):
     frame = integer_frame(d)
     trusted = type(kappa) is _Numerators  # the walk's genuine kappa: untested, copied
     k = tuple(kappa) if trusted else frame.over_den(kappa)
-    values = frame.pairings(kappa if k is None else k)
+    # pairings checks a caller's rank; the walk's numerators have the frame's.
+    values = frame.dots(k) if trusted else frame.pairings(kappa if k is None else k)
     if min(values[: frame.n_compact], default=0) < 0:
         raise NotDominant(f"{frame.weight(kappa)} is not dominant for the compact positives")
     if k is not None:

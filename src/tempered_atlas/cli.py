@@ -59,30 +59,70 @@ def resolve_descriptor(name: str):
     raise UnknownGroup(f"no catalog entry or descriptor file named {name!r}")
 
 
-def _record(summary) -> dict:
-    # summarize_datum has checked that the Dirac highest weight is kappa.
+def _cells(summary) -> list[str]:
+    """The five summary cells, each formatted once: kappa is also the Dirac
+    column, as summarize_datum has checked, and the minimal K-types are one
+    cell, their Weight texts joined by spaces."""
     kappa = str(summary.kappa)
-    return {
-        "kappa": kappa,
-        "n_pairs": summary.n_pairs,
-        "r_group_order": summary.r_order,
-        "minimal_k_types": [str(w) for w in summary.minimal_k_types],
-        "dirac_highest_weight": kappa,
-    }
+    types = " ".join([str(w) for w in summary.minimal_k_types])
+    return [kappa, str(summary.n_pairs), str(summary.r_order), types, kappa]
 
 
-def _cells(record: dict) -> list[str]:
-    """The five summary cells of a record; a K-type list is one cell."""
-    return [
-        " ".join(v) if isinstance(v, list) else str(v)
-        for v in (record[f] for f in _SUMMARY_FIELDS)
+def _csv_line(cells) -> str:
+    """The line csv.writer writes for cells: no cell holds a quote, a CR or
+    an LF (each is a Weight text, an int's or a figure label), so only a
+    comma calls for quotes."""
+    return ",".join([f'"{c}"' if "," in c else c for c in cells]) + "\n"
+
+
+_JSON_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
+def _json_str(s: str) -> str:
+    """s as json.dumps writes it: the short escapes above, printable ASCII
+    as itself, any other character as \\uXXXX, or as a surrogate pair of
+    them beyond the BMP."""
+    out = []
+    for c in s:
+        n = ord(c)
+        if c in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[c])
+        elif 0x20 <= n <= 0x7E:
+            out.append(c)
+        elif n <= 0xFFFF:
+            out.append(f"\\u{n:04x}")
+        else:
+            n -= 0x10000
+            out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+# One component as json.dumps(indent=2) writes it inside the document; a
+# Weight text needs no escape, and holds no space, so the K-type cell's
+# spaces become the list's separators.
+_JSON_COMPONENT = (
+    '    {{\n      "kappa": "{0}",\n      "n_pairs": {1},\n      "r_group_order": {2},\n'
+    '      "minimal_k_types": [\n        "{3}"\n      ],\n'
+    '      "dirac_highest_weight": "{4}"\n    }}'
+)
+
+
+def _json_doc(group: str, radius: str, rows: list[list[str]]) -> str:
+    """json.dumps(doc, indent=2) plus a newline, for the document of group,
+    radius and one component per row of cells."""
+    parts = [
+        _JSON_COMPONENT.format(k, n, r, types.replace(" ", '",\n        "'), hw)
+        for k, n, r, types, hw in rows
     ]
+    components = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    return (f'{{\n  "group": {_json_str(group)},\n  "radius": {_json_str(radius)},\n'
+            f'  "components": {components}\n}}\n')
 
 
 def _print_table(rows: list[list[str]], out) -> None:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join([c.ljust(w) for c, w in zip(r, widths)]).rstrip() + "\n" for r in rows]
+    out.write("".join(lines))
 
 
 def cmd_catalog(args, out) -> int:
@@ -112,27 +152,19 @@ def cmd_classify(args, out) -> int:
     d = resolve_descriptor(args.group)
     radius = parse_rational(args.radius)
     run = enumerate_components(d, radius)
-    records = [_record(summarize_datum(e)) for e in run.entries]
-    # csv and json are imported by the formats that write them, so that
-    # no other command pays for them at start-up.
+    # Every summary, with its checks, is built before the first byte goes out.
+    rows = [_cells(summarize_datum(e)) for e in run.entries]
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_SUMMARY_FIELDS)
-        writer.writerows(_cells(r) for r in records)
+        out.write(_csv_line(_SUMMARY_FIELDS) + "".join(map(_csv_line, rows)))
     elif args.format == "json":
-        import json
-
-        doc = {"group": run.group, "radius": str(run.radius), "components": records}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_doc(run.group, str(run.radius), rows))
     else:
-        _print_table([list(_SUMMARY_FIELDS)] + [_cells(r) for r in records], out)
+        _print_table([list(_SUMMARY_FIELDS), *rows], out)
     return EXIT_OK
 
 
 def _print_summary(summary, out) -> None:
-    rows = [list(row) for row in zip(_SUMMARY_FIELDS, _cells(_record(summary)))]
+    rows = [list(row) for row in zip(_SUMMARY_FIELDS, _cells(summary))]
     rows.insert(3, ["fine_weights", " ".join(str(w) for w in summary.fine_weights)])
     _print_table(rows, out)
 
@@ -208,12 +240,8 @@ def cmd_figure(args, out) -> int:
     cells, legend = _figure_cells(d, m_range, n_range)
 
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["m", "n", "content"])
-        for (m, n) in sorted(cells):
-            writer.writerow([m, n, cells[(m, n)]])
+        lines = [_csv_line((str(m), str(n), cells[(m, n)])) for m, n in sorted(cells)]
+        out.write("m,n,content\n" + "".join(lines))
         return EXIT_OK
 
     m_lo, m_hi = m_range

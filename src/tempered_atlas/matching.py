@@ -43,7 +43,7 @@ def fine_weights(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
     each coroot pairing and that mu is integral for every genuine kappa on
     it, and validate puts every beta_j in the lattice."""
     frame, kappa_l = datum.parabolic.frame, datum.kappa_l_nums
-    return tuple(frame.weight(tuple(map(add, kappa_l, r))) for r in datum.parabolic.rho_l_nums)
+    return tuple([frame.weight(tuple(map(add, kappa_l, r))) for r in datum.parabolic.rho_l_nums])
 
 
 def minimal_k_types(datum: EssentialVoganDatum) -> tuple[Weight, ...]:
@@ -101,7 +101,7 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     if not trusted and not is_integral(d, frame.weight(mu_g)):
         raise NotIntegral(f"{frame.weight(mu_g)} is not analytically integral")
     m = mu_g if trusted else frame.over_den(mu_g)  # integral, so over D
-    values = frame.pairings(m)
+    values = frame.dots(m) if trusted else frame.pairings(m)
     if min(values[: frame.n_compact], default=0) < 0:
         raise NotDominant(f"{frame.weight(mu_g)} is not dominant for the compact positives")
     # build_parabolic's strict-dominance guard holds: mu_g is dominant and

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
+from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from .groups import RealFormDescriptor, integer_frame, is_integral
 from .weights import half_sum
 
@@ -134,10 +134,13 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     lam is a Weight or, as a tuple, its numerators over D.  The guard on
     public input and the signs read lam's ``IntegerFrame.pairings``, which
     the hot path passes in place of lam, as a list: a dominant weight's plus
-    rho_K's multiple, so a failure there names rho_K.
+    rho_K's multiple, so a failure there names rho_K; a list of another
+    length than the frame's rows is a DimensionMismatch.
     """
     frame = integer_frame(d)
     values = lam if isinstance(lam, list) else frame.pairings(lam)
+    if values is lam and len(lam) != len(frame.rows):
+        raise DimensionMismatch(f"{len(lam)} pairings for the {len(frame.rows)} roots of {d.name}")
     if min(values[: frame.n_compact], default=1) <= 0:
         what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else frame.weight(lam)
         raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 import tempered_atlas
 from tempered_atlas import classify, cli, cli_parser, errors, matching, serialize_descriptor
 from tempered_atlas.cli import main
-from tempered_atlas.errors import AmbiguousPositiveSystem, NotDominant, NotGenuine
+from tempered_atlas.errors import (
+    AmbiguousPositiveSystem, NotDominant, NotGenuine, StructuralInvariantError,
+)
 from tempered_atlas.groups import RealFormDescriptor, ValidationReport, catalog, integer_frame
-from tempered_atlas.weights import BilinearForm, Weight
+from tempered_atlas.weights import BilinearForm, Weight, parse_rational
+from conftest import replace
 from test_classify import SP6R_TEXT, _bc1
 from test_su31_custom import SU31_TEXT
 
@@ -84,6 +87,114 @@ def test_classify_json_count_law(capsys):
     for rec in doc["components"]:
         assert len(rec["minimal_k_types"]) == 2 ** rec["n_pairs"]
         assert rec["r_group_order"] == 2 ** rec["n_pairs"]
+
+
+@settings(max_examples=300)
+@given(st.text())
+@example('"\\\b\f\n\r\t\x00\x1f\x7f\x80 ~é\ud800￿\U0001d524')
+def test_json_str_escapes_as_json_dumps(s):
+    assert cli._json_str(s) == json.dumps(s)
+
+
+# A group name with each kind of character json.dumps escapes: a quote, a
+# backslash, a short escape, DEL, a BMP letter and one beyond the BMP.
+ODD_NAME = 'odd "name" \\ tab\there del\x7f é \U0001d524'
+SU31_PATH = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "su31.group")
+WRITER_CASES = (
+    ("sl2r", "4"), ("sp4r", "3"), ("su21", "3"), ("su31", "2"), ("sp6r", "2"),
+    ("sp4r", "1/2"),  # an empty ball
+    ("odd", "3"),
+)
+
+
+def writer_group(key, tmp_path) -> str:
+    """The group argument of a WRITER_CASES key: a catalog name or a path."""
+    if key == "odd":
+        path = tmp_path / "odd.group"
+        d = replace(catalog("sl2r"), name=ODD_NAME)
+        path.write_text(serialize_descriptor(d), encoding="utf-8")
+        return str(path)
+    return {"su31": SU31_PATH, "sp6r": SP6R_PATH}.get(key, key)
+
+
+def stdlib_records(group, radius):
+    """The classify document's group, radius and records, from the library."""
+    run = classify.enumerate_components(cli.resolve_descriptor(group), parse_rational(radius))
+    records = []
+    for s in map(matching.summarize_datum, run.entries):
+        records.append({
+            "kappa": str(s.kappa),
+            "n_pairs": s.n_pairs,
+            "r_group_order": s.r_order,
+            "minimal_k_types": [str(w) for w in s.minimal_k_types],
+            "dirac_highest_weight": str(s.dirac_hw),
+        })
+    return run.group, str(run.radius), records
+
+
+@pytest.mark.parametrize("key, radius", WRITER_CASES)
+def test_classify_json_is_what_json_dumps_writes(capsys, tmp_path, key, radius):
+    group = writer_group(key, tmp_path)
+    name, text, records = stdlib_records(group, radius)
+    doc = {"group": name, "radius": text, "components": records}
+    code, out, _ = run_cli(capsys, "classify", group, "--radius", radius, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert bool(records) == (radius != "1/2")
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("key, radius", WRITER_CASES)
+def test_classify_csv_is_what_csv_writer_writes(capsys, tmp_path, key, radius):
+    group = writer_group(key, tmp_path)
+    rows = [["kappa", "n_pairs", "r_group_order", "minimal_k_types", "dirac_highest_weight"]]
+    for r in stdlib_records(group, radius)[2]:
+        types = " ".join(r["minimal_k_types"])
+        rows.append([r["kappa"], r["n_pairs"], r["r_group_order"], types, r["dirac_highest_weight"]])
+    code, out, _ = run_cli(capsys, "classify", group, "--radius", radius, "--format", "csv")
+    assert code == 0
+    assert out == csv_text(rows)
+    if key == "sl2r":  # a rank-1 Weight text holds no comma, so it is not quoted
+        assert "\n(3),0,1,(4),(3)\n" in out
+
+
+@pytest.mark.parametrize("group, m_range, n_range", (
+    ("sp4r", "-6:6", "-5:7"), ("su21", "-4:4", "-4:4"), ("sp4r", "30:31", "0:1"),
+))
+def test_figure_csv_is_what_csv_writer_writes(capsys, group, m_range, n_range):
+    d = catalog(group)
+    cells, _ = cli._figure_cells(d, cli._parse_range(m_range), cli._parse_range(n_range))
+    rows = [["m", "n", "content"], *([m, n, cells[(m, n)]] for m, n in sorted(cells))]
+    code, out, _ = run_cli(
+        capsys, "figure", group, f"--m-range={m_range}", f"--n-range={n_range}", "--format=csv"
+    )
+    assert code == 0
+    assert out == csv_text(rows)
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+def test_a_failing_summary_leaves_stdout_empty_in_every_format(capsys, monkeypatch, fmt):
+    # Every summary is built, with its checks, before the first byte is
+    # written: a failure on the third leaves nothing on stdout.
+    calls = []
+    original = cli.summarize_datum
+
+    def third_fails(datum):
+        calls.append(datum)
+        if len(calls) == 3:
+            raise StructuralInvariantError("third summary refused")
+        return original(datum)
+
+    monkeypatch.setattr(cli, "summarize_datum", third_fails)
+    code, out, err = run_cli(capsys, "classify", "sp4r", "--radius", "3", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant failure: third summary refused\n")
+    assert len(calls) == 3
 
 
 def test_classify_unknown_group_exits_2(capsys):
@@ -661,13 +772,34 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_configparser():
     assert not {"argparse", "gettext"} & set(loaded)
     # Nor are the modules of the argparse fallback and the file format.
     assert not {"tempered_atlas.cli_parser", "tempered_atlas.descriptor_file"} & set(loaded)
-    # Only classify and figure write CSV or JSON, and import them there.
+    # classify and figure write CSV and JSON themselves: no command imports
+    # json or csv (test_classify_and_figure_write_without_json_or_csv).
     assert not {"json", "csv"} & set(loaded)
     # bench/tracer.py's install() wraps krep's functions by looking the
     # module up in sys.modules after this import, so krep stays eager.
     assert "tempered_atlas.krep" in loaded
     # The descriptor file parser imports configparser on first use.
     assert (name, ok) == ("su31", True)
+
+
+def test_classify_and_figure_write_without_json_or_csv():
+    # Each format is run in one fresh interpreter, whose script reports
+    # what is loaded afterwards without importing json itself.
+    script = (
+        "import contextlib, io, sys\n"
+        "from tempered_atlas import cli\n"
+        "for argv in (['classify', 'sp4r', '--radius=2', '--format=json'],\n"
+        "             ['classify', 'sp4r', '--radius=2', '--format=csv'],\n"
+        "             ['figure', 'sp4r', '--m-range=0:2', '--n-range=0:2', '--format=csv']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert cli.main(argv) == 0 and out.getvalue()\n"
+        "print(sorted({'json', 'csv'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tempered_atlas.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_a_catalog_run_leaves_the_file_format_and_argparse_unloaded(tmp_path):

@@ -341,6 +341,16 @@ def test_a_callers_tuple_is_tested_as_the_weight_it_denotes(sp4r):
         build_parabolic(sp4r, (1, 1))
 
 
+def test_a_pairing_list_of_another_length_is_refused():
+    # sp4r has four positive roots, so its pairing vector has four entries:
+    # a shorter list or a longer one is refused before any face is built.
+    d = replace(catalog("sp4r"))  # a new descriptor, with no faces yet
+    for values in ([3, 1], [3, 1, 1, 1, 1, 1]):
+        with pytest.raises(DimensionMismatch, match=f"{len(values)} pairings for the 4 roots"):
+            build_parabolic(d, values)
+    assert integer_frame(d).faces == {}
+
+
 def outcome(entry, d, arg):
     try:
         return entry(d, arg)
