@@ -38,15 +38,13 @@ class EssentialVoganDatum(_Frozen):
     sign choice; kappa_l is mu with its components along the Levi pairs
     removed.  Each is held as its numerators over D (``kappa_nums``,
     ``mu_nums``, ``kappa_l_nums``); mu and kappa_l become Weights only when
-    read.  Each argument is a Weight or its numerators over D.
-    """
+    read.  The constructor takes the three as Weights."""
 
     __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
     __slots__ = ("parabolic", "kappa", "kappa_nums", "mu_nums", "kappa_l_nums")
 
-    def __init__(self, parabolic: ThetaParabolic, kappa, mu, kappa_l):
-        frame = parabolic.frame
-        self._fill(parabolic, frame.weight(kappa), *map(frame.over_den, (kappa, mu, kappa_l)))
+    def __init__(self, parabolic: ThetaParabolic, kappa: Weight, mu: Weight, kappa_l: Weight):
+        self._fill(parabolic, kappa, *map(parabolic.frame.over_den, (kappa, mu, kappa_l)))
 
     def _fill(self, parabolic, kappa, kappa_nums, mu_nums, kappa_l_nums):
         """Set the slots: parabolic, kappa, then the three over D."""
@@ -83,27 +81,27 @@ class ClassificationRun(_Frozen):
     entries: tuple[EssentialVoganDatum, ...]
 
 
-def construct_from_kappa(d: RealFormDescriptor, kappa):
-    """The datum generated by kappa, a Weight or its numerators over
-    integer_frame(d).den.  Raises NotDominant unless kappa is dominant, and
-    NotGenuine unless it is genuine, which is exactly when the shifted
-    weight mu is integral."""
+def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
+    """The datum generated by kappa.  Raises NotDominant unless kappa is
+    dominant, and NotGenuine unless it is genuine, which is exactly when
+    the shifted weight mu is integral."""
     frame = integer_frame(d)
     trusted = type(kappa) is _Numerators  # the walk's genuine kappa: untested, copied
     k = tuple(kappa) if trusted else frame.over_den(kappa)
-    # pairings checks a caller's rank; the walk's numerators have the frame's.
-    values = frame.dots(k) if trusted else frame.pairings(kappa if k is None else k)
+    values = frame.pairings(kappa) if k is None else frame.dots(k)
+    if trusted:
+        kappa = frame.weight(k)  # from the plain copy: no Weight holds the marker
     if min(values[: frame.n_compact], default=0) < 0:
-        raise NotDominant(f"{frame.weight(kappa)} is not dominant for the compact positives")
+        raise NotDominant(f"{kappa} is not dominant for the compact positives")
     if k is not None:
-        p = build_parabolic(d, list(map(add, values, frame.rho_pairings)))
+        p = build_parabolic(d, _Numerators(map(add, values, frame.rho_pairings)))
         mu = tuple(map(sub, k, p.mu_shift_nums))
     if k is None or (not trusted and not is_integral(d, frame.weight(mu))):
-        raise NotGenuine(f"{frame.weight(kappa)} is not the highest weight of a genuine type")
+        raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
 
     # k, mu and kappa_l are already over D: nothing for the constructor to derive.
     datum = object.__new__(EssentialVoganDatum)
-    datum._fill(p, frame.weight(k if trusted else kappa), k, mu, p.project_levi(mu))
+    datum._fill(p, kappa, k, mu, p.project_levi(mu))
     return datum
 
 

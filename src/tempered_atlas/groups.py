@@ -125,7 +125,7 @@ class RealFormDescriptor(_Frozen):
         """The lexicographically positive member of each noncompact +-pair."""
         return tuple(sorted(w for w in self.noncompact_weights if lex_positive(w)))
 
-    def is_dominant_weight(self, w) -> bool:
+    def is_dominant_weight(self, w: Weight) -> bool:
         """<w, a> >= 0 for every positive compact root a; vacuously true
         when there is none."""
         frame = integer_frame(self)
@@ -321,9 +321,20 @@ def _inverse_basis(d: RealFormDescriptor):
     return matvec([c * x for x in row[n:]] for row in rows), abs(delta)
 
 
+def _int_coords(w, rank: int) -> tuple[tuple[int, ...], int]:
+    """Each public weight argument's ``Weight.int_coords``: nothing else is one."""
+    if not isinstance(w, Weight):
+        raise TypeError(f"a weight must be a Weight, not {type(w).__name__}")
+    nums, den = w.int_coords()
+    if len(nums) != rank:
+        raise DimensionMismatch(f"{w} has rank {len(nums)}, not {rank}")
+    return nums, den
+
+
 class _Numerators(tuple):
-    """Numerators over D the package built itself, the walk's kappa and each
-    minimal K-type: the one tuple type that skips the lattice tests."""
+    """Integers the package built itself, trusted unchecked by three readers:
+    numerators over D for ``construct_from_kappa`` (the walk's kappa) and
+    ``match_inverse`` (a minimal K-type), a pairing vector for ``build_parabolic``."""
 
     __slots__ = ()
 
@@ -338,11 +349,11 @@ class IntegerFrame:
     ``simple_compact_roots``.  x over E dotted with t's row is <x, t> E D
     times the form's denominator c, so t's norm, read once per descriptor,
     is |t|^2 ``scale`` = |t|^2 D^2 c, and y . gram(y) is |y|^2 E^2 c.
-    ``pairings`` reads a weight against the rows' ``ratlin.matvec``, ``dots``,
-    and ``gram`` is the form's G t kernel; over D pairings add, so kappa +
-    rho_K's are kappa's plus ``rho_pairings``.  ``genuine`` is the genuine
-    shift over D, and ``faces`` holds the descriptor's parabolics by sign
-    vector, filled as ``build_parabolic`` meets them."""
+    ``dots`` is the rows' ``ratlin.matvec`` on numerators over D, ``pairings``
+    reads a Weight with it, and ``gram`` is the form's G t kernel; over D
+    pairings add, so kappa + rho_K's are kappa's plus ``rho_pairings``.
+    ``genuine`` is the genuine shift over D, and ``faces`` holds the
+    descriptor's parabolics by sign vector, filled as ``build_parabolic`` meets them."""
 
     __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
                  "dots", "rho_pairings", "two_rho_pairings", "genuine", "faces")
@@ -365,33 +376,26 @@ class IntegerFrame:
         self.simple = tuple(self.roots[roots.index(a)] for a in simple_compact_roots(d))
         self.rho = self.over_den(d.rho_compact())
         self.dots = matvec(self.rows)
-        self.rho_pairings = self.pairings(self.rho)
+        self.rho_pairings = self.dots(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
         self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))
         self.faces = {}
 
-    def pairings(self, w) -> list[int]:
-        """One integer per row, of the sign of w's pairing with its root;
-        w is a Weight or its numerators over D, of the frame's rank."""
-        nums = w if isinstance(w, tuple) else w.int_coords()[0]
-        if len(nums) != self.rank:
-            raise DimensionMismatch(f"{self.weight(w)} has rank {len(nums)}, not {self.rank}")
-        return self.dots(nums)
+    def pairings(self, w: Weight) -> list[int]:
+        """One integer per row, of the sign of w's pairing with its root."""
+        return self.dots(_int_coords(w, self.rank)[0])
 
-    def over_den(self, w) -> tuple[int, ...] | None:
-        """w's numerators over D, or None when they are not integers; a
-        tuple is its numerators over D already."""
-        nums, den = (w, self.den) if isinstance(w, tuple) else w.int_coords()
-        if len(nums) != self.rank:
-            raise DimensionMismatch(f"{self.weight(w)} has rank {len(nums)}, not {self.rank}")
+    def over_den(self, w: Weight) -> tuple[int, ...] | None:
+        """w's numerators over D, or None when they are not integers."""
+        nums, den = _int_coords(w, self.rank)
         if den == self.den:
             return nums
         q, r = divmod(self.den, den)
         return None if r else tuple([x * q for x in nums])
 
-    def weight(self, w) -> Weight:
-        """w, or the Weight its numerators over D give."""
-        return Weight.from_ints(w, self.den) if isinstance(w, tuple) else w
+    def weight(self, nums: tuple[int, ...]) -> Weight:
+        """The Weight that numerators over D give."""
+        return Weight.from_ints(nums, self.den)
 
 
 integer_frame = per_descriptor(IntegerFrame)
@@ -401,9 +405,7 @@ def lattice_coordinates(d: RealFormDescriptor, w: Weight):
     """(nums, den) with nums[i] / den the exact coefficient of w on the i-th
     basis weight and den > 0 their least common denominator, as in
     ``Weight.int_coords``; None when singular."""
-    nums, w_den = w.int_coords()
-    if len(nums) != d.rank_tc:
-        raise DimensionMismatch(f"{w} has rank {len(nums)}, not {d.rank_tc}")
+    nums, w_den = _int_coords(w, d.rank_tc)
     table = _inverse_basis(d)
     if table is None:
         return None
@@ -435,6 +437,7 @@ def is_genuine(d: RealFormDescriptor, kappa: Weight) -> bool:
     """Whether kappa - rho(noncompact positives) is integral.  Any
     one-per-pair choice of noncompact positives gives the same answer: two
     choices differ by a sum of noncompact weights, which lie in the lattice."""
+    _int_coords(kappa, d.rank_tc)  # a non-Weight is refused as everywhere else
     return is_integral(d, kappa - genuine_shift(d))
 
 

@@ -25,7 +25,9 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import NotDominant, NotGenuine, StructuralInvariantError
-from .groups import RealFormDescriptor, integer_frame, is_genuine, is_integral, per_descriptor
+from .groups import (
+    RealFormDescriptor, _int_coords, integer_frame, is_genuine, is_integral, per_descriptor,
+)
 from .weights import Weight
 
 
@@ -144,6 +146,7 @@ def _weight_table(d: RealFormDescriptor, hw: Weight):
 
 def freudenthal(d: RealFormDescriptor, hw: Weight) -> dict:
     """Full weight multiset of the irreducible with highest weight hw."""
+    _int_coords(hw, d.rank_tc)  # the cache would refuse a list only as unhashable
     den, items = _weight_table(d, hw)
     return {Weight.from_ints(w, den): m for w, m in items}
 
@@ -170,7 +173,8 @@ def _klimyk_fold(d: RealFormDescriptor, top, den: int, items) -> dict:
 def tensor_decompose(d: RealFormDescriptor, hw1: Weight, hw2: Weight):
     """Irreducible decomposition of the tensor product, as a sorted tuple
     of (dominant highest weight, multiplicity)."""
-    top, den1 = _highest_weight(d, hw1)  # _weight_table checks hw2
+    top, den1 = _highest_weight(d, hw1)
+    _int_coords(hw2, d.rank_tc)  # as in freudenthal; _weight_table checks the rest
     den2, items = _weight_table(d, hw2)
     if (den := lcm(den1, den2)) != den2:
         items = [(tuple(map((den // den2).__mul__, nu)), m) for nu, m in items]

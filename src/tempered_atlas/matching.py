@@ -85,7 +85,7 @@ def r_group_order(datum: EssentialVoganDatum) -> int:
     return 2**datum.n_pairs
 
 
-def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
+def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
     """Recover the generating weight from a minimal K-type highest weight.
 
     The positive system is the u of build_parabolic(mu_g + 2 rho_K); a
@@ -93,28 +93,27 @@ def match_inverse(d: RealFormDescriptor, mu_g) -> Weight:
     of an essential component and is an error, never a tie-break.  With none,
     its rho(s cap u) is rho_G - rho_K.  mu_g must be analytically integral
     and dominant, which is checked first so that the error names the input,
-    and so must the recovered weight.  mu_g is a Weight or its numerators
-    over integer_frame(d).den.
+    and so must the recovered weight.
     """
     frame = integer_frame(d)
     trusted = type(mu_g) is _Numerators  # a computed K-type, integral by the face's law
-    if not trusted and not is_integral(d, frame.weight(mu_g)):
-        raise NotIntegral(f"{frame.weight(mu_g)} is not analytically integral")
+    if not trusted and not is_integral(d, mu_g):
+        raise NotIntegral(f"{mu_g} is not analytically integral")
     m = mu_g if trusted else frame.over_den(mu_g)  # integral, so over D
-    values = frame.dots(m) if trusted else frame.pairings(m)
+    values = frame.dots(m)
     if min(values[: frame.n_compact], default=0) < 0:
-        raise NotDominant(f"{frame.weight(mu_g)} is not dominant for the compact positives")
+        raise NotDominant(f"{frame.weight(m)} is not dominant for the compact positives")
     # build_parabolic's strict-dominance guard holds: mu_g is dominant and
     # validate's positive_system rule makes 2 rho_K strictly dominant.
-    p = build_parabolic(d, list(map(add, values, frame.two_rho_pairings)))
+    p = build_parabolic(d, _Numerators(map(add, values, frame.two_rho_pairings)))
     if p.l_pairs:
         raise AmbiguousPositiveSystem(
-            f"{frame.weight(mu_g)} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
+            f"{frame.weight(m)} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
         )
     kappa = tuple(map(sub, m, p.rho_s_cap_u_nums))
     if min(map(sub, values[: frame.n_compact], p.rho_s_cap_u_compact), default=0) < 0:
         raise NotDominant(
-            f"{frame.weight(mu_g)} is not a minimal K-type: it matches back to "
+            f"{frame.weight(m)} is not a minimal K-type: it matches back to "
             f"{frame.weight(kappa)}, which is not dominant for the compact positives"
         )
     return kappa if trusted else frame.weight(kappa)

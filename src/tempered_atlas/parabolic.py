@@ -34,9 +34,9 @@ import itertools
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .errors import DimensionMismatch, NotStrictlyDominant, StructuralInvariantError, ZeroRoot
-from .groups import RealFormDescriptor, integer_frame, is_integral
-from .weights import half_sum
+from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
+from .groups import RealFormDescriptor, _Numerators, integer_frame, is_integral
+from .weights import Weight, half_sum
 
 
 class ThetaParabolic:
@@ -86,7 +86,7 @@ class ThetaParabolic:
                 f"{d.name}: mu must be integral on the face with signs {signs}; "
                 "a noncompact positive it flips is outside the integral lattice"
             )
-        self.rho_s_cap_u_compact = frame.pairings(self.rho_s_cap_u_nums)[: frame.n_compact]
+        self.rho_s_cap_u_compact = frame.dots(self.rho_s_cap_u_nums)[: frame.n_compact]
         # Each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type, as twice
         # rho(s cap u) is the shift from a fine weight to its minimal K-type.
         self.k_type_shift_nums = tuple(
@@ -120,7 +120,7 @@ class ThetaParabolic:
         return out
 
 
-def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
+def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     """Bucket every torus weight of the group by the exact sign of its
     pairing with lam.
 
@@ -131,18 +131,13 @@ def build_parabolic(d: RealFormDescriptor, lam) -> ThetaParabolic:
     orthogonal.  Only the signs over the noncompact positive system are
     computed, one per +-pair; they pick the shared parabolic of the face,
     the same object for every lam on it, kept in ``IntegerFrame.faces``.
-    lam is a Weight or, as a tuple, its numerators over D.  The guard on
-    public input and the signs read lam's ``IntegerFrame.pairings``, which
-    the hot path passes in place of lam, as a list: a dominant weight's plus
-    rho_K's multiple, so a failure there names rho_K; a list of another
-    length than the frame's rows is a DimensionMismatch.
+    The hot path passes lam's ``IntegerFrame.pairings`` as ``_Numerators``, a
+    dominant weight's plus a multiple of rho_K's, so a failure there names rho_K.
     """
     frame = integer_frame(d)
-    values = lam if isinstance(lam, list) else frame.pairings(lam)
-    if values is lam and len(lam) != len(frame.rows):
-        raise DimensionMismatch(f"{len(lam)} pairings for the {len(frame.rows)} roots of {d.name}")
+    values = lam if type(lam) is _Numerators else frame.pairings(lam)
     if min(values[: frame.n_compact], default=1) <= 0:
-        what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else frame.weight(lam)
+        what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else lam
         raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")
     signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
     try:

@@ -11,8 +11,11 @@ form.
 
 A third rule keeps trust off the public tuple type: no module compares a
 type with ``tuple`` by identity, so the hot path's unchecked numerators
-are told apart only by their private subclass, and a caller's tuple is
-read as the weight it denotes.
+are told apart only by their private subclass.
+
+A fourth rule keeps each public weight argument a Weight: no module tests
+``isinstance(x, tuple)`` or ``isinstance(x, list)``, alone or in a tuple
+of types, so no function reads a weight in a second form.
 """
 
 import ast
@@ -69,6 +72,21 @@ def tuple_identity_tests(tree: ast.Module) -> list[str]:
             if isinstance(op, (ast.Is, ast.IsNot)) and "tuple" in names:
                 word = "is" if isinstance(op, ast.Is) else "is not"
                 found.append(f"{node.lineno}: {word} tuple")
+    return found
+
+
+def container_type_tests(tree: ast.Module) -> list[str]:
+    """One line per ``isinstance(x, tuple)`` or ``isinstance(x, list)``,
+    each type also when it is one of a tuple of types, as 'line:
+    isinstance tuple'."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            types = node.args[1]
+            for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+                if isinstance(t, ast.Name) and t.id in ("tuple", "list"):
+                    found.append(f"{node.lineno}: isinstance {t.id}")
     return found
 
 
@@ -145,3 +163,26 @@ def test_module_keys_no_trust_on_the_tuple_type(path):
 )
 def test_tuple_lint_flags_each_kind(source, expected):
     assert tuple_identity_tests(ast.parse(source)) == expected
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_no_weight_as_a_tuple_or_a_list(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert container_type_tests(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    (
+        ("ok = isinstance(w, tuple)", ["1: isinstance tuple"]),
+        ("ok = isinstance(w, list)", ["1: isinstance list"]),
+        ("ok = isinstance(w, (int, list))", ["1: isinstance list"]),
+        ("ok = isinstance(w, (tuple, list))", ["1: isinstance tuple", "1: isinstance list"]),
+        ("if x:\n    ok = not isinstance(w, (Weight, tuple))", ["2: isinstance tuple"]),
+        ("ok = isinstance(w, Weight)", []),
+        ("ok = isinstance(w, (int, Fraction))", []),
+        ("ok = type(w) is _Numerators", []),
+    ),
+)
+def test_container_lint_flags_each_kind(source, expected):
+    assert container_type_tests(ast.parse(source)) == expected
