@@ -322,7 +322,7 @@ def _inverse_basis(d: RealFormDescriptor):
 
 
 def _int_coords(w, rank: int) -> tuple[tuple[int, ...], int]:
-    """Each public weight argument's ``Weight.int_coords``: nothing else is one."""
+    """A public weight argument's ``Weight.int_coords``, checked for type and rank."""
     if not isinstance(w, Weight):
         raise TypeError(f"a weight must be a Weight, not {type(w).__name__}")
     nums, den = w.int_coords()

@@ -326,7 +326,9 @@ def _datum(d, w):
     return EssentialVoganDatum(build_parabolic(catalog("sp4r"), Weight((3, 1))), w, w, w)
 
 
-_ONE = Weight((1, 1))
+# On sp4r, _HW is a dominant integral highest weight and _TAU a genuine one,
+# so the other argument of a two-weight function passes its checks.
+_HW, _TAU = Weight((1, 1)), Weight((Fraction(3, 2), Fraction(1, 2)))
 # Every public function that takes a weight, with each weight argument in turn.
 WEIGHT_ENTRIES = {
     "construct_from_kappa": construct_from_kappa,
@@ -340,17 +342,17 @@ WEIGHT_ENTRIES = {
     "is_genuine": is_genuine,
     "freudenthal": freudenthal,
     "weyl_dim": weyl_dim,
-    "tensor_decompose(hw1)": lambda d, w: tensor_decompose(d, w, _ONE),
-    "tensor_decompose(hw2)": lambda d, w: tensor_decompose(d, _ONE, w),
-    "dirac_multiplicity(tau_hw)": lambda d, w: dirac_multiplicity(d, w, _ONE),
-    "dirac_multiplicity(v_hw)": lambda d, w: dirac_multiplicity(d, Weight((Fraction(3, 2), Fraction(1, 2))), w),
+    "tensor_decompose(hw1)": lambda d, w: tensor_decompose(d, w, _HW),
+    "tensor_decompose(hw2)": lambda d, w: tensor_decompose(d, _HW, w),
+    "dirac_multiplicity(tau_hw)": lambda d, w: dirac_multiplicity(d, w, _HW),
+    "dirac_multiplicity(v_hw)": lambda d, w: dirac_multiplicity(d, _TAU, w),
 }
 
 
-@pytest.mark.parametrize("entry", WEIGHT_ENTRIES.values(), ids=WEIGHT_ENTRIES)
 # (6, 2) over sp4r's D = 2 would be (3,1); [3, 0, 0, 0] has the length of
-# sp4r's pairing vector and signs that no weight has, so that read as one
-# it would build a face whose Levi pairs are not orthogonal.
+# sp4r's pairing vector and signs that no weight has, so read as one it
+# would build a face whose Levi pairs are not orthogonal.
+@pytest.mark.parametrize("entry", WEIGHT_ENTRIES.values(), ids=WEIGHT_ENTRIES)
 @pytest.mark.parametrize("arg", ((6, 2), [6, 2], [3, 0, 0, 0]), ids=("tuple", "list", "pairings"))
 def test_every_weight_argument_refuses_a_tuple_or_a_list(entry, arg):
     d = replace(catalog("sp4r"))  # a new descriptor, with no faces yet
