@@ -14,8 +14,9 @@ the simple compact roots, dominance is one integer lower bound per pivot
 coordinate of the integer ellipsoid walk, and a walked kappa the
 construction finds non-dominant is an internal failure.  Each test on
 kappa runs on numerators over D, as the walk hands kappa on, and so does
-the face's Levi projection of mu to kappa_l; the datum keeps all three so,
-with kappa's Weight built once.
+the face's Levi projection of mu to kappa_l; the datum keeps kappa and
+kappa_l so, with kappa's Weight built once.  Only construct_from_kappa
+makes a datum, a copy or a pickle too, so every datum has passed its tests.
 """
 
 from fractions import Fraction
@@ -26,38 +27,30 @@ from .groups import (  # genuine_shift and is_genuine are re-exported here
     RealFormDescriptor, _Frozen, _Numerators, genuine_shift, integer_frame, is_genuine,
     is_integral, lattice_coordinates, per_descriptor,
 )
-from .parabolic import ThetaParabolic, build_parabolic
+from .parabolic import build_parabolic
 from .ratlin import ellipsoid_integer_points, matvec
 from .weights import Weight, _coerce
 
 
 class EssentialVoganDatum(_Frozen):
-    """Computable shadow of one essential component.
+    """Computable shadow of one essential component; the class takes no
+    arguments, and a copy or a pickle is rebuilt by construct_from_kappa.
 
     kappa generates the datum; mu is the integral shift for the all-plus
     sign choice; kappa_l is mu with its components along the Levi pairs
-    removed.  Each is held as its numerators over D (``kappa_nums``,
-    ``mu_nums``, ``kappa_l_nums``); mu and kappa_l become Weights only when
-    read.  The constructor takes the three as Weights."""
+    removed.  kappa and kappa_l are held as numerators over D (``kappa_nums``,
+    ``kappa_l_nums``), mu as kappa less the face's ``mu_shift_nums``."""
 
     __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
-    __slots__ = ("parabolic", "kappa", "kappa_nums", "mu_nums", "kappa_l_nums")
+    __slots__ = ("parabolic", "kappa", "kappa_nums", "kappa_l_nums")
 
-    def __init__(self, parabolic: ThetaParabolic, kappa: Weight, mu: Weight, kappa_l: Weight):
-        self._fill(parabolic, kappa, *map(parabolic.frame.over_den, (kappa, mu, kappa_l)))
-
-    def _fill(self, parabolic, kappa, kappa_nums, mu_nums, kappa_l_nums):
-        """Set the slots: parabolic, kappa, then the three over D."""
-        fill = object.__setattr__
-        fill(self, "parabolic", parabolic)
-        fill(self, "kappa", kappa)
-        fill(self, "kappa_nums", kappa_nums)
-        fill(self, "mu_nums", mu_nums)
-        fill(self, "kappa_l_nums", kappa_l_nums)
+    def __reduce__(self):
+        return construct_from_kappa, (self.descriptor, self.kappa)
 
     @property
     def mu(self) -> Weight:
-        return self.parabolic.frame.weight(self.mu_nums)
+        p = self.parabolic
+        return p.frame.weight(tuple(map(sub, self.kappa_nums, p.mu_shift_nums)))
 
     @property
     def kappa_l(self) -> Weight:
@@ -99,9 +92,12 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
     if k is None or (not trusted and not is_integral(d, frame.weight(mu))):
         raise NotGenuine(f"{kappa} is not the highest weight of a genuine type")
 
-    # k, mu and kappa_l are already over D: nothing for the constructor to derive.
-    datum = object.__new__(EssentialVoganDatum)
-    datum._fill(p, kappa, k, mu, p.project_levi(mu))
+    datum = object.__new__(EssentialVoganDatum)  # k and kappa_l are already over D
+    fill = object.__setattr__
+    fill(datum, "parabolic", p)
+    fill(datum, "kappa", kappa)
+    fill(datum, "kappa_nums", k)
+    fill(datum, "kappa_l_nums", p.project_levi(mu))
     return datum
 
 

@@ -53,8 +53,8 @@ class _Frozen:
 
     A subclass declares each field once, as an annotation, and gets a
     ``__match_args__`` naming them in order and an ``__init__`` setting each
-    once, bypassing ``__setattr__``; EssentialVoganDatum declares none and
-    writes both, over ``__slots__``.  Equality, hashing, repr and copying
+    once, bypassing ``__setattr__``; EssentialVoganDatum declares none, names
+    its own and takes no arguments.  Equality, hashing, repr and copying
     read that tuple, as a frozen dataclass's do, and assigning or deleting
     an attribute raises AttributeError.  Written by hand: importing
     ``dataclasses``, which imports ``inspect``, is about a quarter of a CLI call's set-up."""
@@ -345,7 +345,7 @@ class IntegerFrame:
     numerators, and its one integer root table: ``roots`` holds (numerators
     over D, pairing row, norm) of the ``n_compact`` positive compact roots,
     then of ``noncompact_positives``, one per +-pair as a weight pairs with
-    -g as minus with g; ``rows`` the rows, ``simple`` the entries of
+    -g as minus with g, and ``simple`` the entries of
     ``simple_compact_roots``.  x over E dotted with t's row is <x, t> E D
     times the form's denominator c, so t's norm, read once per descriptor,
     is |t|^2 ``scale`` = |t|^2 D^2 c, and y . gram(y) is |y|^2 E^2 c.
@@ -355,8 +355,8 @@ class IntegerFrame:
     ``genuine`` is the genuine shift over D, and ``faces`` holds the
     descriptor's parabolics by sign vector, filled as ``build_parabolic`` meets them."""
 
-    __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "rows", "simple", "rho",
-                 "dots", "rho_pairings", "two_rho_pairings", "genuine", "faces")
+    __slots__ = ("rank", "den", "n_compact", "scale", "gram", "roots", "simple", "rho", "dots",
+                 "rho_pairings", "two_rho_pairings", "genuine", "faces")
 
     def __init__(self, d: RealFormDescriptor):
         self.rank = d.rank_tc
@@ -370,12 +370,12 @@ class IntegerFrame:
         self.gram = d.form._int_row
         roots = (*d.positive_compact, *d.noncompact_positives())
         nums = tuple(map(self.over_den, roots))
-        self.rows = tuple(tuple(self.gram(t)) for t in nums)
+        rows = tuple(tuple(self.gram(t)) for t in nums)
         norms = [int(d.form.norm_sq(t) * self.scale) for t in roots]
-        self.roots = tuple(zip(nums, self.rows, norms))
+        self.roots = tuple(zip(nums, rows, norms))
         self.simple = tuple(self.roots[roots.index(a)] for a in simple_compact_roots(d))
         self.rho = self.over_den(d.rho_compact())
-        self.dots = matvec(self.rows)
+        self.dots = matvec(rows)
         self.rho_pairings = self.dots(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
         self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))

@@ -20,9 +20,10 @@ pairs to -1 with each coroot for every kappa whose kappa + rho_K lies on
 the face; and mu_shift - genuine_shift (minus the noncompact positives the
 face flips) is integral, so mu and every minimal K-type are integral for
 each genuine kappa on the face.  Each face checks them once.
-build_parabolic is the one map from a weight to its face: the inverse
-matching calls it too, and its noncompact positive system is the u of a
-face with no zero sign.  The signs, and the strict dominance of lam, are
+build_parabolic is the one map from a weight to its face and the one
+maker of faces (the class takes no arguments): the inverse matching calls
+it too, and its noncompact positive system is the u of a face with no
+zero sign.  The signs, and the strict dominance of lam, are
 read from the descriptor's integer pairing table.  The face keeps its
 offsets only as numerators over D (``integer_frame``), and each Levi
 pair's entry of the descriptor's root table (numerators, row and norm),
@@ -42,7 +43,7 @@ from .weights import Weight, half_sum
 class ThetaParabolic:
     """The checked buckets of one face and the half-sums they determine, over D."""
 
-    def __init__(self, d: RealFormDescriptor, signs):
+    def _build(self, d: RealFormDescriptor, signs):  # called by build_parabolic alone
         # A strictly dominant weight is positive exactly on the positive
         # compact roots when the compact roots are +-positive_compact; the
         # partition check below fails on a descriptor where they are not.
@@ -105,6 +106,7 @@ class ThetaParabolic:
                     f"mu must restrict to minus one half of each Levi pair; "
                     f"coroot pairing against {beta} is {Fraction(-p, q)}"
                 )
+        return self
 
     def project_levi(self, mu_nums: tuple[int, ...]) -> tuple[int, ...]:
         """kappa_l over D for mu = kappa - mu_shift, kappa on the face:
@@ -145,5 +147,5 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     except KeyError:
         # Stored only once every check has passed, so a failing face
         # fails again on every call.
-        value = frame.faces[signs] = ThetaParabolic(d, signs)
+        value = frame.faces[signs] = object.__new__(ThetaParabolic)._build(d, signs)
         return value

@@ -5,7 +5,7 @@ import os
 import tempfile
 from fractions import Fraction
 from math import floor, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +29,7 @@ from tempered_atlas.groups import (
     validate,
 )
 from tempered_atlas.krep import dirac_multiplicity, weyl_dim
-from tempered_atlas.matching import minimal_k_types, summarize_datum
+from tempered_atlas.matching import match_inverse, minimal_k_types, summarize_datum
 from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
@@ -269,6 +269,43 @@ noncompact = 1,1,0 ; -1,-1,0 ; 1,0,1 ; -1,0,-1 ; 0,1,1 ; 0,-1,-1 ; 2,0,0 ; -2,0,
 
 [lattice]
 basis = 1,0,0 ; 0,1,0 ; 0,0,1
+"""
+
+
+def sp2n_text(n):
+    """sp(2n,R) as descriptor text, from its root data (Knapp, Lie Groups
+    Beyond an Introduction, Appendix C): K = U(n) with compact roots
+    +-(e_i - e_j), noncompact +-(e_i + e_j) and +-2e_i, each listed before
+    its negative in the order SP6R_TEXT uses, the identity Gram and the
+    lattice Z^n."""
+
+    def text(weights, signs=(1, -1)):
+        # Each weight, given as {index: coefficient}, times each sign in turn.
+        return " ; ".join(
+            ",".join(str(s * w.get(i, 0)) for i in range(n)) for w in weights for s in signs
+        )
+
+    pairs = list(itertools.combinations(range(n), 2))
+    compact = [{i: 1, j: -1} for i, j in pairs]
+    noncompact = [*({i: 1, j: 1} for i, j in pairs), *({i: 2} for i in range(n))]
+    identity = text([{i: 1} for i in range(n)], (1,))
+    return f"""
+[group]
+name = sp{2 * n}r
+rank_tc = {n}
+rank_g = {n}
+zero_weight_s_dim = 0
+
+[form]
+gram = {identity}
+
+[roots]
+compact = {text(compact)}
+positive_compact = {text(compact, (1,))}
+noncompact = {text(noncompact)}
+
+[lattice]
+basis = {identity}
 """
 
 
@@ -613,3 +650,47 @@ def test_face_integrality_law_agrees_with_the_per_component_test(name1, name2, s
         law = is_integral(d, frame.weight(datum.parabolic.mu_shift_nums) - shift)
         assert is_integral(d, datum.mu) == law == is_genuine(d, datum.kappa) is True
         assert all(is_integral(d, w) for w in minimal_k_types(datum))
+
+
+def test_sp2n_text_writes_the_hand_written_sp6r():
+    assert sp2n_text(3) == SP6R_TEXT
+    assert all(validate(loads_descriptor(sp2n_text(n))).ok for n in (4, 5))
+
+
+def test_sp10r_has_a_face_with_three_levi_pairs():
+    # Values derived by hand.  sp(2n,R)'s genuine shift is the half-sum of
+    # the noncompact positives, ((n+1)/2)(1,...,1), so kappa = 0 is genuine
+    # for n = 5.  kappa + rho_K = rho_K = (2,1,0,-1,-2) pairs to zero with
+    # e_i + e_j exactly when i + j = 6, and with 2e_i exactly when i = 3.
+    d = loads_descriptor(sp2n_text(5))
+    zero = Weight((0,) * 5)
+    datum = construct_from_kappa(d, zero)
+    assert set(datum.parabolic.l_pairs) == {
+        Weight((1, 0, 0, 0, 1)), Weight((0, 1, 0, 1, 0)), Weight((0, 0, 2, 0, 0))
+    }
+    s = summarize_datum(datum)
+    assert (s.n_pairs, s.r_order) == (3, 8)
+    # rho(s cap u) = (5/2,3/2,0,-3/2,-5/2) from the 9 noncompact positives
+    # rho_K pairs to > 0 and the 6 it pairs to < 0, negated; the minimal
+    # K-types add (1/2) sum of s_j b_j over the three Levi pairs.
+    shift = (5 * H, 3 * H, 0, -3 * H, -5 * H)
+    assert set(s.minimal_k_types) == {
+        Weight(map(add, shift, (a * H, b * H, c, b * H, a * H)))
+        for a, b, c in itertools.product((1, -1), repeat=3)
+    }
+    # The all-plus K-type + 2 rho_K = (7,4,1,-3,-6) pairs to nonzero with
+    # every noncompact root, and subtracting that rho(s cap u) gives 0.
+    assert match_inverse(d, Weight((3, 2, 1, -1, -2))) == zero
+
+
+def test_sp8r_pairs_at_rho_k_and_zero_is_not_genuine():
+    # For n = 4 the genuine shift is (5/2)(1,1,1,1): kappa = 0 is not
+    # genuine, and kappa = rho_K = (3/2,1/2,-1/2,-3/2) is, with
+    # kappa + rho_K = (3,1,-1,-3) zero on e1 + e4 and e2 + e3 only.
+    d = loads_descriptor(sp2n_text(4))
+    with pytest.raises(NotGenuine):
+        construct_from_kappa(d, Weight((0,) * 4))
+    rho_k = Weight((3 * H, H, -H, -3 * H))
+    assert d.rho_compact() == rho_k
+    datum = construct_from_kappa(d, rho_k)
+    assert set(datum.parabolic.l_pairs) == {Weight((1, 0, 0, 1)), Weight((0, 1, 1, 0))}

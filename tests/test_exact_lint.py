@@ -16,6 +16,10 @@ are told apart only by their private subclass.
 A fourth rule keeps each public weight argument a Weight: no module tests
 ``isinstance(x, tuple)`` or ``isinstance(x, list)``, alone or in a tuple
 of types, so no function reads a weight in a second form.
+
+A fifth rule keeps no dead state: every name in a class's ``__slots__``
+is read as an attribute somewhere in the package outside an ``__init__``,
+so a slot that only its constructor reads is a local instead.
 """
 
 import ast
@@ -87,6 +91,44 @@ def container_type_tests(tree: ast.Module) -> list[str]:
             for t in types.elts if isinstance(types, ast.Tuple) else [types]:
                 if isinstance(t, ast.Name) and t.id in ("tuple", "list"):
                     found.append(f"{node.lineno}: isinstance {t.id}")
+    return found
+
+
+def attribute_loads(tree: ast.Module) -> set[str]:
+    """Every name read as an attribute, ``x.name`` in a load, outside the
+    body of any function named ``__init__``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        for node in ast.iter_child_nodes(stack.pop()):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            stack.append(node)
+    return found
+
+
+def dead_slots(trees: dict[str, ast.Module]) -> list[str]:
+    """One line per name in a class's ``__slots__`` that no module of trees
+    reads as an attribute outside an ``__init__``, as 'module:line: Class.name'."""
+    read = set().union(*map(attribute_loads, trees.values()))
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    value = stmt.value
+                    names = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                    found += [
+                        f"{module}:{stmt.lineno}: {cls.name}.{n.value}"
+                        for n in names
+                        if isinstance(n, ast.Constant) and n.value not in read
+                    ]
     return found
 
 
@@ -186,3 +228,36 @@ def test_module_reads_no_weight_as_a_tuple_or_a_list(path):
 )
 def test_container_lint_flags_each_kind(source, expected):
     assert container_type_tests(ast.parse(source)) == expected
+
+
+def test_every_slot_is_read_outside_its_init():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    assert dead_slots(trees) == []
+
+
+# A class with two slots, then the body of its constructor.
+_XY = 'class A:\n    __slots__ = ("x", "y")\n    def __init__(self, v):\n'
+_BOTH = ["a.py:2: A.x", "a.py:2: A.y"]
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    (
+        # Stored only, or read only by the constructor: each is dead.
+        ({"a.py": _XY + "        self.x = v\n        self.y = self.x"}, _BOTH),
+        ({"a.py": 'class A:\n    __slots__ = "x"'}, ["a.py:2: A.x"]),
+        ({"a.py": 'class A:\n    __slots__ = ["x"]\ndef f(a):\n    a.x = 1'}, ["a.py:2: A.x"]),
+        # A function nested in __init__ is still the constructor.
+        ({"a.py": _XY + "        def g():\n            return self.x\n        self.y = g"}, _BOTH),
+        # A name passed to getattr is not an attribute load.
+        ({"a.py": _XY + "        self.x = self.y = v\n    def f(self):\n"
+                        '        return getattr(self, "x"), getattr(self, "y")'}, _BOTH),
+        # Read in a method, in a function, or in another module: live.
+        ({"a.py": _XY + "        self.x = self.y = v\n    def f(self):\n        return self.x\n"
+                        "def g(a):\n    return a.y"}, []),
+        ({"a.py": _XY + "        self.x = self.y = v", "b.py": "def f(a):\n    return a.x + a.y"}, []),
+        ({"a.py": "class A:\n    __slots__ = ()"}, []),
+    ),
+)
+def test_slot_lint_flags_each_kind(sources, expected):
+    assert dead_slots({name: ast.parse(text) for name, text in sources.items()}) == expected

@@ -116,7 +116,8 @@ def test_value_classes_compare_by_value_and_are_frozen():
         assert type(a) is type(b) is type(c) is cls
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != c and a != tuple(getattr(a, f) for f in cls.__match_args__)
-        assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
+        if cls is not EssentialVoganDatum:  # made only by construct_from_kappa
+            assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
         assert repr(a).startswith(f"{cls.__name__}(")
         assert all(f"{f}={getattr(a, f)!r}" in repr(a) for f in cls.__match_args__)
         assert copy.copy(a) == a
@@ -134,11 +135,10 @@ def test_value_classes_compare_by_value_and_are_frozen():
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back is not d
     assert not any(key.startswith("_memo_") for key in vars(back))
-    # A datum pickles with its face and its frame, kernels and faces table
-    # included, and the copy reads the same pairing table.
+    # A datum pickles as its descriptor and kappa, and the copy reads the
+    # same pairing table.
     back = pickle.loads(pickle.dumps(datum))
     assert (back.kappa, back.mu, back.kappa_l) == (datum.kappa, datum.mu, datum.kappa_l)
-    assert back.parabolic.frame.faces.keys() == datum.parabolic.frame.faces.keys()
     assert back.parabolic.frame.pairings(back.kappa) == datum.parabolic.frame.pairings(datum.kappa)
 
 

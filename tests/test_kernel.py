@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tempered_atlas import catalog
 from tempered_atlas.classify import (
-    EssentialVoganDatum, construct_from_kappa, enumerate_ball, genuine_shift, is_genuine,
+    construct_from_kappa, enumerate_ball, genuine_shift, is_genuine,
 )
 from tempered_atlas.errors import DimensionMismatch, NotStrictlyDominant
 from tempered_atlas.groups import (
@@ -210,7 +210,7 @@ def test_pairing_table_matches_per_weight_pairings(case):
     d, w = case
     frame = integer_frame(d)
     targets = d.positive_compact + d.noncompact_positives()
-    assert len(frame.rows) == len(targets)
+    assert len(frame.roots) == len(targets)
     assert frame.n_compact == len(d.positive_compact)
     signs = tuple(sign_of(v) for v in frame.pairings(w))
     assert signs == tuple(d.form.sign(w, t) for t in targets)
@@ -261,7 +261,8 @@ def test_root_table_matches_the_fraction_oracle(name1, name2, scale1, scale2, x)
         assert tuple(Fraction(n, D) for n in nums) == t.coords
         assert sum(a * b for a, b in zip(x, row)) == inner(gram, x_over_d, t) * scale
         assert norm == inner(gram, t, t) * scale
-    assert frame.rows == tuple(row for _, row, _ in frame.roots)
+    # dots is the kernel of those rows.
+    assert frame.dots(x) == [sum(a * b for a, b in zip(x, row)) for _, row, _ in frame.roots]
     # simple lists the simple compact roots' entries, in sorted order: the
     # positive compact roots that are no sum of two positive ones.
     pos = set(d.positive_compact)
@@ -321,11 +322,6 @@ def test_lattice_tests_refuse_a_tuple(entry, sp4r):
         entry(sp4r, (1, 0))
 
 
-def _datum(d, w):
-    # Any face serves: the constructor reads its frame before anything else.
-    return EssentialVoganDatum(build_parabolic(catalog("sp4r"), Weight((3, 1))), w, w, w)
-
-
 # On sp4r, _HW is a dominant integral highest weight and _TAU a genuine one,
 # so the other argument of a two-weight function passes its checks.
 _HW, _TAU = Weight((1, 1)), Weight((Fraction(3, 2), Fraction(1, 2)))
@@ -335,7 +331,6 @@ WEIGHT_ENTRIES = {
     "match_inverse": match_inverse,
     "build_parabolic": build_parabolic,
     "summarize": summarize,
-    "EssentialVoganDatum": _datum,
     "is_dominant_weight": lambda d, w: d.is_dominant_weight(w),
     "is_integral": is_integral,
     "lattice_coordinates": lattice_coordinates,

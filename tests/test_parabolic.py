@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,12 +8,12 @@ from hypothesis import strategies as st
 
 from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from tempered_atlas import catalog, classify, groups, loads_descriptor, matching, parabolic
-from tempered_atlas.classify import construct_from_kappa, enumerate_ball
+from tempered_atlas.classify import EssentialVoganDatum, construct_from_kappa, enumerate_ball
 from tempered_atlas.groups import (
     RealFormDescriptor, integer_frame, lex_positive, validate,
 )
 from tempered_atlas.matching import match_inverse, summarize_datum
-from tempered_atlas.parabolic import build_parabolic
+from tempered_atlas.parabolic import ThetaParabolic, build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
 from conftest import replace
 from fraction_linalg import scale_form
@@ -260,20 +262,44 @@ def test_levi_law_is_checked_once_per_face(sp4r, monkeypatch):
     enumerate_ball(d, 1)  # builds the walk's own per-descriptor tables
     integer_frame(d).faces.clear()
     built = []
-    init = parabolic.ThetaParabolic.__init__
+    build = parabolic.ThetaParabolic._build
 
     def counted(face, d, signs):
         built.append(signs)
-        init(face, d, signs)
+        return build(face, d, signs)
 
-    # The law is checked in the constructor, one integer test per Levi pair.
-    monkeypatch.setattr(parabolic.ThetaParabolic, "__init__", counted)
+    # The law is checked in the face's builder, one integer test per Levi pair.
+    monkeypatch.setattr(parabolic.ThetaParabolic, "_build", counted)
     entries = enumerate_ball(d, 100)
     assert sum(e.n_pairs for e in entries) > sum(s.count(0) for s in built) > 0
     assert sorted(built) == sorted(integer_frame(d).faces)
     built.clear()
     assert enumerate_ball(d, 100) == entries
     assert built == []
+
+
+def test_faces_and_data_come_only_from_their_builders(sp4r):
+    d = replace(sp4r)
+    build_parabolic(d, Weight((3, 1)))
+    faces = dict(integer_frame(d).faces)
+    # Read as faces, these sign vectors broke a face law (an exit-3
+    # StructuralInvariantError); the class takes no arguments at all.
+    for signs in ((0, 0, 0), (1, 1), (1, 0, 5)):
+        with pytest.raises(TypeError, match="takes no arguments"):
+            ThetaParabolic(d, signs)
+    assert integer_frame(d).faces == faces
+    datum = construct_from_kappa(d, Weight((5 * H, H)))
+    with pytest.raises(TypeError, match="takes no arguments"):
+        EssentialVoganDatum(datum.parabolic, datum.kappa, datum.mu, datum.kappa_l)
+    assert "mu_nums" not in EssentialVoganDatum.__slots__
+    # A pickle or a copy is rebuilt by construct_from_kappa: a copy shares
+    # the face, and a pickle has its own descriptor and so its own face.
+    back = pickle.loads(pickle.dumps(datum))
+    assert back.descriptor == d and back.descriptor is not d
+    assert back == construct_from_kappa(back.descriptor, datum.kappa)
+    assert (back.kappa, back.mu, back.kappa_l) == (datum.kappa, datum.mu, datum.kappa_l)
+    same = copy.copy(datum)
+    assert same == datum and same.parabolic is datum.parabolic
 
 
 def test_integrality_law_is_checked_once_per_face(sp4r, monkeypatch):
