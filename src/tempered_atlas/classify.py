@@ -44,6 +44,11 @@ class EssentialVoganDatum(_Frozen):
     __match_args__ = ("parabolic", "kappa", "mu", "kappa_l")
     __slots__ = ("parabolic", "kappa", "kappa_nums", "kappa_l_nums")
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            "EssentialVoganDatum takes no arguments: a datum comes from construct_from_kappa"
+        )
+
     def __reduce__(self):
         return construct_from_kappa, (self.descriptor, self.kappa)
 
@@ -84,7 +89,7 @@ def construct_from_kappa(d: RealFormDescriptor, kappa: Weight):
     values = frame.pairings(kappa) if k is None else frame.dots(k)
     if trusted:
         kappa = frame.weight(k)  # from the plain copy: no Weight holds the marker
-    if min(values[: frame.n_compact], default=0) < 0:
+    if (nc := frame.n_compact) and min(values[:nc]) < 0:
         raise NotDominant(f"{kappa} is not dominant for the compact positives")
     if k is not None:
         p = build_parabolic(d, _Numerators(map(add, values, frame.rho_pairings)))

@@ -129,7 +129,8 @@ class RealFormDescriptor(_Frozen):
         """<w, a> >= 0 for every positive compact root a; vacuously true
         when there is none."""
         frame = integer_frame(self)
-        return min(frame.pairings(w)[: frame.n_compact], default=0) >= 0
+        values, nc = frame.pairings(w), frame.n_compact  # pairings checks w's rank
+        return not nc or min(values[:nc]) >= 0
 
 
 def simple_compact_roots(d: RealFormDescriptor) -> tuple[Weight, ...]:
@@ -378,8 +379,17 @@ class IntegerFrame:
         self.dots = matvec(rows)
         self.rho_pairings = self.dots(self.rho)
         self.two_rho_pairings = [2 * v for v in self.rho_pairings]
-        self.genuine = self.over_den(half_sum(d.noncompact_positives(), rank=d.rank_tc))
+        noncompact = self.roots[self.n_compact :]
+        self.genuine = self.half_sum_nums([1] * len(noncompact), noncompact)
         self.faces = {}
+
+    def half_sum_nums(self, signs, entries) -> tuple[int, ...]:
+        """Half of sum s t over signs s and noncompact root-table entries (t, row,
+        norm), over D; exact, as D holds twice every noncompact denominator."""
+        total = [0] * self.rank
+        for s, (t, _, _) in zip(signs, entries):
+            total = [x + s * y for x, y in zip(total, t)]
+        return tuple([x // 2 for x in total])
 
     def pairings(self, w: Weight) -> list[int]:
         """One integer per row, of the sign of w's pairing with its root."""

@@ -101,7 +101,7 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
         raise NotIntegral(f"{mu_g} is not analytically integral")
     m = mu_g if trusted else frame.over_den(mu_g)  # integral, so over D
     values = frame.dots(m)
-    if min(values[: frame.n_compact], default=0) < 0:
+    if (nc := frame.n_compact) and min(values[:nc]) < 0:
         raise NotDominant(f"{frame.weight(m)} is not dominant for the compact positives")
     # build_parabolic's strict-dominance guard holds: mu_g is dominant and
     # validate's positive_system rule makes 2 rho_K strictly dominant.
@@ -111,7 +111,7 @@ def match_inverse(d: RealFormDescriptor, mu_g: Weight) -> Weight:
             f"{frame.weight(m)} + 2 rho_K pairs to zero with {p.l_pairs[0]}"
         )
     kappa = tuple(map(sub, m, p.rho_s_cap_u_nums))
-    if min(map(sub, values[: frame.n_compact], p.rho_s_cap_u_compact), default=0) < 0:
+    if nc and min(map(sub, values[:nc], p.rho_s_cap_u_compact)) < 0:
         raise NotDominant(
             f"{frame.weight(m)} is not a minimal K-type: it matches back to "
             f"{frame.weight(kappa)}, which is not dominant for the compact positives"

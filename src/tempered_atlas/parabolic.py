@@ -23,12 +23,13 @@ each genuine kappa on the face.  Each face checks them once.
 build_parabolic is the one map from a weight to its face and the one
 maker of faces (the class takes no arguments): the inverse matching calls
 it too, and its noncompact positive system is the u of a face with no
-zero sign.  The signs, and the strict dominance of lam, are
-read from the descriptor's integer pairing table.  The face keeps its
-offsets only as numerators over D (``integer_frame``), and each Levi
-pair's entry of the descriptor's root table (numerators, row and norm),
-so that the Levi law is one integer test per pair and ``project_levi``
-takes mu to kappa_l on integers.
+zero sign.  A face is the value (descriptor, signs), and a copy or a
+pickle of it is its descriptor's table entry.  The signs, and the strict
+dominance of lam, are read from the descriptor's integer pairing table.
+The face keeps its offsets only as numerators over D (``integer_frame``),
+half-sums of the root table's numerators, and each Levi pair's entry of
+that table (numerators, row and norm), so that the Levi law is one
+integer test per pair and ``project_levi`` takes mu to kappa_l on integers.
 """
 
 import itertools
@@ -37,20 +38,36 @@ from operator import add, mul, sub
 
 from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from .groups import RealFormDescriptor, _Numerators, integer_frame, is_integral
-from .weights import Weight, half_sum
+from .weights import Weight
 
 
 class ThetaParabolic:
-    """The checked buckets of one face and the half-sums they determine, over D."""
+    """The checked buckets of one face and the half-sums they determine, over D;
+    compared and hashed as (descriptor, signs)."""
 
-    def _build(self, d: RealFormDescriptor, signs):  # called by build_parabolic alone
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("ThetaParabolic takes no arguments: a face comes from build_parabolic")
+
+    def __eq__(self, other):
+        if other.__class__ is not ThetaParabolic:
+            return NotImplemented
+        return self is other or (self.signs == other.signs and self.descriptor == other.descriptor)
+
+    def __hash__(self):
+        return hash((self.descriptor, self.signs))
+
+    def __reduce__(self):
+        return _face, (self.descriptor, self.signs)
+
+    def _build(self, d: RealFormDescriptor, signs):  # called by _face alone
         # A strictly dominant weight is positive exactly on the positive
         # compact roots when the compact roots are +-positive_compact; the
         # partition check below fails on a descriptor where they are not.
         self.descriptor = d
+        self.signs = signs
         self.frame = frame = integer_frame(d)
         positives = d.noncompact_positives()
-        self.u_noncompact = tuple(sorted(s * g for g, s in zip(positives, signs) if s))
+        self.u_noncompact = tuple(sorted(g if s > 0 else -g for g, s in zip(positives, signs) if s))
         self.l_pairs = tuple(g for g, s in zip(positives, signs) if not s)
         self.n_pairs = len(self.l_pairs)
 
@@ -71,12 +88,14 @@ class ThetaParabolic:
                 "lists are inconsistent"
             )
 
+        # Each Levi pair's entry of the root table: numerators, row and norm.
+        self.l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
         # rho(s cap u), and the signed Levi half-sums (1/2) sum s_j b_j, one
         # per sign vector s in itertools.product((1, -1), repeat=N) order,
         # +1 first, kept only as numerators over D.
-        self.rho_s_cap_u_nums = frame.over_den(half_sum(self.u_noncompact, rank=d.rank_tc))
+        self.rho_s_cap_u_nums = frame.half_sum_nums(signs, frame.roots[frame.n_compact :])
         self.rho_l_nums = tuple(
-            frame.over_den(half_sum((s * b for s, b in zip(choice, self.l_pairs)), rank=d.rank_tc))
+            frame.half_sum_nums(choice, self.l_pair_terms)
             for choice in itertools.product((1, -1), repeat=self.n_pairs)
         )
         # kappa - mu for the all-plus sign choice.
@@ -93,8 +112,6 @@ class ThetaParabolic:
         self.k_type_shift_nums = tuple(
             tuple([2 * x + y for x, y in zip(self.rho_s_cap_u_nums, r)]) for r in self.rho_l_nums
         )
-        # Each Levi pair's entry of the root table: numerators, row and norm.
-        self.l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
         # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
         # face, so each such mu has <mu, b^vee> = -<rho_K + mu_shift, b^vee>.
         shifted = tuple(map(add, frame.rho, self.mu_shift_nums))
@@ -138,14 +155,19 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     """
     frame = integer_frame(d)
     values = lam if type(lam) is _Numerators else frame.pairings(lam)
-    if min(values[: frame.n_compact], default=1) <= 0:
+    if (nc := frame.n_compact) and min(values[:nc]) <= 0:
         what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else lam
         raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")
-    signs = tuple([(v > 0) - (v < 0) for v in values[frame.n_compact :]])
+    return _face(d, tuple([(v > 0) - (v < 0) for v in values[nc:]]))
+
+
+def _face(d: RealFormDescriptor, signs: tuple[int, ...]) -> ThetaParabolic:
+    """The entry for signs in d's face table, built and checked on first use."""
+    faces = integer_frame(d).faces
     try:
-        return frame.faces[signs]
+        return faces[signs]
     except KeyError:
         # Stored only once every check has passed, so a failing face
         # fails again on every call.
-        value = frame.faces[signs] = object.__new__(ThetaParabolic)._build(d, signs)
+        value = faces[signs] = object.__new__(ThetaParabolic)._build(d, signs)
         return value

@@ -20,6 +20,10 @@ of types, so no function reads a weight in a second form.
 A fifth rule keeps no dead state: every name in a class's ``__slots__``
 is read as an attribute somewhere in the package outside an ``__init__``,
 so a slot that only its constructor reads is a local instead.
+
+A sixth rule keeps the dominance tests on the plain form: no call of
+``min`` or ``max`` passes a ``default=`` keyword, which costs about twice a
+plain call; a guard on the length, ``n and min(v[:n]) < 0``, reads the same.
 """
 
 import ast
@@ -130,6 +134,17 @@ def dead_slots(trees: dict[str, ast.Module]) -> list[str]:
                         if isinstance(n, ast.Constant) and n.value not in read
                     ]
     return found
+
+
+def defaulted_extrema(tree: ast.Module) -> list[str]:
+    """One line per call of the name ``min`` or ``max`` with a ``default=``
+    keyword, as 'line: min default'."""
+    return [
+        f"{node.lineno}: {node.func.id} default"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("min", "max") and any(k.arg == "default" for k in node.keywords)
+    ]
 
 
 def test_the_package_has_modules():
@@ -261,3 +276,25 @@ _BOTH = ["a.py:2: A.x", "a.py:2: A.y"]
 )
 def test_slot_lint_flags_each_kind(sources, expected):
     assert dead_slots({name: ast.parse(text) for name, text in sources.items()}) == expected
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_calls_no_defaulted_min_or_max(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert defaulted_extrema(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    (
+        ("ok = min(v[:n], default=0) >= 0", ["1: min default"]),
+        ("top = max(v, default=1)", ["1: max default"]),
+        ("p = min(v, key=abs, default=None)", ["1: min default"]),
+        ("def f(v):\n    return [max(w, default=0) for w in v]", ["2: max default"]),
+        ("ok = not n or min(v[:n]) >= 0", []),
+        ("p = min(v, key=abs)\nq = max(a, b)", []),
+        ("x = f(v, default=0)", []),
+    ),
+)
+def test_extrema_lint_flags_each_kind(source, expected):
+    assert defaulted_extrema(ast.parse(source)) == expected

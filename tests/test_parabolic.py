@@ -1,12 +1,17 @@
+import contextlib
 import copy
+import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempered_atlas.errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
+from tempered_atlas.errors import (
+    NotDominant, NotStrictlyDominant, StructuralInvariantError, ZeroRoot,
+)
 from tempered_atlas import catalog, classify, groups, loads_descriptor, matching, parabolic
 from tempered_atlas.classify import EssentialVoganDatum, construct_from_kappa, enumerate_ball
 from tempered_atlas.groups import (
@@ -17,6 +22,7 @@ from tempered_atlas.parabolic import ThetaParabolic, build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight, half_sum
 from conftest import replace
 from fraction_linalg import scale_form
+from test_classify import SP6R_TEXT, sp2n_text
 from test_su31_custom import SU31_TEXT
 
 H = Fraction(1, 2)
@@ -283,14 +289,16 @@ def test_faces_and_data_come_only_from_their_builders(sp4r):
     build_parabolic(d, Weight((3, 1)))
     faces = dict(integer_frame(d).faces)
     # Read as faces, these sign vectors broke a face law (an exit-3
-    # StructuralInvariantError); the class takes no arguments at all.
-    for signs in ((0, 0, 0), (1, 1), (1, 0, 5)):
-        with pytest.raises(TypeError, match="takes no arguments"):
-            ThetaParabolic(d, signs)
+    # StructuralInvariantError); the class takes no arguments at all, and
+    # with none it makes no empty face either.
+    for args in ((d, (0, 0, 0)), (d, (1, 1)), (d, (1, 0, 5)), ()):
+        with pytest.raises(TypeError, match="a face comes from build_parabolic"):
+            ThetaParabolic(*args)
     assert integer_frame(d).faces == faces
     datum = construct_from_kappa(d, Weight((5 * H, H)))
-    with pytest.raises(TypeError, match="takes no arguments"):
-        EssentialVoganDatum(datum.parabolic, datum.kappa, datum.mu, datum.kappa_l)
+    for args in ((datum.parabolic, datum.kappa, datum.mu, datum.kappa_l), ()):
+        with pytest.raises(TypeError, match="a datum comes from construct_from_kappa"):
+            EssentialVoganDatum(*args)
     assert "mu_nums" not in EssentialVoganDatum.__slots__
     # A pickle or a copy is rebuilt by construct_from_kappa: a copy shares
     # the face, and a pickle has its own descriptor and so its own face.
@@ -299,6 +307,24 @@ def test_faces_and_data_come_only_from_their_builders(sp4r):
     assert back == construct_from_kappa(back.descriptor, datum.kappa)
     same = copy.copy(datum)
     assert same == datum and same.parabolic is datum.parabolic
+
+
+def test_faces_data_and_runs_are_values(sp4r):
+    face = build_parabolic(sp4r, Weight((3, 1)))
+    # A face is (descriptor, signs): a copy is the face table's entry, and
+    # a pickle or a deep copy is its own descriptor's face, equal to it.
+    assert copy.copy(face) is face
+    assert face.signs == (1, 1, 1)
+    for other in (pickle.loads(pickle.dumps(face)), copy.deepcopy(face)):
+        assert other == face and hash(other) == hash(face)
+        assert other is integer_frame(other.descriptor).faces[face.signs]
+    assert face != build_parabolic(sp4r, Weight((1, 0)))
+    assert face != build_parabolic(catalog("su21"), Weight((3, 1)))
+    datum = construct_from_kappa(sp4r, Weight((5 * H, H)))
+    run = classify.enumerate_components(sp4r, 3)
+    for x in (datum, run):
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.deepcopy(x) == x
 
 
 def test_integrality_law_is_checked_once_per_face(sp4r, monkeypatch):
@@ -382,3 +408,92 @@ def test_inner_is_read_once_per_table_root_of_each_descriptor(monkeypatch):
     integer_frame(d).faces.clear()
     assert list(map(summarize_datum, enumerate_ball(d, Fraction(20) ** 2))) == summaries
     assert seen == []
+
+
+GROUPS = {
+    "sp4r": lambda: catalog("sp4r"),
+    "su21": lambda: catalog("su21"),
+    "su31": lambda: loads_descriptor(SU31_TEXT),
+    "sp6r": lambda: loads_descriptor(SP6R_TEXT),
+    "sp8r": lambda: loads_descriptor(sp2n_text(4)),
+}
+
+
+# Each group's number of faces: on sp(2n,R) the sign vectors of x_i + x_j
+# over x_1 > ... > x_n, which a box of side 9 already reaches in full.
+@pytest.mark.parametrize("name, n_faces", (
+    ("sp4r", 7), ("su21", 5), ("su31", 7), ("sp6r", 17), ("sp8r", 41),
+))
+def test_integer_half_sums_equal_the_weight_half_sums(name, n_faces):
+    d = replace(GROUPS[name]())
+    for coords in itertools.product(range(-4, 5), repeat=d.rank_tc):
+        with contextlib.suppress(NotStrictlyDominant):
+            build_parabolic(d, Weight(coords))
+    frame = integer_frame(d)
+    assert len(frame.faces) == n_faces
+
+    def oracle(weights):
+        return frame.over_den(half_sum(weights, rank=d.rank_tc))
+
+    assert frame.genuine == oracle(d.noncompact_positives())
+    for p in frame.faces.values():
+        assert p.rho_s_cap_u_nums == oracle(p.u_noncompact)
+        choices = itertools.product((1, -1), repeat=p.n_pairs)
+        assert p.rho_l_nums == tuple(oracle([s * b for s, b in zip(c, p.l_pairs)]) for c in choices)
+
+
+def least_coroot_pairing(d, w):
+    return min(2 * d.form.inner(w, a) / d.form.inner(a, a) for a in d.positive_compact)
+
+
+# kappa, and a minimal K-type mu_g matching back to a weight, each with
+# least coroot pairing exactly 0 on the positive compact roots.
+@pytest.mark.parametrize("name, kappa, mu_g", (
+    ("sp4r", (H, H), (2, 2)),
+    ("su31", (1, 1, 0), (2, 2, 0)),
+))
+def test_a_zero_compact_pairing_is_dominant_but_not_strictly(name, kappa, mu_g):
+    d = GROUPS[name]()
+    kappa, mu_g = Weight(kappa), Weight(mu_g)
+    back = match_inverse(d, mu_g)  # both of its tests pass
+    assert least_coroot_pairing(d, mu_g) == least_coroot_pairing(d, back) == 0
+    assert least_coroot_pairing(d, kappa) == 0
+    assert d.is_dominant_weight(kappa)
+    assert construct_from_kappa(d, kappa).kappa == kappa
+    message = rf"^{re.escape(str(kappa))} is not strictly dominant for the compact positives$"
+    with pytest.raises(NotStrictlyDominant, match=message):
+        build_parabolic(d, kappa)
+
+
+# kappa and mu_g with least coroot pairing -1, and a dominant mu_back
+# matching back to a weight `back` with least coroot pairing -1.
+@pytest.mark.parametrize("name, kappa, mu_g, mu_back, back", (
+    ("sp4r", (H, 3 * H), (0, 1), (1, 0), (-H, H)),
+    ("su31", (0, 1, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)),
+))
+def test_a_compact_pairing_of_minus_one_fails_every_dominance_test(name, kappa, mu_g, mu_back, back):
+    d = GROUPS[name]()
+    kappa, mu_g, mu_back, back = map(Weight, (kappa, mu_g, mu_back, back))
+    assert {least_coroot_pairing(d, w) for w in (kappa, mu_g, back)} == {-1}
+    assert least_coroot_pairing(d, mu_back) >= 0
+    assert not d.is_dominant_weight(kappa)
+    weak = "is not dominant for the compact positives"
+    with pytest.raises(NotDominant, match=rf"^{re.escape(str(kappa))} {weak}$"):
+        construct_from_kappa(d, kappa)
+    with pytest.raises(NotStrictlyDominant, match=rf"^{re.escape(str(kappa))} is not strictly"):
+        build_parabolic(d, kappa)
+    with pytest.raises(NotDominant, match=rf"^{re.escape(str(mu_g))} {weak}$"):
+        match_inverse(d, mu_g)
+    message = f"{mu_back} is not a minimal K-type: it matches back to {back}, which {weak}"
+    with pytest.raises(NotDominant, match=rf"^{re.escape(message)}$"):
+        match_inverse(d, mu_back)
+
+
+def test_with_no_compact_root_every_dominance_test_passes(sl2r):
+    assert integer_frame(sl2r).n_compact == 0
+    for kappa in map(Weight, ((-3,), (-1,), (0,), (2,))):
+        assert sl2r.is_dominant_weight(kappa)
+        assert construct_from_kappa(sl2r, kappa).kappa == kappa
+        assert build_parabolic(sl2r, kappa).descriptor is sl2r
+    # mu_g + 2 rho_K = -3 puts -2 in u: rho(s cap u) = -1, and kappa = -2.
+    assert match_inverse(sl2r, Weight((-3,))) == Weight((-2,))
