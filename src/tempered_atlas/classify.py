@@ -24,12 +24,12 @@ from operator import add, mul, sub
 
 from .errors import InternalBijectionFailure, NotDominant, NotGenuine, StructuralInvariantError
 from .groups import (  # genuine_shift and is_genuine are re-exported here
-    RealFormDescriptor, _Frozen, _Numerators, genuine_shift, integer_frame, is_genuine,
+    RealFormDescriptor, _Numerators, genuine_shift, integer_frame, is_genuine,
     is_integral, lattice_coordinates, per_descriptor,
 )
 from .parabolic import build_parabolic
 from .ratlin import ellipsoid_integer_points, matvec
-from .weights import Weight, _coerce
+from .weights import Weight, _coerce, _Frozen
 
 
 class EssentialVoganDatum(_Frozen):

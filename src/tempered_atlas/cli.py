@@ -150,7 +150,8 @@ def cmd_validate(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     d = resolve_descriptor(args.group)
-    radius = parse_rational(args.radius)
+    if (radius := parse_rational(args.radius)) <= 0:
+        raise ValueError(f"--radius must be positive, got {args.radius}")
     run = enumerate_components(d, radius)
     # Every summary, with its checks, is built before the first byte goes out.
     rows = [_cells(summarize_datum(e)) for e in run.entries]

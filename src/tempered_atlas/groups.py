@@ -19,7 +19,7 @@ from operator import mul
 
 from .errors import DescriptorValidationError, DimensionMismatch, UnknownGroup
 from .ratlin import eliminate, matvec
-from .weights import BilinearForm, Weight, half_sum, reflection_escape
+from .weights import BilinearForm, Weight, _Frozen, half_sum, reflection_escape
 
 
 def per_descriptor(fn):
@@ -46,56 +46,6 @@ def per_descriptor(fn):
 def lex_positive(w: Weight) -> bool:
     """First nonzero coordinate is positive; the canonical pick per +-pair."""
     return next((x > 0 for x in w.int_coords()[0] if x), False)
-
-
-class _Frozen:
-    """Base of the package's immutable value classes.
-
-    A subclass declares each field once, as an annotation, and gets a
-    ``__match_args__`` naming them in order and an ``__init__`` setting each
-    once, bypassing ``__setattr__``; EssentialVoganDatum declares none, names
-    its own and takes no arguments.  Equality, hashing, repr and copying
-    read that tuple, as a frozen dataclass's do, and assigning or deleting
-    an attribute raises AttributeError.  Written by hand: importing
-    ``dataclasses``, which imports ``inspect``, is about a quarter of a CLI call's set-up."""
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        # The class's own annotations (3.10+), evaluated here when lazy (3.14).
-        if fields := tuple(cls.__annotations__):
-            cls.__match_args__ = fields
-            body = ", ".join(f"{f}={f}" for f in fields)
-            ns = {"__name__": cls.__module__}  # compiled once per class, as dataclasses does
-            exec(f"def __init__(self, {', '.join(fields)}):\n    self.__dict__.update({body})", ns)
-            cls.__init__ = ns["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__.__annotations__ = dict(cls.__annotations__)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class RealFormDescriptor(_Frozen):

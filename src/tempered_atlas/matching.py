@@ -17,9 +17,9 @@ from operator import add, sub
 
 from .classify import EssentialVoganDatum, construct_from_kappa
 from .errors import AmbiguousPositiveSystem, NotDominant, NotIntegral, StructuralInvariantError
-from .groups import RealFormDescriptor, _Frozen, _Numerators, integer_frame, is_integral
+from .groups import RealFormDescriptor, _Numerators, integer_frame, is_integral
 from .parabolic import build_parabolic
-from .weights import Weight
+from .weights import Weight, _Frozen
 
 
 class ComponentSummary(_Frozen):

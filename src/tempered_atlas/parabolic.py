@@ -38,23 +38,17 @@ from operator import add, mul, sub
 
 from .errors import NotStrictlyDominant, StructuralInvariantError, ZeroRoot
 from .groups import RealFormDescriptor, _Numerators, integer_frame, is_integral
-from .weights import Weight
+from .weights import Weight, _Frozen
 
 
-class ThetaParabolic:
+class ThetaParabolic(_Frozen):
     """The checked buckets of one face and the half-sums they determine, over D;
-    compared and hashed as (descriptor, signs)."""
+    a value on (descriptor, signs)."""
+
+    __match_args__ = ("descriptor", "signs")
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("ThetaParabolic takes no arguments: a face comes from build_parabolic")
-
-    def __eq__(self, other):
-        if other.__class__ is not ThetaParabolic:
-            return NotImplemented
-        return self is other or (self.signs == other.signs and self.descriptor == other.descriptor)
-
-    def __hash__(self):
-        return hash((self.descriptor, self.signs))
 
     def __reduce__(self):
         return _face, (self.descriptor, self.signs)
@@ -63,25 +57,22 @@ class ThetaParabolic:
         # A strictly dominant weight is positive exactly on the positive
         # compact roots when the compact roots are +-positive_compact; the
         # partition check below fails on a descriptor where they are not.
-        self.descriptor = d
-        self.signs = signs
-        self.frame = frame = integer_frame(d)
+        frame = integer_frame(d)
         positives = d.noncompact_positives()
-        self.u_noncompact = tuple(sorted(g if s > 0 else -g for g, s in zip(positives, signs) if s))
-        self.l_pairs = tuple(g for g, s in zip(positives, signs) if not s)
-        self.n_pairs = len(self.l_pairs)
+        u_noncompact = tuple(sorted(g if s > 0 else -g for g, s in zip(positives, signs) if s))
+        l_pairs = tuple(g for g, s in zip(positives, signs) if not s)
 
         # Nonzero (the partition check rejects a zero weight) and orthogonal,
         # the Levi pairs give 2^N distinct offsets (1/2) sum s_j b_j: the
         # minimal K-types of every component are pairwise distinct.
-        for i, a in enumerate(self.l_pairs):
-            for b in self.l_pairs[i + 1 :]:
+        for i, a in enumerate(l_pairs):
+            for b in l_pairs[i + 1 :]:
                 if d.form.sign(a, b):
                     raise StructuralInvariantError(
                         "rank-one Levi factors must be mutually orthogonal; "
                         f"{a} and {b} are not"
                     )
-        counts = (frame.n_compact, len(self.u_noncompact), self.n_pairs)
+        counts = (frame.n_compact, len(u_noncompact), len(l_pairs))
         if 2 * sum(counts) != len(d.compact_roots) + len(d.noncompact_weights):
             raise StructuralInvariantError(
                 "sign buckets do not partition the torus weights; descriptor "
@@ -89,33 +80,27 @@ class ThetaParabolic:
             )
 
         # Each Levi pair's entry of the root table: numerators, row and norm.
-        self.l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
+        l_pair_terms = tuple(e for e, s in zip(frame.roots[frame.n_compact :], signs) if not s)
         # rho(s cap u), and the signed Levi half-sums (1/2) sum s_j b_j, one
         # per sign vector s in itertools.product((1, -1), repeat=N) order,
         # +1 first, kept only as numerators over D.
-        self.rho_s_cap_u_nums = frame.half_sum_nums(signs, frame.roots[frame.n_compact :])
-        self.rho_l_nums = tuple(
-            frame.half_sum_nums(choice, self.l_pair_terms)
-            for choice in itertools.product((1, -1), repeat=self.n_pairs)
+        rho_s_cap_u_nums = frame.half_sum_nums(signs, frame.roots[frame.n_compact :])
+        rho_l_nums = tuple(
+            frame.half_sum_nums(choice, l_pair_terms)
+            for choice in itertools.product((1, -1), repeat=len(l_pairs))
         )
         # kappa - mu for the all-plus sign choice.
-        self.mu_shift_nums = tuple(map(add, self.rho_s_cap_u_nums, self.rho_l_nums[0]))
+        mu_shift_nums = tuple(map(add, rho_s_cap_u_nums, rho_l_nums[0]))
         # mu_shift - genuine_shift is minus the positives the face flips.
-        if not is_integral(d, frame.weight(tuple(map(sub, self.mu_shift_nums, frame.genuine)))):
+        if not is_integral(d, frame.weight(tuple(map(sub, mu_shift_nums, frame.genuine)))):
             raise StructuralInvariantError(
                 f"{d.name}: mu must be integral on the face with signs {signs}; "
                 "a noncompact positive it flips is outside the integral lattice"
             )
-        self.rho_s_cap_u_compact = frame.dots(self.rho_s_cap_u_nums)[: frame.n_compact]
-        # Each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type, as twice
-        # rho(s cap u) is the shift from a fine weight to its minimal K-type.
-        self.k_type_shift_nums = tuple(
-            tuple([2 * x + y for x, y in zip(self.rho_s_cap_u_nums, r)]) for r in self.rho_l_nums
-        )
         # <kappa + rho_K, b> = 0 for each Levi pair b of every kappa on the
         # face, so each such mu has <mu, b^vee> = -<rho_K + mu_shift, b^vee>.
-        shifted = tuple(map(add, frame.rho, self.mu_shift_nums))
-        for beta, (_, row, q) in zip(self.l_pairs, self.l_pair_terms):
+        shifted = tuple(map(add, frame.rho, mu_shift_nums))
+        for beta, (_, row, q) in zip(l_pairs, l_pair_terms):
             if not q:
                 raise ZeroRoot(f"zero-length root {beta}")
             if (p := 2 * sum(map(mul, shifted, row))) != q:
@@ -123,6 +108,18 @@ class ThetaParabolic:
                     f"mu must restrict to minus one half of each Levi pair; "
                     f"coroot pairing against {beta} is {Fraction(-p, q)}"
                 )
+        # Each field written once, as _Frozen's generated __init__ writes.
+        self.__dict__.update(
+            descriptor=d, signs=signs, frame=frame, u_noncompact=u_noncompact,
+            l_pairs=l_pairs, n_pairs=len(l_pairs), l_pair_terms=l_pair_terms,
+            rho_s_cap_u_nums=rho_s_cap_u_nums, rho_l_nums=rho_l_nums, mu_shift_nums=mu_shift_nums,
+            rho_s_cap_u_compact=frame.dots(rho_s_cap_u_nums)[: frame.n_compact],
+            # Each rho_l + 2 rho(s cap u): kappa_l to a minimal K-type, as twice
+            # rho(s cap u) is the shift from a fine weight to its minimal K-type.
+            k_type_shift_nums=tuple(
+                tuple([2 * x + y for x, y in zip(rho_s_cap_u_nums, r)]) for r in rho_l_nums
+            ),
+        )
         return self
 
     def project_levi(self, mu_nums: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,7 +155,8 @@ def build_parabolic(d: RealFormDescriptor, lam: Weight) -> ThetaParabolic:
     if (nc := frame.n_compact) and min(values[:nc]) <= 0:
         what = f"{d.name}: rho_K = {d.rho_compact()}" if values is lam else lam
         raise NotStrictlyDominant(f"{what} is not strictly dominant for the compact positives")
-    return _face(d, tuple([(v > 0) - (v < 0) for v in values[nc:]]))
+    signs = tuple([(v > 0) - (v < 0) for v in values[nc:]])
+    return frame.faces.get(signs) or _face(d, signs)  # a cached face: one lookup
 
 
 def _face(d: RealFormDescriptor, signs: tuple[int, ...]) -> ThetaParabolic:

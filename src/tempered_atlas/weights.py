@@ -1,4 +1,5 @@
-"""Exact rational weights, bilinear forms, half-sums, and reflection closure.
+"""Exact rational weights, bilinear forms, half-sums, reflection closure, and
+_Frozen, the base of every value class of the package but Weight.
 
 Weights are coordinate vectors in a fixed basis of the dual of the compact
 torus; the positive definite Gram matrix of a :class:`BilinearForm` carries
@@ -47,6 +48,57 @@ def _coerce(value) -> Fraction:
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"an exact number must be an int or a Fraction, not {type(value).__name__}")
     return Fraction(value)
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass declares each field once, as an annotation, and gets a
+    ``__match_args__`` naming them in order and an ``__init__`` setting each
+    once, bypassing ``__setattr__``.  EssentialVoganDatum, ThetaParabolic and
+    BilinearForm declare none and name their own, as each is built its own
+    way.  Equality, hashing, repr and copying read that tuple, as a frozen
+    dataclass's do, and assigning or deleting an attribute raises
+    AttributeError.  Written by hand: importing ``dataclasses``, which
+    imports ``inspect``, is about a quarter of a CLI call's set-up."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The class's own annotations (3.10+), evaluated here when lazy (3.14).
+        if fields := tuple(cls.__annotations__):
+            cls.__match_args__ = fields
+            body = ", ".join(f"{f}={f}" for f in fields)
+            ns = {"__name__": cls.__module__}  # compiled once per class, as dataclasses does
+            exec(f"def __init__(self, {', '.join(fields)}):\n    self.__dict__.update({body})", ns)
+            cls.__init__ = ns["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__.__annotations__ = dict(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Weight:
@@ -193,8 +245,8 @@ def parse_weight(text: str) -> Weight:
     return Weight.from_ints(tuple(n * (den // q) for n, q in terms), den)
 
 
-class BilinearForm:
-    """Symmetric rational Gram matrix on the weight space.
+class BilinearForm(_Frozen):
+    """Symmetric rational Gram matrix on the weight space; a value on gram.
 
     Symmetry and positive definiteness are queried, not enforced at
     construction, so that structural validation can report them.  The
@@ -202,20 +254,21 @@ class BilinearForm:
     is all the pairing reads.
     """
 
+    __match_args__ = ("gram",)
     __slots__ = ("gram", "_int_gram", "_den", "_int_row")
 
-    def __init__(self, rows):
-        gram = tuple(tuple(_coerce(x) for x in row) for row in rows)
+    def __init__(self, gram):
+        gram = tuple(tuple(_coerce(x) for x in row) for row in gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise DimensionMismatch("Gram matrix must be square")
-        self.gram = gram
-        self._den = lcm(*(x.denominator for row in gram for x in row))
-        self._int_gram = tuple(
-            tuple(x.numerator * (self._den // x.denominator) for x in row)
-            for row in gram
-        )
-        self._int_row = matvec(self._int_gram)  # G t, for t's numerators
+        den = lcm(*(x.denominator for row in gram for x in row))
+        int_gram = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in gram)
+        fill = object.__setattr__
+        fill(self, "gram", gram)
+        fill(self, "_den", den)
+        fill(self, "_int_gram", int_gram)
+        fill(self, "_int_row", matvec(int_gram))  # G t, for t's numerators
 
     @classmethod
     def identity(cls, rank: int) -> "BilinearForm":
@@ -261,15 +314,6 @@ class BilinearForm:
         if not self.is_symmetric():
             return False
         return all(row[i] > 0 for i, row in enumerate(eliminate(self._int_gram)[2]))
-
-    def __eq__(self, other):
-        return isinstance(other, BilinearForm) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
-
-    def __repr__(self):
-        return f"BilinearForm({self.gram})"
 
 
 def half_sum(roots, rank: int | None = None) -> Weight:

@@ -209,6 +209,15 @@ def test_classify_rejects_float_radius(capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text", ((("--radius", "-1"), "-1"), (("--radius=0",), "0"), (("--radius=-1/2",), "-1/2"))
+)
+def test_classify_refuses_a_radius_not_positive_by_name(capsys, argv, text):
+    code, out, err = run_cli(capsys, "classify", "sp4r", *argv)
+    assert code == 2 and out == ""
+    assert f"--radius must be positive, got {text}\n" in err
+
+
 def test_match_inverse(capsys):
     code, out, _ = run_cli(capsys, "match", "sp4r", "--mu", "2,0", "--direction", "inverse")
     assert code == 0

@@ -33,6 +33,7 @@ from tempered_atlas.groups import (
     validate,
 )
 from tempered_atlas.matching import ComponentSummary, summarize
+from tempered_atlas.parabolic import ThetaParabolic, build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
 from test_su31_custom import SU31_TEXT
@@ -110,13 +111,21 @@ def test_value_classes_compare_by_value_and_are_frozen():
             enumerate_components(d, 2),
         ),
         ComponentSummary: (summarize(d, kappa), summarize(d, kappa), summarize(d, other)),
+        # A face is its descriptor's table entry: a second one needs a second descriptor.
+        ThetaParabolic: (
+            build_parabolic(d, Weight((3, 1))),
+            build_parabolic(replace(d), Weight((3, 1))),
+            build_parabolic(d, Weight((1, 0))),
+        ),
+        BilinearForm: (d.form, BilinearForm(d.form.gram), BilinearForm(((2, 0), (0, 2)))),
     }
-    assert len(triples) == 5
+    assert len(triples) == 7
     for cls, (a, b, c) in triples.items():
         assert type(a) is type(b) is type(c) is cls
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != c and a != tuple(getattr(a, f) for f in cls.__match_args__)
-        if cls is not EssentialVoganDatum:  # made only by construct_from_kappa
+        # Made only by construct_from_kappa and build_parabolic.
+        if cls not in (EssentialVoganDatum, ThetaParabolic):
             assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
         assert repr(a).startswith(f"{cls.__name__}(")
         assert all(f"{f}={getattr(a, f)!r}" in repr(a) for f in cls.__match_args__)
@@ -125,12 +134,24 @@ def test_value_classes_compare_by_value_and_are_frozen():
     datum = triples[EssentialVoganDatum][0]
     assert "kappa_l_nums" not in datum.__match_args__ and "kappa_l_nums" not in repr(datum)
     assert not hasattr(datum, "__dict__")
+    # Its face shows as (descriptor, signs), not as an address.
+    assert "signs=" in repr(datum) and " at 0x" not in repr(datum)
+    face, form = triples[ThetaParabolic][0], d.form
     for value, field in ((d, "name"), (datum, "kappa"), (datum, "kappa_l_nums"),
-                         (triples[ComponentSummary][0], "minimal_k_types")):
+                         (triples[ComponentSummary][0], "minimal_k_types"),
+                         (face, "l_pairs"), (face, "signs"), (form, "gram")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             delattr(value, field)
+    # A refused assignment leaves the shared face, and every pairing, as built.
+    with pytest.raises(AttributeError):
+        face.l_pairs = ()
+    with pytest.raises(AttributeError):
+        form.gram = ((2, 0), (0, 2))
+    again = build_parabolic(d, Weight((3, 1)))
+    assert again == triples[ThetaParabolic][1] and again.l_pairs == triples[ThetaParabolic][1].l_pairs
+    assert form.inner(kappa, kappa) == Fraction(25, 2)
     # A copy is rebuilt through the constructor: equal, with no memoised tables.
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back is not d
