@@ -166,8 +166,8 @@ def _chamber_walk(d: RealFormDescriptor):
 
     basis_nums = tuple(tuple(row[len(columns) :]) for row in rows)
     # Numerators over D pair to <x, y> times D^2 and the form's denominator.
-    pair = matvec(map(frame.gram, basis_nums))
-    quad = tuple(tuple(pair(x)) for x in basis_nums)
+    gram_rows = [frame.gram(y) for y in basis_nums]
+    quad = tuple(tuple([sum(map(mul, x, g)) for g in gram_rows]) for x in basis_nums)
     dots = matvec(zip(*basis_nums))
     return (tuple(center), center_den), quad, frame.scale, tuple(lower), nums[0], dots
 

@@ -53,6 +53,9 @@ class ThetaParabolic(_Frozen):
     def __reduce__(self):
         return _face, (self.descriptor, self.signs)
 
+    def __repr__(self):  # the group's name, not its whole descriptor
+        return f"ThetaParabolic(group={self.descriptor.name!r}, signs={self.signs!r})"
+
     def _build(self, d: RealFormDescriptor, signs):  # called by _face alone
         # A strictly dominant weight is positive exactly on the positive
         # compact roots when the compact roots are +-positive_compact; the

@@ -1,5 +1,5 @@
-"""Exact linear algebra on integers: fraction-free elimination, a mat-vec
-kernel, and integer-point enumeration in ellipsoids with integer quadrics.
+"""Exact linear algebra on integers: fraction-free elimination, generated
+mat-vec kernels, and integer-point enumeration in ellipsoids with integer quadrics.
 
 Every matrix the package eliminates is an integer matrix up to one scale,
 so ``eliminate`` runs Bareiss's fraction-free Gauss-Jordan elimination
@@ -14,7 +14,6 @@ coordinate's window.
 from fractions import Fraction
 from functools import partial
 from math import isqrt, lcm
-from operator import mul
 
 
 def eliminate(rows):
@@ -48,28 +47,32 @@ def eliminate(rows):
     return prev, rows, pivot_rows
 
 
-def _dot2(rows, x):
-    x0, x1 = x
-    return [a * x0 + b * x1 for a, b in rows]
+class _Kernel(partial):
+    """A generated mat-vec, called as its function and pickled by its rows."""
 
-
-def _dot3(rows, x):
-    x0, x1, x2 = x
-    return [a * x0 + b * x1 + c * x2 for a, b, c in rows]
-
-
-def _dot(rows, x):
-    return [sum(map(mul, x, row)) for row in rows]
+    def __reduce__(self):
+        return matvec, (self.func.rows,)
 
 
 def matvec(rows):
-    """x -> [row . x for row in rows] for integer rows and x of one length,
-    built once per table as a picklable partial.  The products are written
-    out for lengths 2 and 3, the benchmarked ranks; others are summed."""
+    """x -> [row . x for row in rows] for int rows of one length and x of
+    that length, compiled once per table with the table's integers written
+    into its source, so a call runs the table's own sums with no loop.  Any
+    entry whose type is not exactly int is refused (TypeError) before any
+    source is built; an empty table gives [] for any x."""
     rows = tuple(map(tuple, rows))
-    width = {len(row) for row in rows}
-    kernel = {2: _dot2, 3: _dot3}.get(width.pop(), _dot) if len(width) == 1 else _dot
-    return partial(kernel, rows)
+    if bad := [c for row in rows for c in row if type(c) is not int]:
+        raise TypeError(f"a kernel entry must be an int, not {type(bad[0]).__name__}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("kernel rows must have one length")
+    # Each row as source, such as "x0 - x1 + 2*x2": zero entries skipped, no 1*.
+    sums = (" ".join(f"{'-+'[c > 0]} {abs(c)}*x{j}" for j, c in enumerate(r) if c) for r in rows)
+    sums = [text.replace(" 1*", " ").removeprefix("+ ") or "0" for text in sums]
+    unpack = f"[{', '.join(f'x{j}' for j in range(len(rows[0])))}] = x\n    " if rows else ""
+    ns = {"__builtins__": {}}
+    exec(f"def kernel(x):\n    {unpack}return [{', '.join(sums)}]", ns)
+    ns["kernel"].rows = rows
+    return _Kernel(ns["kernel"])
 
 
 def sqrt_upper(q: Fraction) -> Fraction:
@@ -112,12 +115,9 @@ def ellipsoid_integer_points(center, quad, bound, lower=None):
     bound = Fraction(bound)
     if bound < 0:
         return
-    if r == 0:
-        yield ()
-        return
     _, _, pivot_rows = eliminate(quad)
     m = [row[i] for i, row in enumerate(pivot_rows)]
-    if min(m) <= 0:
+    if any(x <= 0 for x in m):
         raise ValueError("quadratic form is not positive definite")
 
     # b z_i = t_i n_i - mid for t_i = b m_i and the integer

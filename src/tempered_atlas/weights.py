@@ -11,8 +11,9 @@ over one denominator, so +, -, scaling and <a, b> are integer sums, with a
 Fraction built only for a pairing's value or when coordinates are read; a
 test of a pairing against 0 reads the sign of the integer sum alone.  For
 numerators t that are paired again and again, the integer rows G t are
-built once; ``ratlin.matvec``, the package's one integer mat-vec kernel,
-forms each G t and then reads every pairing against the rows in one call.
+built once, each by the form's own kernel, which ``ratlin.matvec``
+compiles from G's integers; a table's kernel then reads every pairing
+against its rows in one call.
 """
 
 import re

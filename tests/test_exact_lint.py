@@ -24,6 +24,12 @@ so a slot that only its constructor reads is a local instead.
 A sixth rule keeps the dominance tests on the plain form: no call of
 ``min`` or ``max`` passes a ``default=`` keyword, which costs about twice a
 plain call; a guard on the length, ``n and min(v[:n]) < 0``, reads the same.
+
+A seventh rule keeps compiled source to the package's own text: the
+builtins ``exec``, ``eval`` and ``compile`` are called only in
+``_Frozen.__init_subclass__``, which writes each value class's
+constructor, and in ``ratlin.matvec``, which writes each table's kernel
+from integers it has checked.
 """
 
 import ast
@@ -36,6 +42,8 @@ MODULES = sorted(SRC.glob("*.py"))
 INTEGER_MATH = {"gcd", "lcm", "isqrt"}
 PRIVATE_SCALES = {"_den", "_int_gram"}
 SCALE_OWNERS = {"weights.py", "groups.py"}
+DYNAMIC_CODE = {"exec", "eval", "compile"}
+DYNAMIC_CODE_OWNERS = {("weights.py", "_Frozen.__init_subclass__"), ("ratlin.py", "matvec")}
 
 
 def float_uses(tree: ast.Module) -> list[str]:
@@ -298,3 +306,56 @@ def test_module_calls_no_defaulted_min_or_max(path):
 )
 def test_extrema_lint_flags_each_kind(source, expected):
     assert defaulted_extrema(ast.parse(source)) == expected
+
+
+def dynamic_code(tree: ast.Module, module: str) -> list[str]:
+    """One line per call of the builtin ``exec``, ``eval`` or ``compile``
+    outside the scopes of DYNAMIC_CODE_OWNERS, as 'line: exec'; a scope is
+    the dotted name of the enclosing classes and functions."""
+    found = []
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id in DYNAMIC_CODE:
+                if (module, scope) not in DYNAMIC_CODE_OWNERS:
+                    found.append((child.lineno, child.func.id))
+            stack.append((child, inner))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_compiles_only_its_own_source(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert dynamic_code(tree, path.name) == []
+
+
+_INIT_SUBCLASS = "class _Frozen:\n    def __init_subclass__(cls):\n        exec(text, ns)"
+
+
+@pytest.mark.parametrize(
+    "module, source, expected",
+    (
+        ("other.py", "exec('x = 1')", ["1: exec"]),
+        ("other.py", "y = eval(text)", ["1: eval"]),
+        ("other.py", "code = compile(text, 'f', 'exec')", ["1: compile"]),
+        ("other.py", "def f(s):\n    return eval(s) + eval(s)", ["2: eval", "2: eval"]),
+        # A method compiles regex patterns, not code.
+        ("weights.py", "INTEGER_RE = re.compile('[0-9]+')", []),
+        ("other.py", "obj.exec(text)", []),
+        # Each owner only in its own scope and module.
+        ("weights.py", _INIT_SUBCLASS, []),
+        ("groups.py", _INIT_SUBCLASS, ["3: exec"]),
+        ("weights.py", "class Weight:\n    def __init__(self, t):\n        eval(t)", ["3: eval"]),
+        ("ratlin.py", "def matvec(rows):\n    exec(text, ns)", []),
+        ("ratlin.py", "def eliminate(rows):\n    exec(text, ns)", ["2: exec"]),
+        ("ratlin.py", "def matvec(rows):\n    def g():\n        exec(text)", ["3: exec"]),
+        ("ratlin.py", "exec(text)\ndef matvec(rows):\n    pass", ["1: exec"]),
+    ),
+)
+def test_dynamic_code_lint_flags_each_kind(module, source, expected):
+    assert dynamic_code(ast.parse(source), module) == expected

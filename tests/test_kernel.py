@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempered_atlas import catalog
+from tempered_atlas import catalog, loads_descriptor
 from tempered_atlas.classify import (
     construct_from_kappa, enumerate_ball, genuine_shift, is_genuine,
 )
@@ -27,7 +27,7 @@ from tempered_atlas.parabolic import build_parabolic
 from tempered_atlas.weights import BilinearForm, Weight
 from conftest import replace
 from fraction_linalg import det, gauss_solve, inner, project_away, scale_form, transpose
-from test_classify import _VALID, _product, _scales, _walk_groups, unimodular
+from test_classify import _VALID, _product, _scales, _walk_groups, sp2n_text, unimodular
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scales = st.fractions(min_value=Fraction(1, 9), max_value=50, max_denominator=9)
@@ -173,27 +173,41 @@ def test_lattice_coordinates_non_unimodular_basis():
 # ---------------------------------------------------------------------------
 # the per-descriptor pairing table against per-weight pairings
 
-_TABLE_GROUPS = _walk_groups()
-# Descriptors of each rank the kernel writes out, 1 to 3, and a product of
-# rank 4, which takes its generic sum.
+# The walk groups and sp(8,R), sp(10,R) of ranks 4 and 5.
+_TABLE_GROUPS = {
+    **_walk_groups(),
+    **{f"sp{2 * n}r": loads_descriptor(sp2n_text(n)) for n in (4, 5)},
+}
+# Descriptors of each rank 1 to 5, and a product of rank 4; every width
+# takes a kernel generated from its table.
 _BY_RANK = {
     d.name: d
     for d in (
         *(_TABLE_GROUPS[name] for name in ("sl2r", "sl2c", "su21", "sp4r", "su31", "sp6r")),
+        _TABLE_GROUPS["sp8r"],
+        _TABLE_GROUPS["sp10r"],
         _product(_TABLE_GROUPS["sp4r"], _TABLE_GROUPS["su21"]),
     )
 }
 
 
 @st.composite
-def table_cases(draw):
-    """A catalog group, su31, bc1 or a product of two of them, its Gram
-    rescaled, and a weight nums / den with small numerators, so that zero
-    pairings, dominant weights and lattice points all turn up."""
-    names = st.sampled_from(sorted(_TABLE_GROUPS))
-    d = _TABLE_GROUPS[draw(names)]
+def table_groups(draw):
+    """A table group, or a product of two of rank at most 6, so that sp10r
+    pairs with the rank-one groups only and no walk grows past rank 6."""
+    d = _TABLE_GROUPS[draw(st.sampled_from(sorted(_TABLE_GROUPS)))]
     if draw(st.booleans()):
-        d = _product(d, _TABLE_GROUPS[draw(names)])
+        fits = sorted(n for n, e in _TABLE_GROUPS.items() if d.rank_tc + e.rank_tc <= 6)
+        d = _product(d, _TABLE_GROUPS[draw(st.sampled_from(fits))])
+    return d
+
+
+@st.composite
+def table_cases(draw):
+    """A table group or a product of two, its Gram rescaled, and a weight
+    nums / den with small numerators, so that zero pairings, dominant
+    weights and lattice points all turn up."""
+    d = draw(table_groups())
     d = replace(d, form=scale_form(d.form, draw(scales)))
     den = draw(st.sampled_from((1, 2, 3, 6)))
     nums = draw(st.lists(st.integers(-6, 6), min_size=d.rank_tc, max_size=d.rank_tc))
@@ -206,6 +220,8 @@ def table_cases(draw):
 @example((_BY_RANK["sp4r"], Weight((2, -2))))
 @example((_BY_RANK["sp6r"], Weight((Fraction(3, 2), 1, -1))))
 @example((_BY_RANK["sp4rxsu21"], Weight((1, -1, 1, 1))))
+@example((_BY_RANK["sp8r"], Weight((3, 1, 1, -2))))
+@example((_BY_RANK["sp10r"], Weight((4, 3, 2, 1, 0))))
 def test_pairing_table_matches_per_weight_pairings(case):
     d, w = case
     frame = integer_frame(d)
@@ -396,14 +412,11 @@ def test_gram_rescaling_shares_no_tables_and_keeps_output(c):
 
 @st.composite
 def oracle_cases(draw):
-    """A walk group or a product of two, its Gram rescaled, and its lattice
+    """A table group or a product of two, its Gram rescaled, and its lattice
     basis moved by a unimodular matrix and divided by m.  Dividing keeps
     every weight in the lattice and gives the basis denominators other than
     1, so that D, not the walk's own denominator, sets the scale."""
-    names = st.sampled_from(sorted(_TABLE_GROUPS))
-    d = _TABLE_GROUPS[draw(names)]
-    if draw(st.booleans()):
-        d = _product(d, _TABLE_GROUPS[draw(names)])
+    d = draw(table_groups())
     scale = draw(scales)
     m = draw(st.sampled_from((1, 2, 3) if d.rank_tc <= 3 else (1, 2)))
     zero = Weight.zero(d.rank_tc)
@@ -434,6 +447,9 @@ def oracle(d, kappa):
 @given(oracle_cases())
 # kappa = 0 and (1,0,-1) are on faces with two Levi pairs of different lengths.
 @example((_TABLE_GROUPS["sp6r"], 2))
+# Ranks 4 and 5 through the oracle on every run.
+@example((_TABLE_GROUPS["sp8r"], 4))
+@example((_TABLE_GROUPS["sp10r"], 6))
 def test_integer_component_path_matches_weight_arithmetic(case):
     d, radius_sq = case
     # bc1 is not reduced, which validate names; the component path still runs.

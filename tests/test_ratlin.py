@@ -38,15 +38,18 @@ def test_gauss_solve_inconsistent():
 
 @st.composite
 def matvec_cases(draw):
-    """Integer rows of one length 0..5, each length one of matvec's
-    branches or the generic sum, and a vector of that length."""
+    """Integer rows of one length 0..5 and a vector of that length.  Entries
+    come from -2..2 as well as at large, so that the generated source skips
+    zeros and writes +-1 without a multiply."""
     width = draw(st.integers(min_value=0, max_value=5))
-    entries = st.lists(st.integers(-10**6, 10**6), min_size=width, max_size=width)
+    entry = st.integers(-2, 2) | st.integers(-10**6, 10**6)
+    entries = st.lists(entry, min_size=width, max_size=width)
     rows = draw(st.lists(entries, max_size=6))
     return rows, draw(entries)
 
 
 @given(matvec_cases(), st.booleans(), st.booleans())
+@example(([[1, -1], [1, 1], [2, 0], [0, 2], [0, 0], [-1, -2]], [3, 5]), True, True)
 def test_matvec_matches_the_generic_sum(case, tuple_rows, tuple_x):
     rows, x = case
     rows = [tuple(row) if tuple_rows else row for row in rows]
@@ -58,6 +61,27 @@ def test_matvec_matches_the_generic_sum(case, tuple_rows, tuple_x):
     assert dots(x) == expected
     assert dots([2 * v for v in x]) == [2 * v for v in expected]
     assert pickle.loads(pickle.dumps(dots))(x) == expected
+
+
+def test_matvec_of_the_empty_table_reads_no_x():
+    assert matvec([])((1, -2, 3)) == []
+    assert pickle.loads(pickle.dumps(matvec(())))([4]) == []
+
+
+@pytest.mark.parametrize(
+    "entry", (True, Fraction(1), 1.0, "1", "x0"), ids=("bool", "Fraction", "float", "str", "name")
+)
+def test_matvec_refuses_an_entry_not_exactly_int(entry):
+    # Checked before any source is built: no text reaches the compiler.
+    with pytest.raises(TypeError, match=f"not {type(entry).__name__}$"):
+        matvec([(1, 2), (3, entry)])
+
+
+def test_matvec_refuses_rows_of_two_lengths_and_x_of_another_length():
+    with pytest.raises(ValueError, match="one length"):
+        matvec([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        matvec([(1, 2)])((1, 2, 3))
 
 
 def ldl_from_pivot_rows(pivot_rows):
@@ -256,6 +280,13 @@ def test_ellipsoid_bound_must_be_exact():
     with pytest.raises(TypeError, match="not float"):
         list(ellipsoid_integer_points(((0,), 1), ((1,),), 2.25))
     assert list(ellipsoid_integer_points(((0,), 1), ((1,),), Fraction(9, 4))) == [(-1,), (0,), (1,)]
+
+
+def test_ellipsoid_of_rank_zero_holds_the_empty_point():
+    # The general walk: no coordinate to fix, so its one leaf is ().
+    for bound in (0, Fraction(1, 2), 5):
+        assert list(ellipsoid_integer_points(((), 1), (), bound)) == [()]
+    assert list(ellipsoid_integer_points(((), 1), (), -1)) == []
 
 
 def test_sqrt_upper_refuses_a_negative_radicand():
